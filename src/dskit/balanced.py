@@ -5,9 +5,13 @@ balanced of type a when every facet has exactly a_i vertices of color i
 (hence |a| = d and the complex is pure). For a face F, b(F) counts its
 vertices per color; flag vectors refine face counts by b(F).
 
-Flag h-numbers are computed both by the inclusion-exclusion closed form
-h_b = sum_{c<=b} (-1)^(|b|-|c|) f_c and by coefficient extraction from
-sum_F x^b(F) (1-x)^(a-b(F)); the two must agree and are cross-checked.
+Flag h-numbers have two routes: the inclusion-exclusion closed form
+h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c (flag_h), and coefficient
+extraction from sum_F x^b(F) (1-x)^(a-b(F)) (flag_h_from_expansion, which
+also gives the colored Hilbert numerator). Neither calls the other; their
+agreement is checked in tests/test_balanced.py by
+test_flag_h_closed_form_equals_expansion, test_flag_h_monochromatic_type_is_h_vector
+and test_flag_h_type_two_one_suspended_triangle.
 """
 
 from __future__ import annotations
@@ -22,15 +26,15 @@ from .poly import (
     ExponentVec,
     MDeltaCoeffs,
     MPoly,
+    _sign,
+    _vec_add,
+    _vec_leq,
+    _vec_sub,
     exponents_below,
     mcomb,
     mdelta_expand,
 )
 from .relations import RelationReport, _base_context, _report
-
-
-def _sign(k: int) -> int:
-    return -1 if k % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -113,10 +117,9 @@ def flag_h_from_expansion(cx: Complex, coloring: Coloring) -> dict[ExponentVec, 
     a = coloring.a
     out = {b: 0 for b in exponents_below(a)}
     for _, bf in _face_b_vectors(cx, coloring):
-        rest = tuple(x - y for x, y in zip(a, bf))
+        rest = _vec_sub(a, bf)
         for extra in exponents_below(rest):
-            e = tuple(x + y for x, y in zip(bf, extra))
-            out[e] += _sign(sum(extra)) * mcomb(rest, extra)
+            out[_vec_add(bf, extra)] += _sign(sum(extra)) * mcomb(rest, extra)
     return out
 
 
@@ -125,25 +128,19 @@ def flag_h(cx: Complex, coloring: Coloring) -> dict[ExponentVec, int]:
 
     h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c. The multi-binomial
     weight is 1 whenever the type vector is 0/1 (completely balanced), where
-    the formula takes its familiar weightless shape. Cross-checked against
-    the polynomial-expansion route; disagreement would be a library bug,
-    never bad input.
+    the formula takes its familiar weightless shape. The polynomial-expansion
+    route, flag_h_from_expansion, is its reference in tests/test_balanced.py
+    (test_flag_h_closed_form_equals_expansion).
     """
     a = coloring.a
     f = flag_f(cx, coloring)
-    out = {}
-    for b in exponents_below(a):
-        out[b] = sum(
-            _sign(sum(b) - sum(c))
-            * mcomb(
-                tuple(x - y for x, y in zip(a, c)),
-                tuple(x - y for x, y in zip(b, c)),
-            )
-            * f[c]
+    return {
+        b: sum(
+            _sign(sum(b) - sum(c)) * mcomb(_vec_sub(a, c), _vec_sub(b, c)) * f[c]
             for c in exponents_below(b)
         )
-    assert out == flag_h_from_expansion(cx, coloring)
-    return out
+        for b in exponents_below(a)
+    }
 
 
 def multiplicity_mpoly(
@@ -198,7 +195,7 @@ def verify_flag_reciprocity(
     a = coloring.a
     h = flag_h(cx, coloring)
     # (x+1)^b x^(a-b) is the delta element indexed by a-b
-    swapped = {tuple(x - y for x, y in zip(a, b)): hb for b, hb in h.items()}
+    swapped = {_vec_sub(a, b): hb for b, hb in h.items()}
     lhs = mdelta_expand(MDeltaCoeffs(swapped, a))
     rhs = multiplicity_mpoly(cx, coloring, table)
     ctx = _balanced_context(cx, coloring, table)
@@ -222,22 +219,20 @@ def verify_balanced_ds(
         table = multiplicities(cx)
     a = coloring.a
     h = flag_h(cx, coloring)
-    comp = lambda b: tuple(x - y for x, y in zip(a, b))
-    diffs = {b: h[b] - h[comp(b)] for b in exponents_below(a)}
+    diffs = {b: h[b] - h[_vec_sub(a, b)] for b in exponents_below(a)}
     lhs = mdelta_expand(MDeltaCoeffs(diffs, a))
     rhs = flag_f_mpoly(cx, coloring) - multiplicity_mpoly(cx, coloring, table)
-    labels = _mvar_labels(a)
+    labels = _mvar_labels(a) + _mvar_labels(a, "b=")
     residuals = _mvar_residuals(lhs, rhs, a)
     faces = [
         (mask, bf, table.epsilon_mask(mask)) for mask, bf in _face_b_vectors(cx, coloring)
     ]
     for b in exponents_below(a):
         acc = 0
-        ab = comp(b)
+        ab = _vec_sub(a, b)
         for _, bf, eps in faces:
-            if eps and all(x <= y for x, y in zip(bf, b)):
-                acc += mcomb(comp(bf), ab) * eps
-        labels.append("b=(" + ",".join(str(x) for x in b) + ")")
+            if eps and _vec_leq(bf, b):
+                acc += mcomb(_vec_sub(a, bf), ab) * eps
         residuals.append(diffs[b] - _sign(sum(a) - sum(b)) * acc)
     ctx = _balanced_context(cx, coloring, table)
     ctx.update({"lhs": lhs.items_sorted(), "rhs": rhs.items_sorted()})
@@ -256,12 +251,10 @@ def verify_balanced_semi_eulerian(
     a = coloring.a
     h = flag_h(cx, coloring)
     gap = reduced_euler(cx) - _sign(cx.d - 1)
-    labels = []
-    residuals = []
-    for b in exponents_below(a):
-        ab = tuple(x - y for x, y in zip(a, b))
-        labels.append("b=(" + ",".join(str(x) for x in b) + ")")
-        residuals.append((h[ab] - h[b]) - _sign(sum(b)) * gap * mcomb(a, b))
+    residuals = [
+        (h[_vec_sub(a, b)] - h[b]) - _sign(sum(b)) * gap * mcomb(a, b)
+        for b in exponents_below(a)
+    ]
     ctx = _balanced_context(cx, coloring, table)
     ctx.update(
         {
@@ -270,4 +263,4 @@ def verify_balanced_semi_eulerian(
             "completely_balanced": all(x == 1 for x in a),
         }
     )
-    return _report("balanced-semi-eulerian", labels, residuals, ctx)
+    return _report("balanced-semi-eulerian", _mvar_labels(a, "b="), residuals, ctx)

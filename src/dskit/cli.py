@@ -349,7 +349,10 @@ def _cmd_batch(args) -> int:
     all_ok = True
     results = {}
     for path in sorted(root.glob("*.cplx")):
-        cx = parse_cplx(path.read_text(encoding="utf-8"), max_faces=args.max_faces)
+        try:
+            cx = parse_cplx(path.read_text(encoding="utf-8"), max_faces=args.max_faces)
+        except (ParseError, ResourceLimitError) as exc:
+            raise type(exc)(f"{path.name}: {exc}") from exc
         reports = relations.verify_all(cx)
         results[path.name] = reports
         all_ok = all_ok and all(r.holds for r in reports)

@@ -19,14 +19,10 @@ from typing import Iterable
 
 from .complexes import Complex, FaceTuple, face_mask, mask_vertices
 from .errors import DomainError, PreconditionError, ValidationError
-from .poly import IntPoly
+from .poly import DeltaCoeffs, IntPoly, _sign, delta_expand
 
 FVector = tuple[int, ...]
 HVector = tuple[int, ...]
-
-
-def _sign(k: int) -> int:
-    return -1 if k % 2 else 1
 
 
 def f_vector(cx: Complex) -> FVector:
@@ -54,23 +50,14 @@ def h_vector(f: Iterable[int]) -> HVector:
 
 
 def h_to_f(h: Iterable[int]) -> FVector:
-    """Inverse transform, from f(x) = h(x+1) on the reversed polynomials."""
-    h = tuple(int(x) for x in h)
-    d = len(h) - 1
-    return tuple(
-        sum(comb(d - i, k - i) * h[i] for i in range(k + 1)) for k in range(d + 1)
-    )
+    """Inverse transform: f_tilde(x) = sum_i h_i x^i (x+1)^(d-i)."""
+    return delta_expand(DeltaCoeffs(reversed(tuple(h)))).coeffs
 
 
 def f_tilde(f: Iterable[int]) -> IntPoly:
     """Generating polynomial sum_i f_{i-1} x^i (ascending coefficients)."""
     f = tuple(f)
     return IntPoly(f, len(f) - 1)
-
-
-def h_tilde(h: Iterable[int]) -> IntPoly:
-    h = tuple(h)
-    return IntPoly(h, len(h) - 1)
 
 
 def euler_from_f(f: Iterable[int]) -> int:

@@ -15,18 +15,34 @@ from weakref import WeakKeyDictionary
 
 from .complexes import Complex, FaceTuple, mask_vertices
 from .errors import PreconditionError, ValidationError
+from .poly import _sign
+
+# Miller-Rabin with the first 13 primes as bases is exact below the smallest
+# strong pseudoprime to all of them (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(p: int) -> bool:
+    """Deterministic primality test, exact for p < _MR_EXACT_BELOW."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    q = 3
-    while q * q <= p:
+    for q in _MR_BASES:
         if p % q == 0:
+            return p == q
+    odd, s = p - 1, 0
+    while odd % 2 == 0:
+        odd, s = odd // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        q += 2
     return True
 
 
@@ -37,6 +53,11 @@ class FieldSpec:
     characteristic: int = 0
 
     def __post_init__(self):
+        if self.characteristic >= _MR_EXACT_BELOW:
+            raise ValidationError(
+                f"field characteristic {self.characteristic} is out of range:"
+                f" primes must be below {_MR_EXACT_BELOW}"
+            )
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise ValidationError(
                 f"field characteristic must be 0 or prime, got {self.characteristic}"
@@ -152,7 +173,7 @@ class BettiTable:
         return len(self.betti) - 2
 
     def reduced_euler(self) -> int:
-        return sum((-1) ** i * self.b(i) for i in range(-1, self.top_dim + 1))
+        return sum(_sign(i) * self.b(i) for i in range(-1, self.top_dim + 1))
 
     def items(self) -> list[tuple[int, int]]:
         return [(i - 1, b) for i, b in enumerate(self.betti)]

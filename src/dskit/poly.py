@@ -30,6 +30,11 @@ from .errors import DomainError, ValidationError
 ExponentVec = tuple[int, ...]
 
 
+def _sign(k: int) -> int:
+    """(-1)^k as an int, for any integer k."""
+    return -1 if k % 2 else 1
+
+
 class IntPoly:
     """Dense exact-integer univariate polynomial with an explicit degree bound.
 
@@ -116,7 +121,7 @@ class IntPoly:
 
     def reflected(self) -> IntPoly:
         """p(-x)."""
-        return IntPoly([(-1) ** k * c for k, c in enumerate(self.coeffs)])
+        return IntPoly([_sign(k) * c for k, c in enumerate(self.coeffs)])
 
     def shifted(self, c: int) -> IntPoly:
         """p(x+c), expanded by the binomial theorem."""
@@ -198,7 +203,7 @@ def monomial_to_delta(p: IntPoly) -> DeltaCoeffs:
     for k, pk in enumerate(p.coeffs):
         if pk:
             for i in range(d - k + 1):
-                out[i] += pk * (-1) ** (d - k - i) * comb(d - k, i)
+                out[i] += pk * _sign(d - k - i) * comb(d - k, i)
     return DeltaCoeffs(out)
 
 
@@ -352,6 +357,6 @@ def mmonomial_to_delta(p: MPoly) -> MDeltaCoeffs:
         rest = _vec_sub(a, b)
         for extra in exponents_below(rest):
             bp = _vec_add(b, extra)
-            sign = -1 if sum(extra) % 2 else 1
-            out[bp] = out.get(bp, 0) + pb * sign * mcomb(rest, _vec_sub(a, bp))
+            term = pb * _sign(sum(extra)) * mcomb(rest, _vec_sub(a, bp))
+            out[bp] = out.get(bp, 0) + term
     return MDeltaCoeffs(out, a)

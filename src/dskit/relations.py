@@ -33,16 +33,13 @@ from .enumeration import (
     f_tilde,
     f_vector,
     h_vector,
+    interior_f_vector,
     multiplicities,
     reduced_euler_from_f,
 )
 from .errors import PreconditionError, ValidationError
 from .homology import FieldSpec, is_homology_manifold
-from .poly import DeltaCoeffs, IntPoly, delta_expand
-
-
-def _sign(k: int) -> int:
-    return -1 if k % 2 else 1
+from .poly import DeltaCoeffs, IntPoly, _sign, delta_expand
 
 
 def _jsonify(v):
@@ -289,27 +286,12 @@ def ds_f_inverse_residuals(
     return tuple(labels), tuple(residuals)
 
 
-def _require_reciprocal(table: MultiplicityTable) -> None:
-    witness = table.reciprocity_witness()
-    if witness is not None:
-        raise PreconditionError("complex is not reciprocal", witness)
-
-
-def _interior_from_table(table: MultiplicityTable) -> tuple[int, ...]:
-    out = [0] * table.d
-    for mask, m in table.by_mask.items():
-        if mask and m == 1:
-            out[mask.bit_count() - 1] += 1
-    return tuple(out)
-
-
 def verify_ds_f(cx: Complex, table: MultiplicityTable | None = None) -> RelationReport:
     """f-version Dehn-Sommerville on a reciprocal complex."""
     if table is None:
         table = multiplicities(cx)
-    _require_reciprocal(table)
     f = f_vector(cx)
-    f_int = _interior_from_table(table)
+    f_int = interior_f_vector(cx, table)
     labels, residuals = ds_f_residuals(f, f_int, table.m_empty)
     ctx = _base_context(cx, table)
     ctx.update({"f": f, "f_int": f_int})
@@ -320,9 +302,8 @@ def verify_ds_f_inverse(cx: Complex, table: MultiplicityTable | None = None) -> 
     """Interior face numbers as the same linear combinations of face numbers."""
     if table is None:
         table = multiplicities(cx)
-    _require_reciprocal(table)
     f = f_vector(cx)
-    f_int = _interior_from_table(table)
+    f_int = interior_f_vector(cx, table)
     labels, residuals = ds_f_inverse_residuals(f, f_int)
     ctx = _base_context(cx, table)
     ctx.update({"f": f, "f_int": f_int})
@@ -391,7 +372,6 @@ def macdonald_q(cx: Complex, table: MultiplicityTable | None = None) -> IntPoly:
     """
     if table is None:
         table = multiplicities(cx)
-    _require_reciprocal(table)
     return macdonald_two_q(f_vector(cx), boundary_f_vector(cx, table))
 
 
@@ -410,7 +390,9 @@ def verify_macdonald(
     """
     if table is None:
         table = multiplicities(cx)
-    _require_reciprocal(table)
+    witness = table.reciprocity_witness()
+    if witness is not None:
+        raise PreconditionError("complex is not reciprocal", witness)
     f = f_vector(cx)
     fb = tuple(boundary_f) if boundary_f is not None else boundary_f_vector(cx, table)
     chi_r = reduced_euler_from_f(f)
@@ -432,33 +414,27 @@ def verify_macdonald(
 
 # -- batch driver ---------------------------------------------------------
 
-RELATION_NAMES = (
-    "fh-tilde",
-    "reciprocity",
-    "ds-f",
-    "ds-f-inverse",
-    "ds-h",
-    "semi-eulerian-h",
-    "macdonald",
-)
+# CLI name -> verifier, in report order. Values are function names looked up
+# at call time, so a wrapper installed on this module (a tracer) sees the call.
+RELATIONS = {
+    "fh-tilde": "verify_fh_tilde",
+    "reciprocity": "verify_reciprocity",
+    "ds-f": "verify_ds_f",
+    "ds-f-inverse": "verify_ds_f_inverse",
+    "ds-h": "verify_ds_h",
+    "semi-eulerian-h": "verify_semi_eulerian_h",
+    "macdonald": "verify_macdonald",
+}
+RELATION_NAMES = tuple(RELATIONS)
 
 
 def verify_relation(cx: Complex, name: str, table: MultiplicityTable | None = None) -> RelationReport:
     """Dispatch a single relation by CLI name."""
+    if name not in RELATIONS:
+        raise ValidationError(f"unknown relation {name!r}")
     if table is None:
         table = multiplicities(cx)
-    dispatch = {
-        "fh-tilde": verify_fh_tilde,
-        "reciprocity": verify_reciprocity,
-        "ds-f": verify_ds_f,
-        "ds-f-inverse": verify_ds_f_inverse,
-        "ds-h": verify_ds_h,
-        "semi-eulerian-h": verify_semi_eulerian_h,
-        "macdonald": verify_macdonald,
-    }
-    if name not in dispatch:
-        raise ValidationError(f"unknown relation {name!r}")
-    return dispatch[name](cx, table)
+    return globals()[RELATIONS[name]](cx, table)
 
 
 def verify_all(cx: Complex) -> list[RelationReport]:

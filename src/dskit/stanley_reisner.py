@@ -9,15 +9,25 @@ series are computed from face counts directly.
 
 The reciprocity route: substituting L = x/(x+1) into the series (after the
 sign-twisted 1/L evaluation) lands exactly on the face-multiplicity count
-sum_F m_F x^|F|, which this module cross-checks against the direct
-multiplicity computation.
+sum_F m_F x^|F|, which the verifiers here compare with the direct
+multiplicity computation. The single-graded numerator is the h-vector;
+its face-count reference sum_i f_{i-1} L^i (1-L)^(d-i) lives in
+tests/test_stanley_reisner.py (test_hilbert_numerator_is_h_vector).
+The colored numerator is balanced.flag_h_from_expansion; the closed-form
+flag_h is its reference there (test_sr_colored_on_balanced_corpus).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balanced import Coloring, _face_b_vectors, multiplicity_mpoly
+from .balanced import (
+    Coloring,
+    _mvar_labels,
+    _mvar_residuals,
+    flag_h_from_expansion,
+    multiplicity_mpoly,
+)
 from .complexes import Complex
 from .enumeration import MultiplicityTable, f_vector, h_vector, multiplicities
 from .poly import (
@@ -26,16 +36,11 @@ from .poly import (
     IntPoly,
     MDeltaCoeffs,
     MPoly,
+    _vec_sub,
     delta_expand,
-    exponents_below,
-    mcomb,
     mdelta_expand,
 )
 from .relations import RelationReport, _base_context, _report
-
-
-def _sign(k: int) -> int:
-    return -1 if k % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -46,42 +51,19 @@ class RationalSeries:
     denominator_exponent: int | ExponentVec
 
 
-def _numerator_from_faces(f: tuple[int, ...]) -> IntPoly:
-    """sum_i f_{i-1} L^i (1-L)^(d-i), expanded by polynomial arithmetic."""
-    d = len(f) - 1
-    one_minus = IntPoly([1, -1])
-    acc = IntPoly([0], d)
-    for i, fi in enumerate(f):
-        term = IntPoly.monomial(i, fi)
-        for _ in range(d - i):
-            term = term * one_minus
-        acc = acc + term
-    return acc.padded(d)
-
-
 def hilbert_series(cx: Complex) -> RationalSeries:
     """Hilbert series h(L)/(1-L)^d of the face ring.
 
-    The h-polynomial numerator is verified against the cleared-denominator
-    face-count sum before it is returned.
+    The numerator is the h-vector; the cleared-denominator face-count sum
+    is its reference in tests/test_stanley_reisner.py.
     """
-    f = f_vector(cx)
-    h = IntPoly(h_vector(f), cx.d)
-    direct = _numerator_from_faces(f)
-    assert h == direct, "h-vector route disagrees with face-count route"
-    return RationalSeries(h, cx.d)
+    return RationalSeries(IntPoly(h_vector(f_vector(cx)), cx.d), cx.d)
 
 
 def hilbert_series_colored(cx: Complex, coloring: Coloring) -> RationalSeries:
     """Color-graded series: numerator sum_F w^b(F) (1-w)^(a-b(F))."""
     a = coloring.a
-    out: dict[ExponentVec, int] = {}
-    for _, bf in _face_b_vectors(cx, coloring):
-        rest = tuple(x - y for x, y in zip(a, bf))
-        for extra in exponents_below(rest):
-            e = tuple(x + y for x, y in zip(bf, extra))
-            out[e] = out.get(e, 0) + _sign(sum(extra)) * mcomb(rest, extra)
-    return RationalSeries(MPoly(out, a), a)
+    return RationalSeries(MPoly(flag_h_from_expansion(cx, coloring), a), a)
 
 
 def verify_sr_reciprocity(
@@ -126,9 +108,7 @@ def verify_sr_reciprocity_colored(
     series = hilbert_series_colored(cx, coloring)
     n = series.numerator
     # n_b (x+1)^b x^(a-b): delta element indexed by a-b
-    swapped = {
-        tuple(x - y for x, y in zip(a, b)): nb for b, nb in n.coeffs.items()
-    }
+    swapped = {_vec_sub(a, b): nb for b, nb in n.coeffs.items()}
     lhs = mdelta_expand(MDeltaCoeffs(swapped, a))
     rhs = multiplicity_mpoly(cx, coloring, table)
     ctx = _base_context(cx, table)
@@ -140,6 +120,6 @@ def verify_sr_reciprocity_colored(
             "rhs": rhs.items_sorted(),
         }
     )
-    labels = ["x^(" + ",".join(str(x) for x in e) + ")" for e in exponents_below(a)]
-    residuals = [lhs.coeff(e) - rhs.coeff(e) for e in exponents_below(a)]
-    return _report("sr-reciprocity-colored", labels, residuals, ctx)
+    return _report(
+        "sr-reciprocity-colored", _mvar_labels(a), _mvar_residuals(lhs, rhs, a), ctx
+    )

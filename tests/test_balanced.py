@@ -24,6 +24,7 @@ from dskit.generators import (
     cylinder,
     double_banana,
     glued_triangles,
+    simplex_boundary,
 )
 from dskit.poly import IntPoly, exponents_below, mcomb
 from dskit.relations import verify_ds_h, verify_reciprocity
@@ -106,8 +107,41 @@ def test_flag_single_colored_vertex():
 
 
 def test_flag_h_closed_form_equals_expansion(balanced_pairs):
-    for _, cx, coloring in balanced_pairs[:12]:
+    for _, cx, coloring in balanced_pairs:
         assert flag_h(cx, coloring) == flag_h_from_expansion(cx, coloring)
+
+
+@pytest.mark.parametrize(
+    "made",
+    [simplex_boundary(4), cylinder(), cross_polytope_boundary(3)],
+    ids=["simplex-boundary-4", "cylinder", "octahedron"],
+)
+def test_flag_h_monochromatic_type_is_h_vector(made):
+    # one color, type (d,): the binomial weights C(a-c, b-c) are not all 1,
+    # and both flag routes must collapse to the univariate h-vector
+    cx = made.complex
+    coloring = validate_balanced(cx, {v: 1 for v in cx.vertices})
+    assert coloring.a == (cx.d,)
+    h = flag_h(cx, coloring)
+    assert h == flag_h_from_expansion(cx, coloring)
+    assert tuple(h[(k,)] for k in range(cx.d + 1)) == h_vector(f_vector(cx))
+
+
+def test_flag_h_type_two_one_suspended_triangle():
+    # suspension of a triangle boundary; the apexes 4 and 5 take color 2
+    cx = Complex.from_facets([[1, 2, 4], [1, 3, 4], [2, 3, 4], [1, 2, 5], [1, 3, 5], [2, 3, 5]])
+    coloring = validate_balanced(cx, {1: 1, 2: 1, 3: 1, 4: 2, 5: 2})
+    assert coloring.a == (2, 1)
+    assert flag_f(cx, coloring) == {
+        (0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 6, (2, 0): 3, (2, 1): 6
+    }
+    h = flag_h(cx, coloring)
+    assert h == flag_h_from_expansion(cx, coloring)
+    assert h == {b: 1 for b in exponents_below((2, 1))}  # summed by |b|: 1 2 2 1
+    assert verify_flag_fh_tilde(cx, coloring).holds
+    assert verify_flag_reciprocity(cx, coloring).holds
+    assert verify_balanced_ds(cx, coloring).holds
+    assert verify_balanced_semi_eulerian(cx, coloring).holds
 
 
 def test_flag_h_weightless_form_on_completely_balanced(balanced_pairs):

@@ -247,3 +247,23 @@ def test_batch(capsys, tmp_path):
     for reports in data.values():
         for rep in reports:
             RelationReport.from_json_dict(rep)  # schema round-trips
+
+
+def test_batch_parse_error_names_the_file(capsys, tmp_path):
+    run_cli(capsys, ["gen", "cross-polytope-boundary", "3", "-o", str(tmp_path / "a.cplx")])
+    (tmp_path / "b.cplx").write_text("1 x\n")
+    run_cli(capsys, ["gen", "cylinder", "-o", str(tmp_path / "c.cplx")])
+    code, _, err = run_cli(capsys, ["batch", str(tmp_path)])
+    assert code == 3
+    assert err == "dskit: parse error: b.cplx: line 1: expected integer vertex id, got 'x'\n"
+
+
+def test_betti_over_large_prime_field(capsys, tmp_path):
+    path = tmp_path / "oct.cplx"
+    run_cli(capsys, ["gen", "cross-polytope-boundary", "3", "-o", str(path)])
+    code, out, _ = run_cli(capsys, ["betti", str(path), "--field", "2305843009213693951"])
+    assert code == 0
+    assert out == "b[-1]=0 b[0]=0 b[1]=0 b[2]=1\n"
+    code, _, err = run_cli(capsys, ["betti", str(path), "--field", str(2**89 - 1)])
+    assert code == 2
+    assert "out of range" in err

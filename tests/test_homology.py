@@ -1,5 +1,7 @@
 """Betti numbers, homology-manifold recognition, boundary classification."""
 
+import time
+
 import pytest
 
 from dskit.complexes import Complex
@@ -14,6 +16,7 @@ from dskit.generators import (
 )
 from dskit.homology import (
     FieldSpec,
+    _is_prime,
     boundary_faces_homological,
     is_downward_closed,
     is_homology_manifold,
@@ -59,6 +62,7 @@ def test_euler_poincare(randoms):
     for cx in randoms:
         table = reduced_betti(cx)
         assert table.reduced_euler() == reduced_euler(cx)
+        assert type(table.reduced_euler()) is int
 
 
 def test_rank_routines_agree():
@@ -99,6 +103,43 @@ def test_field_spec_validation():
         FieldSpec.prime(6)
     with pytest.raises(ValidationError):
         FieldSpec.parse("abc")
+
+
+def test_is_prime_matches_sieve():
+    n = 20000
+    sieve = [True] * n
+    sieve[0] = sieve[1] = False
+    for i in range(2, int(n**0.5) + 1):
+        if sieve[i]:
+            for j in range(i * i, n, i):
+                sieve[j] = False
+    assert [p for p in range(-3, n) if _is_prime(p)] == [p for p in range(n) if sieve[p]]
+
+
+def test_field_spec_accepts_large_prime_quickly():
+    t0 = time.perf_counter()
+    assert FieldSpec(2**61 - 1).characteristic == 2**61 - 1
+    assert time.perf_counter() - t0 < 0.5
+    assert str(FieldSpec.parse("2305843009213693951")) == "2305843009213693951"
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,  # Carmichael number
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to bases 2..23
+        318665857834031151167461,  # strong pseudoprime to bases 2..37; base 41 exposes it
+    ],
+)
+def test_field_spec_rejects_pseudoprimes(n):
+    with pytest.raises(ValidationError, match="must be 0 or prime"):
+        FieldSpec(n)
+
+
+def test_field_spec_rejects_primes_beyond_exact_range():
+    with pytest.raises(ValidationError, match="out of range"):
+        FieldSpec(2**89 - 1)  # a Mersenne prime, but past the exact Miller-Rabin bound
 
 
 def test_homology_manifold_verdicts():

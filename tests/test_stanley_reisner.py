@@ -8,13 +8,27 @@ from dskit.generators import (
     cross_polytope_boundary,
     glued_triangles,
 )
-from dskit.poly import IntPoly
+from dskit.poly import IntPoly, MPoly
 from dskit.relations import verify_reciprocity
 from dskit.stanley_reisner import (
     hilbert_series,
+    hilbert_series_colored,
     verify_sr_reciprocity,
     verify_sr_reciprocity_colored,
 )
+
+
+def _numerator_from_faces(f: tuple[int, ...]) -> IntPoly:
+    """sum_i f_{i-1} L^i (1-L)^(d-i), expanded by polynomial arithmetic."""
+    d = len(f) - 1
+    one_minus = IntPoly([1, -1])
+    acc = IntPoly([0], d)
+    for i, fi in enumerate(f):
+        term = IntPoly.monomial(i, fi)
+        for _ in range(d - i):
+            term = term * one_minus
+        acc = acc + term
+    return acc.padded(d)
 
 
 def test_hilbert_series_single_vertex():
@@ -36,9 +50,12 @@ def test_hilbert_series_empty_complex():
 
 
 def test_hilbert_numerator_is_h_vector(suite, randoms):
-    for cx in [made.complex for _, made in suite] + randoms[:30]:
+    # reference route: clear the denominator of sum_F L^|F| / (1-L)^|F|
+    for cx in [made.complex for _, made in suite] + randoms:
         s = hilbert_series(cx)
         assert tuple(s.numerator.coeffs) == h_vector(f_vector(cx))
+        assert s.numerator.coeffs == _numerator_from_faces(f_vector(cx)).coeffs
+        assert s.denominator_exponent == cx.d
 
 
 def test_sr_reciprocity_goldens():
@@ -103,6 +120,10 @@ def test_sr_colored_subdivided_path():
 
 def test_sr_colored_on_balanced_corpus(balanced_pairs):
     for _, cx, coloring in balanced_pairs:
+        # the colored numerator comes from the expansion route; flag_h is the closed form
+        series = hilbert_series_colored(cx, coloring)
+        assert series.numerator == MPoly(flag_h(cx, coloring), coloring.a)
+        assert series.denominator_exponent == coloring.a
         rep = verify_sr_reciprocity_colored(cx, coloring)
         assert rep.holds
         flag = verify_flag_reciprocity(cx, coloring)
