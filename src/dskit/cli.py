@@ -12,12 +12,13 @@ or the face-count cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 from . import balanced, generators, relations, stanley_reisner
-from .complexes import Complex, parse_cplx, read_colors, write_cplx, write_colors
+from .complexes import Complex, parse_colors, parse_cplx, write_cplx, write_colors
 from .enumeration import (
     f_vector,
     h_vector,
@@ -48,14 +49,21 @@ EXIT_PARSE = 3
 EXIT_PRECONDITION = 4
 
 
+def _read_text(path: Path | None) -> str:
+    """UTF-8 text of a file, or of stdin when path is None."""
+    try:
+        return sys.stdin.read() if path is None else path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _read_complex(path: str, max_faces: int | None) -> Complex:
-    if path == "-":
-        return parse_cplx(sys.stdin.read(), max_faces=max_faces)
-    return parse_cplx(Path(path).read_text(encoding="utf-8"), max_faces=max_faces)
+    text = _read_text(None if path == "-" else Path(path))
+    return parse_cplx(text, max_faces=max_faces)
 
 
 def _read_coloring(cx: Complex, path: str) -> balanced.Coloring:
-    kappa = read_colors(path)
+    kappa = parse_colors(_read_text(Path(path)))
     try:
         return balanced.validate_balanced(cx, kappa)
     except ValidationError as exc:
@@ -91,7 +99,9 @@ def _add_common(p: argparse.ArgumentParser, colors: bool = False) -> None:
         p.add_argument("--colors", default=None, help=".colors sidecar file")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing does not change the parser
     ap = argparse.ArgumentParser(prog="dskit", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -350,7 +360,7 @@ def _cmd_batch(args) -> int:
     results = {}
     for path in sorted(root.glob("*.cplx")):
         try:
-            cx = parse_cplx(path.read_text(encoding="utf-8"), max_faces=args.max_faces)
+            cx = parse_cplx(_read_text(path), max_faces=args.max_faces)
         except (ParseError, ResourceLimitError) as exc:
             raise type(exc)(f"{path.name}: {exc}") from exc
         reports = relations.verify_all(cx)

@@ -43,12 +43,10 @@ def face_mask(vertices: Iterable[int]) -> int:
 def mask_vertices(mask: int) -> FaceTuple:
     """Sorted vertex tuple of a face mask."""
     out = []
-    v = 1
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -74,6 +72,7 @@ class Complex:
         "n",
         "d",
         "vertex_mask",
+        "_stars",
         "__weakref__",
     )
 
@@ -93,6 +92,7 @@ class Complex:
             self.vertex_mask |= m
         self.n = self.vertex_mask.bit_count()
         self.d = max_card  # d = 1 + dim(complex); dim(emptyset) = -1
+        self._stars: dict[int, list[int]] | None = None  # vertex -> facets, lazy
 
     @classmethod
     def from_facets(
@@ -117,44 +117,29 @@ class Complex:
         for m in masks:
             if not any(m & big == m for big in maximal):
                 maximal.append(m)
+        return cls._from_facet_masks(maximal, cap)
+
+    @classmethod
+    def _from_facet_masks(cls, maximal: list[int], cap: int) -> Complex:
+        """Downward closure of an antichain of facet masks (no absorption)."""
         if not maximal:
             maximal = [0]
         faces = {0}
+        add = faces.add
         for g in maximal:
-            sub = g
-            while True:
-                faces.add(sub)
-                if len(faces) > cap:
-                    raise ResourceLimitError(
-                        f"face count exceeds cap {cap}; raise --max-faces/"
-                        f"{MAX_FACES_ENV} if intended"
-                    )
-                if sub == 0:
-                    break
+            # a facet with more subsets than the cap exceeds it alone and is
+            # not listed, so the face set never outgrows twice the cap
+            too_big = g.bit_count() >= cap.bit_length()
+            sub = 0 if too_big else g
+            while sub:
+                add(sub)
                 sub = (sub - 1) & g
+            if too_big or len(faces) > cap:
+                raise ResourceLimitError(
+                    f"face count exceeds cap {cap}; raise --max-faces/"
+                    f"{MAX_FACES_ENV} if intended"
+                )
         return cls(tuple(sorted(maximal)), frozenset(faces))
-
-    @classmethod
-    def _from_face_set(cls, faces: frozenset[int]) -> Complex:
-        """Wrap an already downward-closed mask set (no closure pass)."""
-        if not faces:
-            faces = frozenset({0})
-        union = 0
-        for m in faces:
-            union |= m
-        facets = []
-        for m in faces:
-            rest = union & ~m
-            maximal = True
-            while rest:
-                bit = rest & -rest
-                if (m | bit) in faces:
-                    maximal = False
-                    break
-                rest ^= bit
-            if maximal:
-                facets.append(m)
-        return cls(tuple(sorted(facets)), faces)
 
     # -- queries ---------------------------------------------------------
 
@@ -199,10 +184,16 @@ class Complex:
             raise DomainError(f"face {mask_vertices(fmask)} is not in the complex")
         if fmask == 0:
             return self
-        faces = frozenset(
-            g for g in self.face_set if g & fmask == 0 and (g | fmask) in self.face_set
-        )
-        return Complex._from_face_set(faces)
+        if self._stars is None:
+            self._stars = {}
+            for g in self.facet_masks:
+                for v in mask_vertices(g):
+                    self._stars.setdefault(v, []).append(g)
+        # the facets containing F, minus F, are the link's facets and already
+        # an antichain; the link never has more faces than the complex
+        v = (fmask & -fmask).bit_length()
+        star = [g ^ fmask for g in self._stars[v] if g & fmask == fmask]
+        return Complex._from_facet_masks(star, len(self.face_set))
 
     def link(self, face: Iterable[int]) -> Complex:
         """Link of a face: {G : G disjoint from F, G union F in the complex}."""
@@ -284,11 +275,6 @@ def parse_colors(text: str) -> dict[int, int]:
             raise ParseError(f"vertex {v} colored twice", lineno)
         kappa[v] = c
     return kappa
-
-
-def read_colors(path: str) -> dict[int, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_colors(fh.read())
 
 
 def write_colors(kappa: dict[int, int]) -> str:

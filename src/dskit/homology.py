@@ -4,13 +4,15 @@ Betti numbers come from ranks of the boundary matrices of the augmented
 chain complex (the empty face spans the (-1)-dimensional chain group, so
 the map from vertices is the augmentation). Signs follow
 del [v_0..v_k] = sum_j (-1)^j [v_0..v_hat_j..v_k] with vertex ids
-increasing. Ranks are exact: fraction-free (Bareiss) elimination over the
-rationals, modular elimination over GF(p).
+increasing. Boundary matrices are sparse columns, and each rank is one
+exact column reduction against a table of pivots keyed by pivot row, as in
+Ripser. The dense reference ranks live in tests/conftest.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from weakref import WeakKeyDictionary
 
 from .complexes import Complex, FaceTuple, mask_vertices
@@ -84,76 +86,99 @@ class FieldSpec:
         return "q" if self.characteristic == 0 else str(self.characteristic)
 
 
-def rank_rational(rows: list[list[int]]) -> int:
-    """Rank over the rationals of an integer matrix (Bareiss elimination)."""
-    m = [row[:] for row in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(rank + 1, nrows):
-            for j in range(col + 1, ncols):
-                m[i][j] = (m[rank][col] * m[i][j] - m[i][col] * m[rank][j]) // prev
-            m[i][col] = 0
-        prev = m[rank][col]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def rank_mod(cols: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p) of a matrix given as sparse columns {row: entry}.
+
+    Each column is reduced by the stored column with its pivot row (largest
+    nonzero row) until it vanishes or is stored. Over GF(2) columns are int
+    bitsets reduced by XOR; else stored columns have pivot entry 1.
+    """
+    if p == 2:
+        pivots2: dict[int, int] = {}
+        for col in cols:
+            bits = sum(1 << r for r, x in col.items() if x & 1)
+            while bits:
+                low = bits.bit_length() - 1
+                piv = pivots2.get(low)
+                if piv is None:
+                    pivots2[low] = bits
+                    break
+                bits ^= piv
+        return len(pivots2)
+    pivots: dict[int, dict[int, int]] = {}
+    for col in cols:
+        c = {r: x % p for r, x in col.items() if x % p}
+        while c:
+            low = max(c)
+            piv = pivots.get(low)
+            if piv is None:
+                inv = pow(c[low], p - 2, p)
+                pivots[low] = {r: x * inv % p for r, x in c.items()}
+                break
+            factor = c[low]
+            for r, x in piv.items():
+                y = (c.get(r, 0) - factor * x) % p
+                if y:
+                    c[r] = y
+                else:
+                    del c[r]
+    return len(pivots)
 
 
-def rank_mod(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over GF(p)."""
-    m = [[x % p for x in row] for row in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], p - 2, p) if p > 2 else m[rank][col]
-        for i in range(rank + 1, nrows):
-            if m[i][col]:
-                factor = (m[i][col] * inv) % p
-                m[i] = [(a - factor * b) % p for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def rank_rational(cols: list[dict[int, int]]) -> int:
+    """Rank over the rationals of an integer matrix given as sparse columns.
+
+    rank_mod's reduction, fraction-free: c becomes a*c - b*q for the stored
+    q, with a = q[low], b = c[low] over their gcd. Stored columns are divided
+    by the gcd of their entries, pivot entry positive.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for col in cols:
+        c = {r: x for r, x in col.items() if x}
+        while c:
+            low = max(c)
+            piv = pivots.get(low)
+            if piv is None:
+                g = gcd(*c.values())
+                if c[low] < 0:
+                    g = -g
+                pivots[low] = {r: x // g for r, x in c.items()} if g != 1 else c
+                break
+            a, b = piv[low], c[low]
+            if a != 1:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                c = {r: a * x for r, x in c.items()}
+            for r, x in piv.items():
+                y = c.get(r, 0) - b * x
+                if y:
+                    c[r] = y
+                else:
+                    del c[r]
+    return len(pivots)
 
 
-def _matrix_rank(rows: list[list[int]], field: FieldSpec) -> int:
-    if field.characteristic == 0:
-        return rank_rational(rows)
-    return rank_mod(rows, field.characteristic)
+def boundary_matrix(cx: Complex, card: int) -> list[dict[int, int]]:
+    """Sparse columns {row: +-1} of del from cardinality card to card-1.
 
-
-def boundary_matrix(cx: Complex, card: int) -> list[list[int]]:
-    """Matrix of del from faces of cardinality card to cardinality card-1.
-
-    Rows are (card-1)-faces, columns are card-faces, both in mask order.
-    card = 1 gives the augmentation (every vertex maps to the empty face).
+    Column j is the j-th card-face, row i the i-th (card-1)-face, in mask
+    order. card = 1 gives the augmentation (vertices map to the empty face).
     """
     if card < 1 or card >= len(cx.masks_by_card):
         return []
-    sources = cx.masks_by_card[card]
-    targets = cx.masks_by_card[card - 1]
-    index = {m: i for i, m in enumerate(targets)}
-    rows = [[0] * len(sources) for _ in targets]
-    for j, g in enumerate(sources):
-        for pos, v in enumerate(mask_vertices(g)):
-            sub = g & ~(1 << (v - 1))
-            rows[index[sub]][j] = -1 if pos % 2 else 1
-    return rows
+    index = {m: i for i, m in enumerate(cx.masks_by_card[card - 1])}
+    cols = []
+    for g in cx.masks_by_card[card]:
+        col = {}
+        sign = 1
+        rest = g
+        while rest:
+            low = rest & -rest
+            col[index[g ^ low]] = sign
+            sign = -sign
+            rest ^= low
+        cols.append(col)
+    return cols
 
 
 @dataclass(frozen=True)
@@ -182,8 +207,10 @@ class BettiTable:
 def reduced_betti(cx: Complex, field: FieldSpec = FieldSpec(0)) -> BettiTable:
     """Reduced Betti numbers of the complex over the given field."""
     ranks = [0] * (cx.d + 2)  # ranks[c] = rank of del: card c -> card c-1
+    p = field.characteristic
     for c in range(1, cx.d + 1):
-        ranks[c] = _matrix_rank(boundary_matrix(cx, c), field)
+        cols = boundary_matrix(cx, c)
+        ranks[c] = rank_mod(cols, p) if p else rank_rational(cols)
     betti = tuple(
         len(cx.masks_by_card[c]) - ranks[c] - ranks[c + 1] for c in range(cx.d + 1)
     )
@@ -206,12 +233,14 @@ class ManifoldVerdict:
 _link_betti_cache: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _link_betti(cx: Complex, fmask: int, field: FieldSpec) -> BettiTable:
-    per_complex = _link_betti_cache.setdefault(cx, {})
+def _link_betti(cx: Complex, memo: dict, fmask: int, field: FieldSpec) -> BettiTable:
+    # memo is cx's entry in _link_betti_cache, looked up once per scan: each
+    # WeakKeyDictionary lookup compares the whole face set
     key = (fmask, field)
-    if key not in per_complex:
-        per_complex[key] = reduced_betti(cx.link_mask(fmask), field)
-    return per_complex[key]
+    betti = memo.get(key)
+    if betti is None:
+        betti = memo[key] = reduced_betti(cx.link_mask(fmask), field)
+    return betti
 
 
 def _link_betti_ok(betti: BettiTable, sphere_dim: int) -> bool:
@@ -235,9 +264,10 @@ def is_homology_manifold(cx: Complex, field: FieldSpec = FieldSpec(0)) -> Manifo
     checked to vanish as well.
     """
     d = cx.d
+    memo = _link_betti_cache.setdefault(cx, {})
     for group in cx.masks_by_card[1:]:
         for fmask in group:
-            betti = _link_betti(cx, fmask, field)
+            betti = _link_betti(cx, memo, fmask, field)
             if not _link_betti_ok(betti, d - 1 - fmask.bit_count()):
                 return ManifoldVerdict(False, mask_vertices(fmask), betti, field)
     return ManifoldVerdict(True, None, None, field)
@@ -256,9 +286,10 @@ def boundary_faces_homological(
         raise PreconditionError("complex is not a homology manifold", verdict.witness)
     out: list[FaceTuple] = [()]
     d = cx.d
+    memo = _link_betti_cache.setdefault(cx, {})
     for group in cx.masks_by_card[1:]:
         for fmask in group:
-            betti = _link_betti(cx, fmask, field)
+            betti = _link_betti(cx, memo, fmask, field)
             if betti.b(d - 1 - fmask.bit_count()) == 0:
                 out.append(mask_vertices(fmask))
     return tuple(out)

@@ -3,8 +3,8 @@
 The oracles deliberately avoid the library's code paths: polynomials are
 bare coefficient lists multiplied term by term, complexes are sets of
 frozensets closed by explicit subset enumeration, and matrix ranks use
-Fraction Gaussian elimination (the library uses bitmasks, binomial closed
-forms and Bareiss elimination).
+dense Fraction or mod-p Gaussian elimination on row lists (the library uses
+bitmasks, binomial closed forms and a sparse pivot-table column reduction).
 """
 
 from __future__ import annotations
@@ -162,6 +162,31 @@ def orank(rows):
                 rows[i] = [a - factor * b for a, b in zip(rows[i], lead)]
         rank += 1
     return rank
+
+
+def orank_mod(rows, p):
+    """Rank over GF(p) by dense row reduction."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        lead = [x * inv % p for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], lead)]
+        rank += 1
+    return rank
+
+
+def ocolumns(rows):
+    """Sparse columns {row: entry} of a row-list matrix, the library's input."""
+    ncols = len(rows[0]) if rows else 0
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
 
 
 def obetti(faces):

@@ -267,3 +267,28 @@ def test_betti_over_large_prime_field(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["betti", str(path), "--field", str(2**89 - 1)])
     assert code == 2
     assert "out of range" in err
+
+
+def test_non_utf8_input_is_a_parse_error(capsys, monkeypatch, tmp_path):
+    bad = tmp_path / "bad.cplx"
+    bad.write_bytes(b"\xff1 2\n")
+    expected = "not UTF-8 text: invalid start byte at byte 0\n"
+    # a .cplx file, stdin, a .colors file and a file in a batch directory
+    code, _, err = run_cli(capsys, ["f-vector", str(bad)])
+    assert (code, err) == (3, "dskit: parse error: " + expected)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff1 2\n"), "utf-8"))
+    code, _, err = run_cli(capsys, ["f-vector"])
+    assert (code, err) == (3, "dskit: parse error: " + expected)
+    cplx = tmp_path / "oct.cplx"
+    colors = tmp_path / "oct.colors"
+    run_cli(capsys, ["gen", "cross-polytope-boundary", "3", "-o", str(cplx),
+                     "--colors-out", str(colors)])
+    colors.write_bytes(b"1 1\n\xfe\n")
+    code, _, err = run_cli(capsys, ["flag", str(cplx), "--colors", str(colors)])
+    assert (code, err) == (3, "dskit: parse error: " + expected.replace("byte 0", "byte 4"))
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "a.cplx").write_text("1 2\n")
+    (batch / "b.cplx").write_bytes(b"\xff1 2\n")
+    code, _, err = run_cli(capsys, ["batch", str(batch)])
+    assert (code, err) == (3, "dskit: parse error: b.cplx: " + expected)

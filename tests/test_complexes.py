@@ -60,6 +60,17 @@ def test_from_facets_rejects_bad_vertex():
 def test_from_facets_face_cap():
     with pytest.raises(ResourceLimitError):
         Complex.from_facets([range(1, 30)], max_faces=100)
+    # a facet with more subsets than the cap is rejected before its
+    # subsets are listed
+    with pytest.raises(ResourceLimitError):
+        Complex.from_facets([range(1, 201)], max_faces=1000)
+    # the cap is exact: 2^7 faces pass a cap of 128 and fail one of 127
+    assert Complex.from_facets([range(1, 8)], max_faces=128).num_faces == 128
+    with pytest.raises(ResourceLimitError):
+        Complex.from_facets([range(1, 8)], max_faces=127)
+    with pytest.raises(ResourceLimitError):
+        Complex.from_facets([[1, 2, 3], [3, 4, 5]], max_faces=13)
+    assert Complex.from_facets([[1, 2, 3], [3, 4, 5]], max_faces=14).num_faces == 14
 
 
 def test_closure_matches_oracle():
@@ -117,6 +128,23 @@ def test_link_matches_oracle_and_composes():
             cut = rng.randrange(1, len(fg))
             f, g = fg[:cut], fg[cut:]
             assert cx.link(f).link(g) == cx.link(fg)
+
+
+def definitional_link(cx, fmask):
+    """{G : G disjoint from F, G union F a face}, by a scan of all faces."""
+    return frozenset(
+        g for g in cx.face_set if g & fmask == 0 and (g | fmask) in cx.face_set
+    )
+
+
+def test_link_from_star_equals_definition(suite, randoms):
+    for cx in [made.complex for _, made in suite] + randoms:
+        for fmask in cx.face_set:
+            link = cx.link_mask(fmask)
+            faces = definitional_link(cx, fmask)
+            assert link.face_set == faces
+            facets = [g for g in faces if not any(g != h and g & h == g for h in faces)]
+            assert link.facet_masks == tuple(sorted(facets))
 
 
 def test_faces_by_dim_grouping():

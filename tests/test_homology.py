@@ -18,6 +18,7 @@ from dskit.homology import (
     FieldSpec,
     _is_prime,
     boundary_faces_homological,
+    boundary_matrix,
     is_downward_closed,
     is_homology_manifold,
     rank_mod,
@@ -25,7 +26,9 @@ from dskit.homology import (
     reduced_betti,
 )
 
-from conftest import obetti, ofaces_of, orank
+from conftest import obetti, ocolumns, ofaces_of, orank, orank_mod
+
+FUZZ_PRIMES = (2, 3, 2**61 - 1)
 
 
 def betti_dict(cx, field=FieldSpec(0)):
@@ -73,11 +76,12 @@ def test_rank_routines_agree():
         [[0, 0], [0, 0]],
     ]
     for m in mats:
-        assert rank_rational(m) == orank(m)
+        assert rank_rational(ocolumns(m)) == orank(m)
     # mod-2 rank can drop: the parity matrix below has rational rank 2
-    m = [[1, 1], [1, -1]]
+    m = ocolumns([[1, 1], [1, -1]])
     assert rank_rational(m) == 2
     assert rank_mod(m, 2) == 1
+    assert rank_rational([]) == rank_mod([], 3) == 0
 
 
 def test_rank_fuzz_against_fraction_elimination():
@@ -93,7 +97,45 @@ def test_rank_fuzz_against_fraction_elimination():
             for j in range(cols):
                 if rng.random() < 0.4:
                     m[i][j] = 0
-        assert rank_rational(m) == orank(m)
+        assert rank_rational(ocolumns(m)) == orank(m)
+        for p in FUZZ_PRIMES:
+            assert rank_mod(ocolumns(m), p) == orank_mod(m, p)
+
+
+def test_rank_rational_large_entries():
+    # entries that grow under elimination: a scaled Hilbert matrix (full
+    # rank) and a product of two random matrices with 12-digit entries,
+    # whose rank is the inner dimension
+    import random
+    from math import lcm
+
+    scale = lcm(*range(1, 16))
+    hilbert = [[scale // (i + j + 1) for j in range(8)] for i in range(8)]
+    assert rank_rational(ocolumns(hilbert)) == orank(hilbert) == 8
+    rng = random.Random(7)
+    a = [[rng.randrange(-10**6, 10**6) for _ in range(5)] for _ in range(9)]
+    b = [[rng.randrange(-10**6, 10**6) for _ in range(7)] for _ in range(5)]
+    prod = [[sum(a[i][k] * b[k][j] for k in range(5)) for j in range(7)] for i in range(9)]
+    assert rank_rational(ocolumns(prod)) == orank(prod) == 5
+    for p in FUZZ_PRIMES:
+        assert rank_mod(ocolumns(prod), p) == orank_mod(prod, p)
+
+
+def test_boundary_matrix_columns():
+    cx = Complex.from_facets([[1, 2, 3]])
+    # edges in mask order: 12, 13, 23; del[1 2 3] = [2 3] - [1 3] + [1 2]
+    assert boundary_matrix(cx, 3) == [{2: 1, 1: -1, 0: 1}]
+    assert boundary_matrix(cx, 1) == [{0: 1}, {0: 1}, {0: 1}]
+    assert boundary_matrix(cx, 4) == boundary_matrix(cx, 0) == []
+
+
+@pytest.mark.parametrize("d, field", [(8, FieldSpec(0)), (10, FieldSpec(2))])
+def test_betti_large_cross_polytope_is_sphere(d, field):
+    # the time bound guards the sparse path: dense elimination took minutes on cp8 over Q
+    t0 = time.perf_counter()
+    table = reduced_betti(cross_polytope_boundary(d).complex, field)
+    assert table.betti == (0,) * d + (1,)
+    assert time.perf_counter() - t0 < 30
 
 
 def test_field_spec_validation():
