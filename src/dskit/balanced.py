@@ -5,21 +5,23 @@ balanced of type a when every facet has exactly a_i vertices of color i
 (hence |a| = d and the complex is pure). For a face F, b(F) counts its
 vertices per color; flag vectors refine face counts by b(F).
 
-Flag h-numbers have two routes: the inclusion-exclusion closed form
-h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c (flag_h), and coefficient
-extraction from sum_F x^b(F) (1-x)^(a-b(F)) (flag_h_from_expansion, which
-also gives the colored Hilbert numerator). Neither calls the other; their
-agreement is checked in tests/test_balanced.py by
-test_flag_h_closed_form_equals_expansion, test_flag_h_monochromatic_type_is_h_vector
-and test_flag_h_type_two_one_suspended_triangle.
+Every flag object needs only two numbers per color-count vector b: f_b and
+the sum of m_F over faces with b(F) = b. One walk over the faces
+(_flag_counts) yields both, and each verifier makes exactly one walk.
+The flag h-numbers have a single runtime route, the inclusion-exclusion
+closed form h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c (flag_h),
+which is also the colored Hilbert numerator. The coefficient-extraction
+route from sum_F x^b(F) (1-x)^(a-b(F)), flag_h_from_expansion, lives in
+tests/test_balanced.py as its independent reference
+(test_flag_h_closed_form_equals_expansion).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .complexes import Complex, mask_vertices
+from .complexes import Complex
 from .enumeration import MultiplicityTable, multiplicities, reduced_euler
 from .errors import PreconditionError, ValidationError
 from .poly import (
@@ -27,8 +29,6 @@ from .poly import (
     MDeltaCoeffs,
     MPoly,
     _sign,
-    _vec_add,
-    _vec_leq,
     _vec_sub,
     exponents_below,
     mcomb,
@@ -90,50 +90,33 @@ def validate_balanced(
     return Coloring(kappa=dict(kappa), a=a)
 
 
-def _face_b_vectors(cx: Complex, coloring: Coloring) -> list[tuple[int, ExponentVec]]:
-    """(mask, b(F)) for every face, in cardinality-then-mask order."""
-    out = []
+def _flag_counts(
+    cx: Complex, coloring: Coloring, table: MultiplicityTable | None = None
+) -> tuple[dict[ExponentVec, int], dict[ExponentVec, int]]:
+    """(f_b, sum of m_F over faces with b(F) = b) for every b <= a.
+
+    One walk over the faces; b(F) is read off one vertex mask per color.
+    The multiplicity sums are all zero when no table is given.
+    """
+    a, m = coloring.a, coloring.m
+    color_masks = [0] * m
+    for v in cx.vertices:
+        b_of((v,), coloring.kappa, m)  # the checks and messages b_of gives a face
+        color_masks[coloring.kappa[v] - 1] |= 1 << (v - 1)
+    f = dict.fromkeys(exponents_below(a), 0)
+    msum = dict(f)
+    by_mask = table.by_mask if table is not None else None
     for group in cx.masks_by_card:
         for mask in group:
-            out.append((mask, b_of(mask_vertices(mask), coloring.kappa, coloring.m)))
-    return out
+            bf = tuple((mask & cm).bit_count() for cm in color_masks)
+            f[bf] += 1
+            if by_mask is not None:
+                msum[bf] += by_mask[mask]
+    return f, msum
 
 
-def flag_f(cx: Complex, coloring: Coloring) -> dict[ExponentVec, int]:
-    """Flag f-numbers: f_b = #faces with b(F) = b, complete over b <= a."""
-    out = {b: 0 for b in exponents_below(coloring.a)}
-    for _, bf in _face_b_vectors(cx, coloring):
-        out[bf] += 1
-    return out
-
-
-def flag_f_mpoly(cx: Complex, coloring: Coloring) -> MPoly:
-    """sum_F x^b(F) as an exact multivariate polynomial."""
-    return MPoly(flag_f(cx, coloring), coloring.a)
-
-
-def flag_h_from_expansion(cx: Complex, coloring: Coloring) -> dict[ExponentVec, int]:
-    """Flag h-numbers as coefficients of sum_F x^b(F) (1-x)^(a-b(F))."""
-    a = coloring.a
-    out = {b: 0 for b in exponents_below(a)}
-    for _, bf in _face_b_vectors(cx, coloring):
-        rest = _vec_sub(a, bf)
-        for extra in exponents_below(rest):
-            out[_vec_add(bf, extra)] += _sign(sum(extra)) * mcomb(rest, extra)
-    return out
-
-
-def flag_h(cx: Complex, coloring: Coloring) -> dict[ExponentVec, int]:
-    """Flag h-numbers via the inclusion-exclusion closed form.
-
-    h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c. The multi-binomial
-    weight is 1 whenever the type vector is 0/1 (completely balanced), where
-    the formula takes its familiar weightless shape. The polynomial-expansion
-    route, flag_h_from_expansion, is its reference in tests/test_balanced.py
-    (test_flag_h_closed_form_equals_expansion).
-    """
-    a = coloring.a
-    f = flag_f(cx, coloring)
+def _flag_h_from_f(f: dict[ExponentVec, int], a: ExponentVec) -> dict[ExponentVec, int]:
+    """h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c for every b <= a."""
     return {
         b: sum(
             _sign(sum(b) - sum(c)) * mcomb(_vec_sub(a, c), _vec_sub(b, c)) * f[c]
@@ -143,14 +126,33 @@ def flag_h(cx: Complex, coloring: Coloring) -> dict[ExponentVec, int]:
     }
 
 
+def flag_f(cx: Complex, coloring: Coloring) -> dict[ExponentVec, int]:
+    """Flag f-numbers: f_b = #faces with b(F) = b, complete over b <= a."""
+    return _flag_counts(cx, coloring)[0]
+
+
+def flag_f_mpoly(cx: Complex, coloring: Coloring) -> MPoly:
+    """sum_F x^b(F) as an exact multivariate polynomial."""
+    return MPoly(flag_f(cx, coloring), coloring.a)
+
+
+def flag_h(cx: Complex, coloring: Coloring) -> dict[ExponentVec, int]:
+    """Flag h-numbers via the inclusion-exclusion closed form.
+
+    h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c. The multi-binomial
+    weight is 1 whenever the type vector is 0/1 (completely balanced), where
+    the formula takes its familiar weightless shape. The polynomial-expansion
+    route is its reference in tests/test_balanced.py
+    (test_flag_h_closed_form_equals_expansion).
+    """
+    return _flag_h_from_f(flag_f(cx, coloring), coloring.a)
+
+
 def multiplicity_mpoly(
     cx: Complex, coloring: Coloring, table: MultiplicityTable
 ) -> MPoly:
     """sum_F m_F x^b(F)."""
-    out: dict[ExponentVec, int] = {}
-    for mask, bf in _face_b_vectors(cx, coloring):
-        out[bf] = out.get(bf, 0) + table.by_mask[mask]
-    return MPoly(out, coloring.a)
+    return MPoly(_flag_counts(cx, coloring, table)[1], coloring.a)
 
 
 def _mvar_labels(a: ExponentVec, prefix: str = "x^") -> list[str]:
@@ -159,31 +161,32 @@ def _mvar_labels(a: ExponentVec, prefix: str = "x^") -> list[str]:
     ]
 
 
-def _mvar_residuals(lhs: MPoly, rhs: MPoly, a: ExponentVec) -> list[int]:
-    return [lhs.coeff(e) - rhs.coeff(e) for e in exponents_below(a)]
-
-
-def _balanced_context(cx: Complex, coloring: Coloring, table: MultiplicityTable) -> dict:
-    ctx = _base_context(cx, table)
-    ctx["a"] = coloring.a
-    return ctx
+def _mvar_report(
+    relation: str, cx: Complex, a: ExponentVec, lhs: MPoly, rhs: MPoly,
+    labels: Sequence[str] = (), residuals: Sequence[int] = (), **context,
+) -> RelationReport:
+    """lhs == rhs coefficientwise over x^b, b <= a, then any scalar residuals."""
+    ctx = {**_base_context(cx), "a": a, **context}
+    ctx.update({"lhs": lhs.items_sorted(), "rhs": rhs.items_sorted()})
+    return _report(
+        relation,
+        _mvar_labels(a) + list(labels),
+        [lhs.coeff(e) - rhs.coeff(e) for e in exponents_below(a)] + list(residuals),
+        ctx,
+    )
 
 
 def verify_flag_fh_tilde(
     cx: Complex, coloring: Coloring, table: MultiplicityTable | None = None
 ) -> RelationReport:
-    """sum_b h_b x^b (x+1)^(a-b) recovers the flag f-polynomial (always holds)."""
-    if table is None:
-        table = multiplicities(cx)
+    """sum_b h_b x^b (x+1)^(a-b) recovers the flag f-polynomial (always holds).
+
+    No multiplicity enters; table is accepted for a uniform signature.
+    """
     a = coloring.a
-    h = flag_h(cx, coloring)
-    lhs = mdelta_expand(MDeltaCoeffs(h, a))
-    rhs = flag_f_mpoly(cx, coloring)
-    ctx = _balanced_context(cx, coloring, table)
-    ctx.update({"lhs": lhs.items_sorted(), "rhs": rhs.items_sorted()})
-    return _report(
-        "flag-fh-tilde", _mvar_labels(a), _mvar_residuals(lhs, rhs, a), ctx
-    )
+    f, _ = _flag_counts(cx, coloring)
+    lhs = mdelta_expand(MDeltaCoeffs(_flag_h_from_f(f, a), a))
+    return _mvar_report("flag-fh-tilde", cx, a, lhs, MPoly(f, a))
 
 
 def verify_flag_reciprocity(
@@ -193,16 +196,11 @@ def verify_flag_reciprocity(
     if table is None:
         table = multiplicities(cx)
     a = coloring.a
-    h = flag_h(cx, coloring)
+    f, msum = _flag_counts(cx, coloring, table)
     # (x+1)^b x^(a-b) is the delta element indexed by a-b
-    swapped = {_vec_sub(a, b): hb for b, hb in h.items()}
+    swapped = {_vec_sub(a, b): hb for b, hb in _flag_h_from_f(f, a).items()}
     lhs = mdelta_expand(MDeltaCoeffs(swapped, a))
-    rhs = multiplicity_mpoly(cx, coloring, table)
-    ctx = _balanced_context(cx, coloring, table)
-    ctx.update({"lhs": lhs.items_sorted(), "rhs": rhs.items_sorted()})
-    return _report(
-        "flag-reciprocity", _mvar_labels(a), _mvar_residuals(lhs, rhs, a), ctx
-    )
+    return _mvar_report("flag-reciprocity", cx, a, lhs, MPoly(msum, a))
 
 
 def verify_balanced_ds(
@@ -213,30 +211,24 @@ def verify_balanced_ds(
     Polynomial: sum_b (h_b - h_{a-b}) x^b (x+1)^(a-b) = sum_F (1-m_F) x^b(F).
     Scalar, for every b <= a:
     h_b - h_{a-b} = (-1)^(|a|-|b|) sum over faces with b(F) <= b of
-    C(a-b(F), a-b) eps_F.
+    C(a-b(F), a-b) eps_F. The faces with b(F) = c add up to
+    E_c = (-1)^(d-1-|c|) (sum of their m_F - f_c), so the sum runs over c <= b.
     """
     if table is None:
         table = multiplicities(cx)
     a = coloring.a
-    h = flag_h(cx, coloring)
-    diffs = {b: h[b] - h[_vec_sub(a, b)] for b in exponents_below(a)}
+    f, msum = _flag_counts(cx, coloring, table)
+    h = _flag_h_from_f(f, a)
+    diffs = {b: h[b] - h[_vec_sub(a, b)] for b in h}
     lhs = mdelta_expand(MDeltaCoeffs(diffs, a))
-    rhs = flag_f_mpoly(cx, coloring) - multiplicity_mpoly(cx, coloring, table)
-    labels = _mvar_labels(a) + _mvar_labels(a, "b=")
-    residuals = _mvar_residuals(lhs, rhs, a)
-    faces = [
-        (mask, bf, table.epsilon_mask(mask)) for mask, bf in _face_b_vectors(cx, coloring)
-    ]
-    for b in exponents_below(a):
-        acc = 0
+    eps = {c: _sign(cx.d - 1 - sum(c)) * (msum[c] - f[c]) for c in f}
+    scalar = []
+    for b in h:
         ab = _vec_sub(a, b)
-        for _, bf, eps in faces:
-            if eps and _vec_leq(bf, b):
-                acc += mcomb(_vec_sub(a, bf), ab) * eps
-        residuals.append(diffs[b] - _sign(sum(a) - sum(b)) * acc)
-    ctx = _balanced_context(cx, coloring, table)
-    ctx.update({"lhs": lhs.items_sorted(), "rhs": rhs.items_sorted()})
-    return _report("balanced-ds", labels, residuals, ctx)
+        acc = sum(mcomb(_vec_sub(a, c), ab) * eps[c] for c in exponents_below(b) if eps[c])
+        scalar.append(diffs[b] - _sign(sum(ab)) * acc)
+    rhs = MPoly(f, a) - MPoly(msum, a)
+    return _mvar_report("balanced-ds", cx, a, lhs, rhs, _mvar_labels(a, "b="), scalar)
 
 
 def verify_balanced_semi_eulerian(
@@ -255,12 +247,11 @@ def verify_balanced_semi_eulerian(
         (h[_vec_sub(a, b)] - h[b]) - _sign(sum(b)) * gap * mcomb(a, b)
         for b in exponents_below(a)
     ]
-    ctx = _balanced_context(cx, coloring, table)
-    ctx.update(
-        {
-            "eulerian": table.m_empty == 1,
-            "palindrome": gap == 0,
-            "completely_balanced": all(x == 1 for x in a),
-        }
-    )
+    ctx = {
+        **_base_context(cx),
+        "a": a,
+        "eulerian": table.m_empty == 1,
+        "palindrome": gap == 0,
+        "completely_balanced": all(x == 1 for x in a),
+    }
     return _report("balanced-semi-eulerian", _mvar_labels(a, "b="), residuals, ctx)

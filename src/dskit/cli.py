@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import balanced, generators, relations, stanley_reisner
+from . import balanced, complexes, generators, relations, stanley_reisner
 from .complexes import Complex, parse_colors, parse_cplx, write_cplx, write_colors
 from .enumeration import (
     f_vector,
@@ -50,11 +50,13 @@ EXIT_PRECONDITION = 4
 
 
 def _read_text(path: Path | None) -> str:
-    """UTF-8 text of a file, or of stdin when path is None."""
-    try:
-        return sys.stdin.read() if path is None else path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    """Strict UTF-8 text of a file, or of stdin when path is None."""
+    if path is not None:
+        return complexes._decode_utf8(path.read_bytes())
+    # stdin's own error handler may be lenient (surrogateescape in UTF-8
+    # mode); a text stream with no bytes underneath is already decoded
+    buffer = getattr(sys.stdin, "buffer", None)
+    return sys.stdin.read() if buffer is None else complexes._decode_utf8(buffer.read())
 
 
 def _read_complex(path: str, max_faces: int | None) -> Complex:

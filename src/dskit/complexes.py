@@ -241,9 +241,17 @@ def parse_cplx(text: str, max_faces: int | None = None) -> Complex:
     return Complex.from_facets(facets, max_faces=max_faces)
 
 
+def _decode_utf8(data: bytes) -> str:
+    """Strict UTF-8 text of raw input bytes; any bad byte is a ParseError."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def read_cplx(path: str, max_faces: int | None = None) -> Complex:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_cplx(fh.read(), max_faces=max_faces)
+    with open(path, "rb") as fh:
+        return parse_cplx(_decode_utf8(fh.read()), max_faces=max_faces)
 
 
 def write_cplx(cx: Complex) -> str:

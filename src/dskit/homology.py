@@ -279,18 +279,21 @@ def boundary_faces_homological(
     """Boundary faces of a homology manifold: links with ball homology.
 
     Returns the empty face plus every non-empty F whose link has vanishing
-    homology in dimension d-1-|F|. Requires is_homology_manifold to hold.
+    homology in dimension d-1-|F|. Raises PreconditionError at the first
+    face whose link fails, the witness is_homology_manifold reports.
     """
-    verdict = is_homology_manifold(cx, field)
-    if not verdict.is_manifold:
-        raise PreconditionError("complex is not a homology manifold", verdict.witness)
     out: list[FaceTuple] = [()]
     d = cx.d
     memo = _link_betti_cache.setdefault(cx, {})
     for group in cx.masks_by_card[1:]:
         for fmask in group:
             betti = _link_betti(cx, memo, fmask, field)
-            if betti.b(d - 1 - fmask.bit_count()) == 0:
+            sphere_dim = d - 1 - fmask.bit_count()
+            if not _link_betti_ok(betti, sphere_dim):
+                raise PreconditionError(
+                    "complex is not a homology manifold", mask_vertices(fmask)
+                )
+            if betti.b(sphere_dim) == 0:
                 out.append(mask_vertices(fmask))
     return tuple(out)
 

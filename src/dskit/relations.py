@@ -114,12 +114,11 @@ def _skipped(relation: str, reason: str, context: dict) -> RelationReport:
     )
 
 
-def _base_context(cx: Complex, table: MultiplicityTable) -> dict:
-    return {
-        "d": cx.d,
-        "chi_reduced": reduced_euler_from_f(f_vector(cx)),
-        "m_empty": table.m_empty,
-    }
+def _base_context(cx: Complex) -> dict:
+    chi_r = reduced_euler_from_f(f_vector(cx))
+    # m_F = (-1)^(d-1-|F|) chi_reduced(link(F)), and the empty face's link
+    # is the complex itself
+    return {"d": cx.d, "chi_reduced": chi_r, "m_empty": _sign(cx.d - 1) * chi_r}
 
 
 # -- classification -----------------------------------------------------
@@ -177,15 +176,16 @@ def classify(cx: Complex, fld: FieldSpec = FieldSpec(0)) -> Classification:
 
 
 def verify_fh_tilde(cx: Complex, table: MultiplicityTable | None = None) -> RelationReport:
-    """sum_i h_i x^i (x+1)^(d-i) recovers the f-polynomial (always holds)."""
-    if table is None:
-        table = multiplicities(cx)
+    """sum_i h_i x^i (x+1)^(d-i) recovers the f-polynomial (always holds).
+
+    No multiplicity enters; table is accepted for a uniform signature.
+    """
     f = f_vector(cx)
     h = h_vector(f)
     d = cx.d
     lhs = delta_expand(DeltaCoeffs(tuple(reversed(h))))  # index i of h = power of x
     rhs = f_tilde(f)
-    ctx = _base_context(cx, table)
+    ctx = _base_context(cx)
     ctx.update({"lhs": lhs.coeffs, "rhs": rhs.coeffs, "h": h})
     return _report(
         "fh-tilde",
@@ -204,7 +204,7 @@ def verify_reciprocity(cx: Complex, table: MultiplicityTable | None = None) -> R
     d = cx.d
     lhs = delta_expand(DeltaCoeffs(h))
     rhs = table.poly()
-    ctx = _base_context(cx, table)
+    ctx = _base_context(cx)
     ctx.update({"lhs": lhs.coeffs, "rhs": rhs.coeffs, "h": h})
     return _report(
         "reciprocity",
@@ -235,7 +235,7 @@ def verify_ds_h(cx: Complex, table: MultiplicityTable | None = None) -> Relation
         )
         labels.append(f"i={i}")
         residuals.append((h[d - i] - h[i]) - scalar_rhs)
-    ctx = _base_context(cx, table)
+    ctx = _base_context(cx)
     ctx.update({"lhs": lhs.coeffs, "rhs": rhs.coeffs, "h": h})
     return _report("ds-h", labels, residuals, ctx)
 
@@ -293,7 +293,7 @@ def verify_ds_f(cx: Complex, table: MultiplicityTable | None = None) -> Relation
     f = f_vector(cx)
     f_int = interior_f_vector(cx, table)
     labels, residuals = ds_f_residuals(f, f_int, table.m_empty)
-    ctx = _base_context(cx, table)
+    ctx = _base_context(cx)
     ctx.update({"f": f, "f_int": f_int})
     return _report("ds-f", labels, residuals, ctx)
 
@@ -305,7 +305,7 @@ def verify_ds_f_inverse(cx: Complex, table: MultiplicityTable | None = None) -> 
     f = f_vector(cx)
     f_int = interior_f_vector(cx, table)
     labels, residuals = ds_f_inverse_residuals(f, f_int)
-    ctx = _base_context(cx, table)
+    ctx = _base_context(cx)
     ctx.update({"f": f, "f_int": f_int})
     return _report("ds-f-inverse", labels, residuals, ctx)
 
@@ -324,7 +324,7 @@ def verify_semi_eulerian_h(cx: Complex, table: MultiplicityTable | None = None) 
     gap = chi_r - _sign(d - 1)
     labels = [f"i={i}" for i in range(d + 1)]
     residuals = [(h[d - i] - h[i]) - _sign(i) * comb(d, i) * gap for i in range(d + 1)]
-    ctx = _base_context(cx, table)
+    ctx = _base_context(cx)
     ctx.update({"h": h, "eulerian": table.m_empty == 1, "palindrome": gap == 0})
     return _report("semi-eulerian-h", labels, residuals, ctx)
 
@@ -399,7 +399,7 @@ def verify_macdonald(
     labels, residuals = macdonald_residuals(f, fb, chi_r)
     implied_int = tuple(f[k] - fb[k] for k in range(1, len(f)))
     _, ds_res = ds_f_residuals(f, implied_int, table.m_empty)
-    ctx = _base_context(cx, table)
+    ctx = _base_context(cx)
     ctx.update(
         {
             "f": f,
@@ -445,7 +445,7 @@ def verify_all(cx: Complex) -> list[RelationReport]:
         try:
             reports.append(verify_relation(cx, name, table))
         except PreconditionError as exc:
-            ctx = _base_context(cx, table)
+            ctx = _base_context(cx)
             if exc.witness is not None:
                 ctx["witness"] = list(exc.witness)
             reports.append(_skipped(name, str(exc), ctx))

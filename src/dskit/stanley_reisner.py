@@ -13,21 +13,17 @@ sum_F m_F x^|F|, which the verifiers here compare with the direct
 multiplicity computation. The single-graded numerator is the h-vector;
 its face-count reference sum_i f_{i-1} L^i (1-L)^(d-i) lives in
 tests/test_stanley_reisner.py (test_hilbert_numerator_is_h_vector).
-The colored numerator is balanced.flag_h_from_expansion; the closed-form
-flag_h is its reference there (test_sr_colored_on_balanced_corpus).
+The colored numerator is the closed-form balanced.flag_h, the single
+runtime flag-h route; its reference sum_F w^b(F) (1-w)^(a-b(F)) is
+flag_h_from_expansion in tests/test_balanced.py, compared there and in
+test_sr_colored_on_balanced_corpus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balanced import (
-    Coloring,
-    _mvar_labels,
-    _mvar_residuals,
-    flag_h_from_expansion,
-    multiplicity_mpoly,
-)
+from .balanced import Coloring, _mvar_report, flag_h, multiplicity_mpoly
 from .complexes import Complex
 from .enumeration import MultiplicityTable, f_vector, h_vector, multiplicities
 from .poly import (
@@ -61,9 +57,9 @@ def hilbert_series(cx: Complex) -> RationalSeries:
 
 
 def hilbert_series_colored(cx: Complex, coloring: Coloring) -> RationalSeries:
-    """Color-graded series: numerator sum_F w^b(F) (1-w)^(a-b(F))."""
+    """Color-graded series: numerator sum_F w^b(F) (1-w)^(a-b(F)), the flag h."""
     a = coloring.a
-    return RationalSeries(MPoly(flag_h_from_expansion(cx, coloring), a), a)
+    return RationalSeries(MPoly(flag_h(cx, coloring), a), a)
 
 
 def verify_sr_reciprocity(
@@ -81,7 +77,7 @@ def verify_sr_reciprocity(
     d = cx.d
     lhs = delta_expand(DeltaCoeffs(series.numerator.coeffs))
     rhs = table.poly()
-    ctx = _base_context(cx, table)
+    ctx = _base_context(cx)
     ctx.update(
         {
             "numerator": series.numerator.coeffs,
@@ -111,15 +107,6 @@ def verify_sr_reciprocity_colored(
     swapped = {_vec_sub(a, b): nb for b, nb in n.coeffs.items()}
     lhs = mdelta_expand(MDeltaCoeffs(swapped, a))
     rhs = multiplicity_mpoly(cx, coloring, table)
-    ctx = _base_context(cx, table)
-    ctx.update(
-        {
-            "a": a,
-            "numerator": n.items_sorted(),
-            "lhs": lhs.items_sorted(),
-            "rhs": rhs.items_sorted(),
-        }
-    )
-    return _report(
-        "sr-reciprocity-colored", _mvar_labels(a), _mvar_residuals(lhs, rhs, a), ctx
+    return _mvar_report(
+        "sr-reciprocity-colored", cx, a, lhs, rhs, numerator=n.items_sorted()
     )

@@ -2,12 +2,13 @@
 
 import pytest
 
+from dskit import balanced
 from dskit.balanced import (
+    Coloring,
     b_of,
     flag_f,
     flag_f_mpoly,
     flag_h,
-    flag_h_from_expansion,
     multiplicity_mpoly,
     validate_balanced,
     verify_balanced_ds,
@@ -26,8 +27,45 @@ from dskit.generators import (
     glued_triangles,
     simplex_boundary,
 )
-from dskit.poly import IntPoly, exponents_below, mcomb
+from dskit.poly import IntPoly, MPoly, exponents_below, mcomb
 from dskit.relations import verify_ds_h, verify_reciprocity
+
+
+def flag_h_from_expansion(cx, coloring):
+    """Flag h-numbers as coefficients of sum_F x^b(F) (1-x)^(a-b(F)).
+
+    Reference route for the closed-form flag_h and for the colored Hilbert
+    numerator: each face's term is expanded on its own, with b(F) from b_of.
+    """
+    a = coloring.a
+    out = {b: 0 for b in exponents_below(a)}
+    for face in cx.faces():
+        bf = b_of(face, coloring.kappa, coloring.m)
+        rest = tuple(x - y for x, y in zip(a, bf))
+        for extra in exponents_below(rest):
+            e = tuple(x + y for x, y in zip(bf, extra))
+            out[e] += (-1) ** sum(extra) * mcomb(rest, extra)
+    return out
+
+
+def scalar_ds_brute_force(cx, coloring, table):
+    """Per-face right-hand side of the scalar balanced DS relation, for each b:
+    (-1)^(|a|-|b|) sum over faces with b(F) <= b of C(a-b(F), a-b) eps_F."""
+    a = coloring.a
+    faces = [
+        (b_of(face, coloring.kappa, coloring.m),
+         (-1) ** (cx.d - 1 - len(face)) * (table.m(face) - 1))
+        for face in cx.faces()
+    ]
+    out = {}
+    for b in exponents_below(a):
+        ab = tuple(x - y for x, y in zip(a, b))
+        acc = 0
+        for bf, eps in faces:
+            if all(x <= y for x, y in zip(bf, b)):
+                acc += mcomb(tuple(x - y for x, y in zip(a, bf)), ab) * eps
+        out[b] = (-1) ** sum(ab) * acc
+    return out
 
 
 def colored_octahedron():
@@ -109,6 +147,94 @@ def test_flag_single_colored_vertex():
 def test_flag_h_closed_form_equals_expansion(balanced_pairs):
     for _, cx, coloring in balanced_pairs:
         assert flag_h(cx, coloring) == flag_h_from_expansion(cx, coloring)
+
+
+def _per_face_counts(cx, coloring, table):
+    f, m = {}, {}
+    for face in cx.faces():
+        bf = b_of(face, coloring.kappa, coloring.m)
+        f[bf] = f.get(bf, 0) + 1
+        m[bf] = m.get(bf, 0) + table.m(face)
+    return f, m
+
+
+def _wide_and_monochrome_pairs():
+    # vertex ids near 10^4, and types with some a_i >= 2
+    cx = Complex.from_facets([[9001, 9999, 10007], [9001, 10007, 12000], [9001, 9999, 12001]])
+    wide = validate_balanced(cx, {9001: 1, 9999: 2, 10007: 3, 12000: 2, 12001: 3})
+    out = [(cx, wide)]
+    for made in (cylinder(), simplex_boundary(4), glued_triangles(3)):
+        mono = made.complex
+        out.append((mono, validate_balanced(mono, {v: 1 for v in mono.vertices})))
+    susp = Complex.from_facets(
+        [[1, 2, 4], [1, 3, 4], [2, 3, 4], [1, 2, 5], [1, 3, 5], [2, 3, 5]]
+    )
+    out.append((susp, validate_balanced(susp, {1: 1, 2: 1, 3: 1, 4: 2, 5: 2})))
+    return out
+
+
+def test_flag_counts_equal_per_face_b_of(balanced_pairs):
+    pairs = [(cx, coloring) for _, cx, coloring in balanced_pairs]
+    pairs += _wide_and_monochrome_pairs()
+    assert any(max(coloring.a) >= 2 for _, coloring in pairs)
+    for cx, coloring in pairs:
+        table = multiplicities(cx)
+        f, m = _per_face_counts(cx, coloring, table)
+        assert flag_f(cx, coloring) == {b: f.get(b, 0) for b in exponents_below(coloring.a)}
+        assert multiplicity_mpoly(cx, coloring, table) == MPoly(m, coloring.a)
+        assert flag_h(cx, coloring) == flag_h_from_expansion(cx, coloring)
+
+
+def test_flag_counts_validate_each_vertex():
+    # a hand-built Coloring skips validate_balanced; the face pass still
+    # rejects an uncolored vertex and an out-of-range color, by name
+    cx = cross_polytope_boundary(3).complex
+    kappa = dict(cross_polytope_boundary(3).coloring.kappa)
+    del kappa[4]
+    with pytest.raises(ValidationError, match="^vertex 4 has no color$"):
+        flag_f(cx, Coloring(kappa=kappa, a=(1, 1, 1)))
+    kappa[4] = 7
+    with pytest.raises(ValidationError, match=r"^vertex 4 has color 7 outside 1\.\.3$"):
+        verify_balanced_ds(cx, Coloring(kappa=kappa, a=(1, 1, 1)))
+
+
+def test_fh_tilde_verifiers_build_no_multiplicity_table(monkeypatch):
+    from dskit import relations
+
+    made = barycentric_subdivision(glued_triangles(3).complex)
+    cx, coloring = made.complex, made.coloring
+    m_empty = multiplicities(cx).m_empty
+
+    def refuse(cx):
+        raise AssertionError("multiplicity sweep")
+
+    monkeypatch.setattr(relations, "multiplicities", refuse)
+    monkeypatch.setattr(balanced, "multiplicities", refuse)
+    for rep in (relations.verify_fh_tilde(cx), verify_flag_fh_tilde(cx, coloring)):
+        assert rep.holds
+        assert rep.context["m_empty"] == m_empty
+
+
+@pytest.mark.parametrize(
+    "verifier",
+    [verify_flag_fh_tilde, verify_flag_reciprocity, verify_balanced_ds,
+     verify_balanced_semi_eulerian],
+)
+def test_each_flag_verifier_walks_the_faces_once(monkeypatch, verifier):
+    passes = []
+    inner = balanced._flag_counts
+
+    def counting(*args, **kwargs):
+        passes.append(args[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(balanced, "_flag_counts", counting)
+    made = cross_polytope_boundary(4)
+    table = multiplicities(made.complex)
+    for t in (None, table):
+        passes.clear()
+        assert verifier(made.complex, made.coloring, t).holds
+        assert len(passes) == 1
 
 
 @pytest.mark.parametrize(
@@ -213,20 +339,36 @@ def test_balanced_ds_subdivided_glued_triangles_brute_force():
     rep = verify_balanced_ds(cx, coloring)
     assert rep.holds
     # independent brute force of the scalar right-hand side
-    table = multiplicities(cx)
     h = flag_h(cx, coloring)
     a = coloring.a
-    faces = list(cx.faces())
+    rhs = scalar_ds_brute_force(cx, coloring, multiplicities(cx))
     for b in exponents_below(a):
-        acc = 0
-        for face in faces:
-            bf = b_of(face, coloring.kappa, coloring.m)
-            if all(x <= y for x, y in zip(bf, b)):
-                eps = (-1) ** (cx.d - 1 - len(face)) * (table.m(face) - 1)
-                acc += mcomb(tuple(x - y for x, y in zip(a, bf)),
-                             tuple(x - y for x, y in zip(a, b))) * eps
         ab = tuple(x - y for x, y in zip(a, b))
-        assert h[b] - h[ab] == (-1) ** (sum(a) - sum(b)) * acc
+        assert h[b] - h[ab] == rhs[b]
+
+
+def test_balanced_ds_scalar_sum_equals_per_face_brute_force(balanced_pairs):
+    # the verifier sums eps over b-groups; the brute force walks every face.
+    # On spheres every eps_F is 0 and both sides vanish, so those are skipped.
+    # The 0/1 types of the corpus make every weight C(a-b(F), a-b) 0 or 1;
+    # the monochromatic pairs with a boundary give weights above 1.
+    pairs = [(cx, coloring) for _, cx, coloring in balanced_pairs]
+    pairs += _wide_and_monochrome_pairs()
+    checked = 0
+    for cx, coloring in pairs:
+        table = multiplicities(cx)
+        if all(table.epsilon_mask(mask) == 0 for mask in cx.face_set):
+            continue
+        checked += 1
+        rep = verify_balanced_ds(cx, coloring, table)
+        h = flag_h_from_expansion(cx, coloring)
+        a = coloring.a
+        rhs = scalar_ds_brute_force(cx, coloring, table)
+        for b in exponents_below(a):
+            diff = h[b] - h[tuple(x - y for x, y in zip(a, b))]
+            label = "b=(" + ",".join(str(x) for x in b) + ")"
+            assert rep.residual(label) == diff - rhs[b] == 0
+    assert checked >= 40
 
 
 def test_balanced_ds_everywhere(balanced_pairs):

@@ -279,6 +279,14 @@ def test_non_utf8_input_is_a_parse_error(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff1 2\n"), "utf-8"))
     code, _, err = run_cli(capsys, ["f-vector"])
     assert (code, err) == (3, "dskit: parse error: " + expected)
+    # a lenient text layer (UTF-8 mode's surrogateescape) must not hide a bad
+    # byte, in a comment or in a facet line
+    for data, at in ((b"# \xff c\n1 2\n", "byte 2"), (b"\xff1 2\n", "byte 0")):
+        stdin = io.TextIOWrapper(io.BytesIO(data), "utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_cli(capsys, ["f-vector"])
+        assert (code, out) == (3, "")
+        assert err == "dskit: parse error: " + expected.replace("byte 0", at)
     cplx = tmp_path / "oct.cplx"
     colors = tmp_path / "oct.colors"
     run_cli(capsys, ["gen", "cross-polytope-boundary", "3", "-o", str(cplx),

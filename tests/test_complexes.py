@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from dskit.complexes import Complex, parse_cplx, write_cplx, parse_colors, write_colors
+from dskit.complexes import (
+    Complex,
+    parse_colors,
+    parse_cplx,
+    read_cplx,
+    write_colors,
+    write_cplx,
+)
 from dskit.errors import DomainError, ParseError, ResourceLimitError, ValidationError
 from dskit.generators import cross_polytope_boundary, glued_triangles, random_complex
 
@@ -198,3 +205,13 @@ def test_colors_round_trip():
         parse_colors("1 2 3\n")
     with pytest.raises(ParseError):
         parse_colors("1 1\n1 2\n")
+
+
+def test_read_cplx_strict_utf8(tmp_path):
+    good = tmp_path / "good.cplx"
+    good.write_bytes(b"# caf\xc3\xa9\r\n1 2 3\r\n2 3 4\n")
+    assert read_cplx(str(good)).facets == ((1, 2, 3), (2, 3, 4))
+    bad = tmp_path / "bad.cplx"
+    bad.write_bytes(b"1 2\n# \xff\n")
+    with pytest.raises(ParseError, match="^not UTF-8 text: invalid start byte at byte 6$"):
+        read_cplx(str(bad))

@@ -237,6 +237,37 @@ def test_boundary_faces_requires_manifold():
     assert err.value.witness in ((1,), (2,))
 
 
+@pytest.mark.parametrize("field", [FieldSpec(0), FieldSpec(2)], ids=["q", "gf2"])
+def test_boundary_faces_witness_is_the_manifold_witness(field):
+    # each complex is built fresh, so no link memo is shared between the
+    # two scans and the boundary scan finds its witness on its own
+    makers = [
+        lambda: double_banana().complex,
+        lambda: glued_triangles(3).complex,
+        lambda: Complex.from_facets([[1, 2, 3], [4]]),
+    ]
+    for make in makers:
+        with pytest.raises(PreconditionError) as err:
+            boundary_faces_homological(make(), field)
+        assert err.value.witness == is_homology_manifold(make(), field).witness
+
+
+def test_boundary_faces_looks_up_each_link_once(monkeypatch):
+    from dskit import homology
+
+    lookups = []
+    inner = homology._link_betti
+
+    def counting(cx, memo, fmask, field):
+        lookups.append(fmask)
+        return inner(cx, memo, fmask, field)
+
+    monkeypatch.setattr(homology, "_link_betti", counting)
+    cx = cylinder().complex
+    boundary_faces_homological(cx)
+    assert sorted(lookups) == sorted(m for m in cx.face_set if m)
+
+
 def test_homological_split_equals_multiplicity_split(suite):
     # on every homology manifold in the corpus the two classifications agree
     checked = 0

@@ -284,6 +284,15 @@ def test_verify_all_skips_inapplicable():
     assert all(r.holds for r in reports)  # skipped ones do not fail
 
 
+def test_report_context_m_empty_is_the_table_entry(suite, randoms):
+    # every report derives m_empty from the f-vector; it must equal the
+    # superset sweep's entry for the empty face, also in skipped reports
+    for cx in [made.complex for _, made in suite] + randoms[:40]:
+        m_empty = multiplicities(cx).m_empty
+        for rep in verify_all(cx):
+            assert rep.context["m_empty"] == m_empty
+
+
 def test_report_json_round_trip():
     rep = verify_ds_h(glued_triangles(3).complex)
     data = rep.to_json_dict()

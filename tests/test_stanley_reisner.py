@@ -16,6 +16,7 @@ from dskit.stanley_reisner import (
     verify_sr_reciprocity,
     verify_sr_reciprocity_colored,
 )
+from test_balanced import flag_h_from_expansion
 
 
 def _numerator_from_faces(f: tuple[int, ...]) -> IntPoly:
@@ -120,9 +121,11 @@ def test_sr_colored_subdivided_path():
 
 def test_sr_colored_on_balanced_corpus(balanced_pairs):
     for _, cx, coloring in balanced_pairs:
-        # the colored numerator comes from the expansion route; flag_h is the closed form
+        # the colored numerator is the closed-form flag_h; the face-sum
+        # expansion in test_balanced is its independent reference
         series = hilbert_series_colored(cx, coloring)
         assert series.numerator == MPoly(flag_h(cx, coloring), coloring.a)
+        assert series.numerator == MPoly(flag_h_from_expansion(cx, coloring), coloring.a)
         assert series.denominator_exponent == coloring.a
         rep = verify_sr_reciprocity_colored(cx, coloring)
         assert rep.holds
