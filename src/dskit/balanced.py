@@ -10,7 +10,9 @@ the sum of m_F over faces with b(F) = b. One walk over the faces
 (_flag_counts) yields both, and each verifier makes exactly one walk.
 The flag h-numbers have a single runtime route, the inclusion-exclusion
 closed form h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c (flag_h),
-which is also the colored Hilbert numerator. The coefficient-extraction
+which is also the colored Hilbert numerator. It is the inverse binomial
+transform of f on the lattice b <= a, the same change of basis as
+poly.mmonomial_to_delta, run one color at a time. The coefficient-extraction
 route from sum_F x^b(F) (1-x)^(a-b(F)), flag_h_from_expansion, lives in
 tests/test_balanced.py as its independent reference
 (test_flag_h_closed_form_equals_expansion).
@@ -28,6 +30,7 @@ from .poly import (
     ExponentVec,
     MDeltaCoeffs,
     MPoly,
+    _binomial_transform,
     _sign,
     _vec_sub,
     exponents_below,
@@ -116,14 +119,11 @@ def _flag_counts(
 
 
 def _flag_h_from_f(f: dict[ExponentVec, int], a: ExponentVec) -> dict[ExponentVec, int]:
-    """h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c for every b <= a."""
-    return {
-        b: sum(
-            _sign(sum(b) - sum(c)) * mcomb(_vec_sub(a, c), _vec_sub(b, c)) * f[c]
-            for c in exponents_below(b)
-        )
-        for b in exponents_below(a)
-    }
+    """h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c for every b <= a.
+
+    f is keyed in exponents_below(a) order, as _flag_counts builds it.
+    """
+    return dict(zip(f, _binomial_transform(list(f.values()), a, inverse=True)))
 
 
 def flag_f(cx: Complex, coloring: Coloring) -> dict[ExponentVec, int]:
@@ -139,11 +139,11 @@ def flag_f_mpoly(cx: Complex, coloring: Coloring) -> MPoly:
 def flag_h(cx: Complex, coloring: Coloring) -> dict[ExponentVec, int]:
     """Flag h-numbers via the inclusion-exclusion closed form.
 
-    h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c. The multi-binomial
-    weight is 1 whenever the type vector is 0/1 (completely balanced), where
-    the formula takes its familiar weightless shape. The polynomial-expansion
-    route is its reference in tests/test_balanced.py
-    (test_flag_h_closed_form_equals_expansion).
+    h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c, the inverse binomial
+    transform of f. The multi-binomial weight is 1 whenever the type vector
+    is 0/1 (completely balanced), where the formula takes its familiar
+    weightless shape. The polynomial-expansion route is its reference in
+    tests/test_balanced.py (test_flag_h_closed_form_equals_expansion).
     """
     return _flag_h_from_f(flag_f(cx, coloring), coloring.a)
 
@@ -153,6 +153,18 @@ def multiplicity_mpoly(
 ) -> MPoly:
     """sum_F m_F x^b(F)."""
     return MPoly(_flag_counts(cx, coloring, table)[1], coloring.a)
+
+
+def _reciprocity_sides(
+    cx: Complex, coloring: Coloring, table: MultiplicityTable
+) -> tuple[MPoly, MPoly, MPoly]:
+    """(h, sum_b h_b (x+1)^b x^(a-b), sum_F m_F x^b(F)) from one face walk."""
+    a = coloring.a
+    f, msum = _flag_counts(cx, coloring, table)
+    h = MPoly(_flag_h_from_f(f, a), a)
+    # (x+1)^b x^(a-b) is the delta element indexed by a-b
+    swapped = {_vec_sub(a, b): hb for b, hb in h.coeffs.items()}
+    return h, mdelta_expand(MDeltaCoeffs(swapped, a)), MPoly(msum, a)
 
 
 def _mvar_labels(a: ExponentVec, prefix: str = "x^") -> list[str]:
@@ -195,12 +207,8 @@ def verify_flag_reciprocity(
     """sum_b h_b (x+1)^b x^(a-b) counts faces with multiplicity (always holds)."""
     if table is None:
         table = multiplicities(cx)
-    a = coloring.a
-    f, msum = _flag_counts(cx, coloring, table)
-    # (x+1)^b x^(a-b) is the delta element indexed by a-b
-    swapped = {_vec_sub(a, b): hb for b, hb in _flag_h_from_f(f, a).items()}
-    lhs = mdelta_expand(MDeltaCoeffs(swapped, a))
-    return _mvar_report("flag-reciprocity", cx, a, lhs, MPoly(msum, a))
+    _, lhs, rhs = _reciprocity_sides(cx, coloring, table)
+    return _mvar_report("flag-reciprocity", cx, coloring.a, lhs, rhs)
 
 
 def verify_balanced_ds(
@@ -212,21 +220,22 @@ def verify_balanced_ds(
     Scalar, for every b <= a:
     h_b - h_{a-b} = (-1)^(|a|-|b|) sum over faces with b(F) <= b of
     C(a-b(F), a-b) eps_F. The faces with b(F) = c add up to
-    E_c = (-1)^(d-1-|c|) (sum of their m_F - f_c), so the sum runs over c <= b.
+    E_c = (-1)^(d-1-|c|) (sum of their m_F - f_c), so the sum
+    sum_{c<=b} C(a-c, b-c) E_c is the forward binomial transform of E.
     """
     if table is None:
         table = multiplicities(cx)
     a = coloring.a
     f, msum = _flag_counts(cx, coloring, table)
-    h = _flag_h_from_f(f, a)
-    diffs = {b: h[b] - h[_vec_sub(a, b)] for b in h}
-    lhs = mdelta_expand(MDeltaCoeffs(diffs, a))
-    eps = {c: _sign(cx.d - 1 - sum(c)) * (msum[c] - f[c]) for c in f}
-    scalar = []
-    for b in h:
-        ab = _vec_sub(a, b)
-        acc = sum(mcomb(_vec_sub(a, c), ab) * eps[c] for c in exponents_below(b) if eps[c])
-        scalar.append(diffs[b] - _sign(sum(ab)) * acc)
+    h = list(_flag_h_from_f(f, a).values())
+    # exponents_below(a) reversed lists a-b in the place of b
+    diffs = [hb - hab for hb, hab in zip(h, reversed(h))]
+    lhs = mdelta_expand(MDeltaCoeffs(dict(zip(f, diffs)), a))
+    eps = [_sign(cx.d - 1 - sum(c)) * (msum[c] - f[c]) for c in f]
+    scalar = [
+        diff - _sign(sum(a) - sum(b)) * acc
+        for b, diff, acc in zip(f, diffs, _binomial_transform(eps, a))
+    ]
     rhs = MPoly(f, a) - MPoly(msum, a)
     return _mvar_report("balanced-ds", cx, a, lhs, rhs, _mvar_labels(a, "b="), scalar)
 

@@ -84,10 +84,6 @@ def _print_json(data, out: str | None) -> None:
     _emit(json.dumps(data, indent=2) + "\n", out)
 
 
-def _vector_text(vec) -> str:
-    return " ".join(str(x) for x in vec) + "\n"
-
-
 def _face_text(face) -> str:
     return " ".join(str(v) for v in face) if face else "-"
 
@@ -152,21 +148,19 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- subcommand bodies ----------------------------------------------------
 
 
-def _cmd_vectors(args) -> int:
-    cx = _read_complex(args.file, args.max_faces)
-    f = f_vector(cx)
-    if args.command == "f-vector":
-        if args.json:
-            _print_json({"f": [str(x) for x in f]}, args.out)
-        else:
-            _emit(_vector_text(f), args.out)
+def _emit_vector(args, key: str, vec) -> int:
+    if args.json:
+        _print_json({key: [str(x) for x in vec]}, args.out)
     else:
-        h = h_vector(f)
-        if args.json:
-            _print_json({"h": [str(x) for x in h]}, args.out)
-        else:
-            _emit(_vector_text(h), args.out)
+        _emit(" ".join(str(x) for x in vec) + "\n", args.out)
     return EXIT_OK
+
+
+def _cmd_vectors(args) -> int:
+    f = f_vector(_read_complex(args.file, args.max_faces))
+    if args.command == "f-vector":
+        return _emit_vector(args, "f", f)
+    return _emit_vector(args, "h", h_vector(f))
 
 
 def _cmd_multiplicities(args) -> int:
@@ -192,12 +186,7 @@ def _cmd_multiplicities(args) -> int:
 
 def _cmd_interior(args) -> int:
     cx = _read_complex(args.file, args.max_faces)
-    f_int = interior_f_vector(cx)
-    if args.json:
-        _print_json({"f_int": [str(x) for x in f_int]}, args.out)
-    else:
-        _emit(_vector_text(f_int), args.out)
-    return EXIT_OK
+    return _emit_vector(args, "f_int", interior_f_vector(cx))
 
 
 def _cmd_classify(args) -> int:
@@ -216,7 +205,7 @@ def _cmd_classify(args) -> int:
     if cls.homology_manifold:
         bd = boundary_faces_homological(cx, fld)
         homology["boundary_faces"] = [list(face) for face in bd]
-        homology["boundary_is_subcomplex"] = is_downward_closed(bd, cx)
+        homology["boundary_is_subcomplex"] = is_downward_closed(bd)
     data["homology"] = homology
     if args.json:
         _print_json(data, args.out)
@@ -341,7 +330,7 @@ def _cmd_gen(args) -> int:
             raise ValidationError("barycentric-subdivision takes one FILE parameter")
         base = _read_complex(params[0], args.max_faces)
         params = []
-    made = generators.gen(args.family, params, base=base)
+    made = generators.gen(args.family, params, base=base, max_faces=args.max_faces)
     _emit(write_cplx(made.complex), args.out)
     if args.colors_out:
         if made.coloring is None:

@@ -14,12 +14,11 @@ computation routes, kept deliberately distinct for differential testing.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterable
 
 from .complexes import Complex, FaceTuple, face_mask, mask_vertices
 from .errors import DomainError, PreconditionError, ValidationError
-from .poly import DeltaCoeffs, IntPoly, _sign, delta_expand
+from .poly import DeltaCoeffs, IntPoly, _binomial_transform, _sign, delta_expand
 
 FVector = tuple[int, ...]
 HVector = tuple[int, ...]
@@ -40,13 +39,13 @@ def check_f_vector(f: Iterable[int]) -> FVector:
 
 
 def h_vector(f: Iterable[int]) -> HVector:
-    """h-vector from an f-vector: coefficients of sum_i f_{i-1} x^i (1-x)^(d-i)."""
+    """h-vector from an f-vector: coefficients of sum_i f_{i-1} x^i (1-x)^(d-i).
+
+    h_k = sum_{i<=k} (-1)^(k-i) C(d-i, k-i) f_{i-1}, the inverse binomial
+    transform of f with a = (d,).
+    """
     f = check_f_vector(f)
-    d = len(f) - 1
-    return tuple(
-        sum(_sign(k - i) * comb(d - i, k - i) * f[i] for i in range(k + 1))
-        for k in range(d + 1)
-    )
+    return tuple(_binomial_transform(f, (len(f) - 1,), inverse=True))
 
 
 def h_to_f(h: Iterable[int]) -> FVector:

@@ -19,16 +19,21 @@ Families:
 
 random() only consumes Random.random()/randrange(), so a fixed seed gives
 bit-identical output across runs and interpreter versions.
+
+Every family takes the face-count cap max_faces, as Complex.from_facets
+does, and checks its closed-form facet count against it before listing a
+facet (_checked_cap).
 """
 
 from __future__ import annotations
 
 import random
+from math import factorial
 from typing import NamedTuple, Sequence
 
 from .balanced import Coloring, validate_balanced
-from .complexes import Complex
-from .errors import ValidationError
+from .complexes import MAX_FACES_ENV, Complex, _effective_max_faces
+from .errors import ResourceLimitError, ValidationError
 
 
 class Generated(NamedTuple):
@@ -36,16 +41,38 @@ class Generated(NamedTuple):
     coloring: Coloring | None
 
 
-def simplex_boundary(d: int) -> Generated:
+def _checked_cap(max_faces: int | None, facets: int = 0, facet_size: int = 0) -> int:
+    """The face-count cap, checked against a family's closed-form counts.
+
+    Every facet is a face, and one facet of s vertices alone has 2^s faces,
+    so a family over either count would exceed the cap anyway and fails
+    here, before it lists a facet. 2^s is compared through the bit length
+    of the cap, so it is never formed.
+    """
+    cap = _effective_max_faces(max_faces)
+    if facets > cap:
+        count = f"{facets} facets"
+    elif facet_size >= cap.bit_length():
+        count = f"2^{facet_size} faces of one facet"
+    else:
+        return cap
+    raise ResourceLimitError(
+        f"{count} exceed the face-count cap {cap}; raise --max-faces/"
+        f"{MAX_FACES_ENV} if intended"
+    )
+
+
+def simplex_boundary(d: int, max_faces: int | None = None) -> Generated:
     """Boundary of the d-simplex: all d-subsets of {1..d+1}."""
     if d < 1:
         raise ValidationError("simplex-boundary needs d >= 1")
+    cap = _checked_cap(max_faces, d + 1, d)
     verts = list(range(1, d + 2))
     facets = [verts[:i] + verts[i + 1 :] for i in range(d + 1)]
-    return Generated(Complex.from_facets(facets), None)
+    return Generated(Complex.from_facets(facets, cap), None)
 
 
-def cross_polytope_boundary(d: int) -> Generated:
+def cross_polytope_boundary(d: int, max_faces: int | None = None) -> Generated:
     """Boundary of the d-cross-polytope with its canonical coloring.
 
     Vertices 2i-1 and 2i form the antipodal pair of color i; every facet
@@ -53,12 +80,13 @@ def cross_polytope_boundary(d: int) -> Generated:
     """
     if d < 1:
         raise ValidationError("cross-polytope-boundary needs d >= 1")
+    cap = _checked_cap(max_faces, facet_size=d)  # also bounds the 2^d facets
     facets = []
     for choice in range(1 << d):
         facets.append(
             [2 * i + 1 + ((choice >> i) & 1) for i in range(d)]
         )
-    cx = Complex.from_facets(facets)
+    cx = Complex.from_facets(facets, cap)
     kappa = {2 * i + 1 + j: i + 1 for i in range(d) for j in (0, 1)}
     return Generated(cx, validate_balanced(cx, kappa))
 
@@ -66,29 +94,33 @@ def cross_polytope_boundary(d: int) -> Generated:
 CYLINDER_FACETS = ((1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (1, 3, 6), (1, 4, 6))
 
 
-def cylinder() -> Generated:
+def cylinder(max_faces: int | None = None) -> Generated:
     """Triangulated annulus on 6 vertices: inner rim {1,2,3}, outer {4,5,6}."""
-    return Generated(Complex.from_facets(CYLINDER_FACETS), None)
+    return Generated(Complex.from_facets(CYLINDER_FACETS, max_faces), None)
 
 
-def subdivided_triangle() -> Generated:
+def subdivided_triangle(max_faces: int | None = None) -> Generated:
     """Triangle {1,2,3} subdivided by the center vertex 4."""
-    return Generated(Complex.from_facets([(1, 2, 4), (1, 3, 4), (2, 3, 4)]), None)
+    facets = [(1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    return Generated(Complex.from_facets(facets, max_faces), None)
 
 
-def glued_triangles(k: int = 3) -> Generated:
+def glued_triangles(k: int = 3, max_faces: int | None = None) -> Generated:
     """k triangles glued along the common edge {1,2}."""
     if k < 2:
         raise ValidationError("glued-triangles needs k >= 2")
-    return Generated(Complex.from_facets([(1, 2, 2 + i) for i in range(1, k + 1)]), None)
+    cap = _checked_cap(max_faces, k)
+    facets = [(1, 2, 2 + i) for i in range(1, k + 1)]
+    return Generated(Complex.from_facets(facets, cap), None)
 
 
-def glued_tetrahedra(k: int = 3) -> Generated:
+def glued_tetrahedra(k: int = 3, max_faces: int | None = None) -> Generated:
     """k tetrahedra glued along the common edge {1,2}."""
     if k < 2:
         raise ValidationError("glued-tetrahedra needs k >= 2")
+    cap = _checked_cap(max_faces, k)
     facets = [(1, 2, 2 * i + 1, 2 * i + 2) for i in range(1, k + 1)]
-    return Generated(Complex.from_facets(facets), None)
+    return Generated(Complex.from_facets(facets, cap), None)
 
 
 def _double_banana_facets() -> list[tuple[int, ...]]:
@@ -110,20 +142,20 @@ def _double_banana_coloring() -> dict[int, int]:
     return kappa
 
 
-def double_banana() -> Generated:
+def double_banana(max_faces: int | None = None) -> Generated:
     """Two octahedron boundaries glued along one antipodal vertex pair."""
-    cx = Complex.from_facets(_double_banana_facets())
+    cx = Complex.from_facets(_double_banana_facets(), max_faces)
     return Generated(cx, validate_balanced(cx, _double_banana_coloring()))
 
 
-def double_banana_minus_triangle() -> Generated:
+def double_banana_minus_triangle(max_faces: int | None = None) -> Generated:
     """Double banana with the facet {2,4,6} removed (reciprocal, has boundary)."""
     facets = [f for f in _double_banana_facets() if f != (2, 4, 6)]
-    cx = Complex.from_facets(facets)
+    cx = Complex.from_facets(facets, max_faces)
     return Generated(cx, validate_balanced(cx, _double_banana_coloring()))
 
 
-def barycentric_subdivision(cx: Complex) -> Generated:
+def barycentric_subdivision(cx: Complex, max_faces: int | None = None) -> Generated:
     """Barycentric subdivision: vertices are old faces, facets are chains.
 
     New vertex ids follow cardinality-then-mask order of the old faces.
@@ -131,9 +163,11 @@ def barycentric_subdivision(cx: Complex) -> Generated:
     completely balanced of type (1,...,1); for non-pure input the complex
     is returned uncolored.
     """
+    # one facet per maximal chain: |G|! of them end at each facet G
+    cap = _checked_cap(max_faces, sum(factorial(g.bit_count()) for g in cx.facet_masks))
     old_faces = [m for group in cx.masks_by_card[1:] for m in group]
     if not old_faces:
-        return Generated(Complex.from_facets([]), None)
+        return Generated(Complex.from_facets([], cap), None)
     vid = {m: i + 1 for i, m in enumerate(old_faces)}
     facets = []
 
@@ -151,21 +185,27 @@ def barycentric_subdivision(cx: Complex) -> Generated:
             rest ^= bit
     for g in cx.facet_masks:
         chains([], 0, g)
-    sd = Complex.from_facets(facets)
+    sd = Complex.from_facets(facets, cap)
     if not cx.is_pure():
         return Generated(sd, None)
     kappa = {vid[m]: m.bit_count() for m in old_faces}
     return Generated(sd, validate_balanced(sd, kappa, a=(1,) * cx.d))
 
 
-def random_complex(seed: int, n: int, density: float) -> Generated:
-    """Seeded random complex with facets of mixed sizes (often non-pure)."""
+def random_complex(
+    seed: int, n: int, density: float, max_faces: int | None = None
+) -> Generated:
+    """Seeded random complex with facets of mixed sizes (often non-pure).
+
+    It draws max(1, round(2 n density)) facets; the cap bounds that number.
+    """
     if n < 1:
         raise ValidationError("random needs n >= 1")
     if not 0 < density <= 1:
         raise ValidationError("density must be in (0, 1]")
-    rng = random.Random(seed)
     draws = max(1, round(density * 2 * n))
+    cap = _checked_cap(max_faces, draws)
+    rng = random.Random(seed)
     max_size = min(n, 6)
     facets = []
     for _ in range(draws):
@@ -174,69 +214,60 @@ def random_complex(seed: int, n: int, density: float) -> Generated:
         while len(verts) < size:
             verts.add(1 + rng.randrange(n))
         facets.append(sorted(verts))
-    return Generated(Complex.from_facets(facets), None)
+    return Generated(Complex.from_facets(facets, cap), None)
 
 
-FAMILIES = (
-    "simplex-boundary",
-    "cross-polytope-boundary",
-    "cylinder",
-    "subdivided-triangle",
-    "glued-triangles",
-    "glued-tetrahedra",
-    "double-banana",
-    "double-banana-minus-triangle",
-    "barycentric-subdivision",
-    "random",
-)
+def _int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValidationError(f"expected integer parameter, got {tok!r}")
 
 
-def gen(family: str, params: Sequence[str] = (), base: Complex | None = None) -> Generated:
-    """Dispatch a family by CLI name with string parameters."""
+def _density(tok: str) -> float:
+    try:
+        return float(tok)
+    except ValueError:
+        raise ValidationError(f"expected float density, got {tok!r}")
 
-    def want(k: int) -> list[str]:
-        if len(params) != k:
-            raise ValidationError(
-                f"family {family!r} takes {k} parameter(s), got {len(params)}"
-            )
-        return list(params)
 
-    def as_int(tok: str) -> int:
-        try:
-            return int(tok)
-        except ValueError:
-            raise ValidationError(f"expected integer parameter, got {tok!r}")
+# CLI name -> (family, parsers of its string parameters); None marks the
+# glued families' optional k, and barycentric-subdivision takes its input
+# complex instead of parameters
+_FAMILIES = {
+    "simplex-boundary": (simplex_boundary, (_int,)),
+    "cross-polytope-boundary": (cross_polytope_boundary, (_int,)),
+    "cylinder": (cylinder, ()),
+    "subdivided-triangle": (subdivided_triangle, ()),
+    "glued-triangles": (glued_triangles, None),
+    "glued-tetrahedra": (glued_tetrahedra, None),
+    "double-banana": (double_banana, ()),
+    "double-banana-minus-triangle": (double_banana_minus_triangle, ()),
+    "barycentric-subdivision": (barycentric_subdivision, ()),
+    "random": (random_complex, (_int, _int, _density)),
+}
+FAMILIES = tuple(_FAMILIES)
 
-    if family == "simplex-boundary":
-        return simplex_boundary(as_int(want(1)[0]))
-    if family == "cross-polytope-boundary":
-        return cross_polytope_boundary(as_int(want(1)[0]))
-    if family == "cylinder":
-        want(0)
-        return cylinder()
-    if family == "subdivided-triangle":
-        want(0)
-        return subdivided_triangle()
-    if family == "glued-triangles":
-        return glued_triangles(as_int(params[0]) if params else 3)
-    if family == "glued-tetrahedra":
-        return glued_tetrahedra(as_int(params[0]) if params else 3)
-    if family == "double-banana":
-        want(0)
-        return double_banana()
-    if family == "double-banana-minus-triangle":
-        want(0)
-        return double_banana_minus_triangle()
-    if family == "barycentric-subdivision":
-        if base is None:
-            raise ValidationError("barycentric-subdivision needs an input complex")
-        want(0)
-        return barycentric_subdivision(base)
-    if family == "random":
-        p = want(3)
-        try:
-            density = float(p[2])
-        except ValueError:
-            raise ValidationError(f"expected float density, got {p[2]!r}")
-        return random_complex(as_int(p[0]), as_int(p[1]), density)
-    raise ValidationError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+
+def gen(
+    family: str,
+    params: Sequence[str] = (),
+    base: Complex | None = None,
+    max_faces: int | None = None,
+) -> Generated:
+    """Dispatch a family by CLI name with string parameters and a face-count cap."""
+    if family not in _FAMILIES:
+        raise ValidationError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    build, parsers = _FAMILIES[family]
+    if parsers is None:
+        return build(_int(params[0]) if params else 3, max_faces)
+    if build is barycentric_subdivision and base is None:
+        raise ValidationError("barycentric-subdivision needs an input complex")
+    if len(params) != len(parsers):
+        raise ValidationError(
+            f"family {family!r} takes {len(parsers)} parameter(s), got {len(params)}"
+        )
+    args = [parse(tok) for parse, tok in zip(parsers, params)]
+    if build is barycentric_subdivision:
+        args = [base]
+    return build(*args, max_faces=max_faces)

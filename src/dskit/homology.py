@@ -298,7 +298,7 @@ def boundary_faces_homological(
     return tuple(out)
 
 
-def is_downward_closed(faces: tuple[FaceTuple, ...], cx: Complex) -> bool:
+def is_downward_closed(faces: tuple[FaceTuple, ...]) -> bool:
     """Whether a face collection is a subcomplex (every subset present).
 
     Informational helper for reporting on the boundary-face structure of

@@ -11,9 +11,13 @@ Dehn-Sommerville identities are diagonal:
     univariate:    delta_i = (x+1)^i * x^(d-i),        0 <= i <= d
     multivariate:  delta_b = x^b * (x+1)^(a-b),        b <= a
 
-Note the index conventions differ on purpose (they match how the two bases
-are enumerated in the change-of-basis formulas): the univariate index is
-the power of (x+1), the multivariate index is the power of x.
+Every change between them is one routine, _binomial_transform, on the
+lattice b <= a with one of two mutually inverse kernels: C(a-b, e-b) takes
+delta coefficients to monomial ones, (-1)^(|e|-|b|) C(a-b, e-b) goes back.
+Both factor over the coordinates, so it runs one axis at a time (Yates'
+method). The univariate index is the power of (x+1), not of x (it matches
+how the h-vector enumerates the basis), so the univariate transforms run
+it with a = (d,) on the reversed vector.
 
 All arithmetic uses Python's arbitrary-precision integers, so results are
 exact at any size.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, ValidationError
 
@@ -184,27 +188,46 @@ class DeltaCoeffs:
         return f"DeltaCoeffs({list(self.coeffs)})"
 
 
+def _binomial_transform(
+    values: Sequence[int], a: ExponentVec, inverse: bool = False
+) -> list[int]:
+    """out_e = sum_{b<=e} prod_i C(a_i-b_i, e_i-b_i) v_b, signed (-1)^(|e|-|b|) if inverse.
+
+    values and the result are listed in exponents_below(a) order. Each axis
+    is transformed along every lattice line parallel to it; zeros are skipped.
+    """
+    sign = -1 if inverse else 1
+    out = list(values)
+    stride = len(out)
+    for ai in a:
+        block, stride = stride, stride // (ai + 1)
+        # rows[b][k]: weight of v_b in out_{b+k} along this axis
+        rows = [[sign**k * comb(ai - b, k) for k in range(ai + 1 - b)] for b in range(ai + 1)]
+        for start in range(0, len(out), block):
+            for first in range(start, start + stride):
+                line = out[first : first + block : stride]
+                if not any(line):
+                    continue
+                new = [0] * (ai + 1)
+                for b, vb in enumerate(line):
+                    if vb:
+                        for k, w in enumerate(rows[b]):
+                            new[b + k] += w * vb
+                out[first : first + block : stride] = new
+    return out
+
+
 def delta_expand(c: DeltaCoeffs) -> IntPoly:
     """Expand sum_i c_i (x+1)^i x^(d-i) into the monomial basis."""
     d = c.degree_bound
-    out = [0] * (d + 1)
-    for i, ci in enumerate(c.coeffs):
-        if ci:
-            # (x+1)^i x^(d-i): coefficient of x^k is C(i, k-(d-i))
-            for k in range(d - i, d + 1):
-                out[k] += ci * comb(i, k - (d - i))
-    return IntPoly(out, d)
+    # c_i multiplies the lattice element x^(d-i) (x+1)^i, hence the reversal
+    return IntPoly(_binomial_transform(c.coeffs[::-1], (d,)), d)
 
 
 def monomial_to_delta(p: IntPoly) -> DeltaCoeffs:
     """Write p on the delta basis: x^k = sum_i (-1)^(d-k-i) C(d-k,i) (x+1)^i x^(d-i)."""
     d = p.degree_bound
-    out = [0] * (d + 1)
-    for k, pk in enumerate(p.coeffs):
-        if pk:
-            for i in range(d - k + 1):
-                out[i] += pk * _sign(d - k - i) * comb(d - k, i)
-    return DeltaCoeffs(out)
+    return DeltaCoeffs(_binomial_transform(p.coeffs, (d,), inverse=True)[::-1])
 
 
 def mcomb(u: ExponentVec, v: ExponentVec) -> int:
@@ -222,16 +245,26 @@ def exponents_below(a: ExponentVec) -> Iterator[ExponentVec]:
     return product(*(range(ai + 1) for ai in a))
 
 
-def _vec_add(u: ExponentVec, v: ExponentVec) -> ExponentVec:
-    return tuple(x + y for x, y in zip(u, v))
-
-
 def _vec_sub(u: ExponentVec, v: ExponentVec) -> ExponentVec:
     return tuple(x - y for x, y in zip(u, v))
 
 
 def _vec_leq(u: ExponentVec, v: ExponentVec) -> bool:
     return all(x <= y for x, y in zip(u, v))
+
+
+def _nonzero_below(
+    coeffs: Mapping[ExponentVec, int], bound: ExponentVec, what: str
+) -> dict[ExponentVec, int]:
+    """The nonzero coefficients, each key checked to satisfy 0 <= b <= bound."""
+    clean: dict[ExponentVec, int] = {}
+    for b, cb in coeffs.items():
+        b = tuple(int(x) for x in b)
+        if len(b) != len(bound) or any(x < 0 for x in b) or not _vec_leq(b, bound):
+            raise DomainError(f"{what} {b} outside bound {bound}")
+        if cb:
+            clean[b] = int(cb)
+    return clean
 
 
 class MPoly:
@@ -243,14 +276,7 @@ class MPoly:
         bound = tuple(int(x) for x in bound)
         if any(x < 0 for x in bound):
             raise ValidationError("multidegree bound must be componentwise >= 0")
-        clean: dict[ExponentVec, int] = {}
-        for b, cb in coeffs.items():
-            b = tuple(int(x) for x in b)
-            if len(b) != len(bound) or any(x < 0 for x in b) or not _vec_leq(b, bound):
-                raise DomainError(f"exponent {b} outside bound {bound}")
-            if cb:
-                clean[b] = int(cb)
-        self.coeffs = clean
+        self.coeffs = _nonzero_below(coeffs, bound, "exponent")
         self.bound = bound
 
     def coeff(self, b: ExponentVec) -> int:
@@ -309,14 +335,7 @@ class MDeltaCoeffs:
 
     def __init__(self, coeffs: Mapping[ExponentVec, int], bound: ExponentVec):
         bound = tuple(int(x) for x in bound)
-        clean: dict[ExponentVec, int] = {}
-        for b, cb in coeffs.items():
-            b = tuple(int(x) for x in b)
-            if len(b) != len(bound) or any(x < 0 for x in b) or not _vec_leq(b, bound):
-                raise DomainError(f"delta key {b} outside bound {bound}")
-            if cb:
-                clean[b] = int(cb)
-        self.coeffs = clean
+        self.coeffs = _nonzero_below(coeffs, bound, "delta key")
         self.bound = bound
 
     def __eq__(self, other: object) -> bool:
@@ -330,17 +349,9 @@ class MDeltaCoeffs:
 
 def mdelta_expand(c: MDeltaCoeffs) -> MPoly:
     """Expand sum_b c_b x^b (x+1)^(a-b) into the monomial basis."""
-    a = c.bound
-    out: dict[ExponentVec, int] = {}
-    for b, cb in c.coeffs.items():
-        if not cb:
-            continue
-        rest = _vec_sub(a, b)
-        # x^b (x+1)^(a-b): monomial x^e for b <= e <= a, coefficient mcomb(a-b, e-b)
-        for extra in exponents_below(rest):
-            e = _vec_add(b, extra)
-            out[e] = out.get(e, 0) + cb * mcomb(rest, extra)
-    return MPoly(out, a)
+    lattice = list(exponents_below(c.bound))
+    out = _binomial_transform([c.coeffs.get(b, 0) for b in lattice], c.bound)
+    return MPoly(dict(zip(lattice, out)), c.bound)
 
 
 def mmonomial_to_delta(p: MPoly) -> MDeltaCoeffs:
@@ -349,14 +360,6 @@ def mmonomial_to_delta(p: MPoly) -> MDeltaCoeffs:
     A single monomial x^b expands as
     sum over b <= b' <= a of (-1)^(|b'|-|b|) C(a-b, a-b') x^b' (x+1)^(a-b').
     """
-    a = p.bound
-    out: dict[ExponentVec, int] = {}
-    for b, pb in p.coeffs.items():
-        if not pb:
-            continue
-        rest = _vec_sub(a, b)
-        for extra in exponents_below(rest):
-            bp = _vec_add(b, extra)
-            term = pb * _sign(sum(extra)) * mcomb(rest, _vec_sub(a, bp))
-            out[bp] = out.get(bp, 0) + term
-    return MDeltaCoeffs(out, a)
+    lattice = list(exponents_below(p.bound))
+    out = _binomial_transform([p.coeffs.get(b, 0) for b in lattice], p.bound, inverse=True)
+    return MDeltaCoeffs(dict(zip(lattice, out)), p.bound)

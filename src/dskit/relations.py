@@ -39,7 +39,7 @@ from .enumeration import (
 )
 from .errors import PreconditionError, ValidationError
 from .homology import FieldSpec, is_homology_manifold
-from .poly import DeltaCoeffs, IntPoly, _sign, delta_expand
+from .poly import DeltaCoeffs, IntPoly, _binomial_transform, _sign, delta_expand
 
 
 def _jsonify(v):
@@ -175,6 +175,21 @@ def classify(cx: Complex, fld: FieldSpec = FieldSpec(0)) -> Classification:
 # -- universal polynomial identities -------------------------------------
 
 
+def _poly_report(
+    relation: str, cx: Complex, lhs: IntPoly, rhs: IntPoly,
+    labels: Sequence[str] = (), residuals: Sequence[int] = (), **context,
+) -> RelationReport:
+    """lhs == rhs coefficientwise over x^k, k <= d, then any scalar residuals."""
+    d = cx.d
+    ctx = {**_base_context(cx), "lhs": lhs.coeffs, "rhs": rhs.coeffs, **context}
+    return _report(
+        relation,
+        [f"x^{k}" for k in range(d + 1)] + list(labels),
+        [lhs.coeff(k) - rhs.coeff(k) for k in range(d + 1)] + list(residuals),
+        ctx,
+    )
+
+
 def verify_fh_tilde(cx: Complex, table: MultiplicityTable | None = None) -> RelationReport:
     """sum_i h_i x^i (x+1)^(d-i) recovers the f-polynomial (always holds).
 
@@ -182,36 +197,16 @@ def verify_fh_tilde(cx: Complex, table: MultiplicityTable | None = None) -> Rela
     """
     f = f_vector(cx)
     h = h_vector(f)
-    d = cx.d
     lhs = delta_expand(DeltaCoeffs(tuple(reversed(h))))  # index i of h = power of x
-    rhs = f_tilde(f)
-    ctx = _base_context(cx)
-    ctx.update({"lhs": lhs.coeffs, "rhs": rhs.coeffs, "h": h})
-    return _report(
-        "fh-tilde",
-        [f"x^{k}" for k in range(d + 1)],
-        [lhs.coeff(k) - rhs.coeff(k) for k in range(d + 1)],
-        ctx,
-    )
+    return _poly_report("fh-tilde", cx, lhs, f_tilde(f), h=h)
 
 
 def verify_reciprocity(cx: Complex, table: MultiplicityTable | None = None) -> RelationReport:
     """sum_i h_i (x+1)^i x^(d-i) counts faces with multiplicity (always holds)."""
     if table is None:
         table = multiplicities(cx)
-    f = f_vector(cx)
-    h = h_vector(f)
-    d = cx.d
-    lhs = delta_expand(DeltaCoeffs(h))
-    rhs = table.poly()
-    ctx = _base_context(cx)
-    ctx.update({"lhs": lhs.coeffs, "rhs": rhs.coeffs, "h": h})
-    return _report(
-        "reciprocity",
-        [f"x^{k}" for k in range(d + 1)],
-        [lhs.coeff(k) - rhs.coeff(k) for k in range(d + 1)],
-        ctx,
-    )
+    h = h_vector(f_vector(cx))
+    return _poly_report("reciprocity", cx, delta_expand(DeltaCoeffs(h)), table.poly(), h=h)
 
 
 def verify_ds_h(cx: Complex, table: MultiplicityTable | None = None) -> RelationReport:
@@ -225,19 +220,11 @@ def verify_ds_h(cx: Complex, table: MultiplicityTable | None = None) -> Relation
     h = h_vector(f)
     d = cx.d
     lhs = delta_expand(DeltaCoeffs([h[i] - h[d - i] for i in range(d + 1)]))
-    rhs = table.poly() - f_tilde(f)
-    labels = [f"x^{k}" for k in range(d + 1)]
-    residuals = [lhs.coeff(k) - rhs.coeff(k) for k in range(d + 1)]
-    eps_by_card = table.epsilon_sums_by_card()
-    for i in range(d + 1):
-        scalar_rhs = _sign(i) * sum(
-            comb(d - c, i) * eps_by_card[c] for c in range(d + 1)
-        )
-        labels.append(f"i={i}")
-        residuals.append((h[d - i] - h[i]) - scalar_rhs)
-    ctx = _base_context(cx)
-    ctx.update({"lhs": lhs.coeffs, "rhs": rhs.coeffs, "h": h})
-    return _report("ds-h", labels, residuals, ctx)
+    # sum_c C(d-c, i) eps_c is the forward binomial transform of eps at x^(d-i)
+    eps_sums = _binomial_transform(table.epsilon_sums_by_card(), (d,))
+    scalar = [(h[d - i] - h[i]) - _sign(i) * eps_sums[d - i] for i in range(d + 1)]
+    labels = [f"i={i}" for i in range(d + 1)]
+    return _poly_report("ds-h", cx, lhs, table.poly() - f_tilde(f), labels, scalar, h=h)
 
 
 # -- f-version identities (reciprocal complexes) -------------------------

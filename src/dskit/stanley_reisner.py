@@ -23,20 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balanced import Coloring, _mvar_report, flag_h, multiplicity_mpoly
+from .balanced import Coloring, _mvar_report, _reciprocity_sides, flag_h
 from .complexes import Complex
 from .enumeration import MultiplicityTable, f_vector, h_vector, multiplicities
-from .poly import (
-    DeltaCoeffs,
-    ExponentVec,
-    IntPoly,
-    MDeltaCoeffs,
-    MPoly,
-    _vec_sub,
-    delta_expand,
-    mdelta_expand,
-)
-from .relations import RelationReport, _base_context, _report
+from .poly import DeltaCoeffs, ExponentVec, IntPoly, MPoly, delta_expand
+from .relations import RelationReport, _poly_report
 
 
 @dataclass(frozen=True)
@@ -74,39 +65,26 @@ def verify_sr_reciprocity(
     if table is None:
         table = multiplicities(cx)
     series = hilbert_series(cx)
-    d = cx.d
-    lhs = delta_expand(DeltaCoeffs(series.numerator.coeffs))
-    rhs = table.poly()
-    ctx = _base_context(cx)
-    ctx.update(
-        {
-            "numerator": series.numerator.coeffs,
-            "denominator_exponent": series.denominator_exponent,
-            "lhs": lhs.coeffs,
-            "rhs": rhs.coeffs,
-        }
-    )
-    return _report(
-        "sr-reciprocity",
-        [f"x^{k}" for k in range(d + 1)],
-        [lhs.coeff(k) - rhs.coeff(k) for k in range(d + 1)],
-        ctx,
+    n = series.numerator.coeffs
+    return _poly_report(
+        "sr-reciprocity", cx, delta_expand(DeltaCoeffs(n)), table.poly(),
+        numerator=n, denominator_exponent=series.denominator_exponent,
     )
 
 
 def verify_sr_reciprocity_colored(
     cx: Complex, coloring: Coloring, table: MultiplicityTable | None = None
 ) -> RelationReport:
-    """Color-graded series route equals the multivariate multiplicity route."""
+    """Color-graded series route equals the multivariate multiplicity route.
+
+    Both sides come from one walk over the faces: the series numerator is
+    the flag h, the inverse transform of the flag f-numbers, and the other
+    side sums m_F by b(F). This is the flag reciprocity check of
+    balanced.verify_flag_reciprocity, reported with the numerator.
+    """
     if table is None:
         table = multiplicities(cx)
-    a = coloring.a
-    series = hilbert_series_colored(cx, coloring)
-    n = series.numerator
-    # n_b (x+1)^b x^(a-b): delta element indexed by a-b
-    swapped = {_vec_sub(a, b): nb for b, nb in n.coeffs.items()}
-    lhs = mdelta_expand(MDeltaCoeffs(swapped, a))
-    rhs = multiplicity_mpoly(cx, coloring, table)
+    n, lhs, rhs = _reciprocity_sides(cx, coloring, table)
     return _mvar_report(
-        "sr-reciprocity-colored", cx, a, lhs, rhs, numerator=n.items_sorted()
+        "sr-reciprocity-colored", cx, coloring.a, lhs, rhs, numerator=n.items_sorted()
     )

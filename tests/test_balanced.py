@@ -29,6 +29,7 @@ from dskit.generators import (
 )
 from dskit.poly import IntPoly, MPoly, exponents_below, mcomb
 from dskit.relations import verify_ds_h, verify_reciprocity
+from dskit.stanley_reisner import verify_sr_reciprocity_colored
 
 
 def flag_h_from_expansion(cx, coloring):
@@ -218,7 +219,7 @@ def test_fh_tilde_verifiers_build_no_multiplicity_table(monkeypatch):
 @pytest.mark.parametrize(
     "verifier",
     [verify_flag_fh_tilde, verify_flag_reciprocity, verify_balanced_ds,
-     verify_balanced_semi_eulerian],
+     verify_balanced_semi_eulerian, verify_sr_reciprocity_colored],
 )
 def test_each_flag_verifier_walks_the_faces_once(monkeypatch, verifier):
     passes = []

@@ -112,6 +112,38 @@ def test_max_faces_cap(capsys, monkeypatch, tmp_path):
     assert "cap" in err
 
 
+def test_gen_honours_max_faces(capsys):
+    # each family compares its closed-form facet count with the cap before it
+    # lists a facet, so 2^40 facets fail at once
+    for argv, cap in (
+        (["cross-polytope-boundary", "12"], "10"),
+        (["cross-polytope-boundary", "40"], "1000"),
+        (["simplex-boundary", "10"], "10"),
+        (["glued-triangles", "20"], "19"),
+        (["glued-tetrahedra", "20"], "19"),
+        (["random", "1", "100000", "1"], "1000"),
+        (["cylinder"], "24"),
+    ):
+        code, out, err = run_cli(capsys, ["gen", *argv, "--max-faces", cap])
+        assert (code, out) == (4, ""), argv
+        assert f"cap {cap}" in err
+    # the octahedron boundary has 27 faces: the cap also bounds the closure
+    assert run_cli(capsys, ["gen", "cross-polytope-boundary", "3", "--max-faces", "26"])[0] == 4
+    code, out, _ = run_cli(capsys, ["gen", "cross-polytope-boundary", "3", "--max-faces", "27"])
+    assert code == 0 and len(out.splitlines()) == 8
+
+
+def test_gen_barycentric_subdivision_honours_max_faces(capsys, tmp_path):
+    base = tmp_path / "octahedron.cplx"
+    run_cli(capsys, ["gen", "cross-polytope-boundary", "3", "-o", str(base)])
+    # 8 triangles with 3! maximal chains each: 48 facets, 147 faces
+    code, out, err = run_cli(capsys, ["gen", "barycentric-subdivision", str(base), "--max-faces", "47"])
+    assert (code, out) == (4, "") and "48 facets" in err
+    assert run_cli(capsys, ["gen", "barycentric-subdivision", str(base), "--max-faces", "146"])[0] == 4
+    code, out, _ = run_cli(capsys, ["gen", "barycentric-subdivision", str(base), "--max-faces", "147"])
+    assert code == 0 and len(out.splitlines()) == 48
+
+
 def test_max_faces_env(capsys, monkeypatch, tmp_path):
     path = tmp_path / "big.cplx"
     path.write_text(" ".join(str(v) for v in range(1, 30)) + "\n")

@@ -1,11 +1,13 @@
 """Generator families: golden counts, determinism, dispatcher validation."""
 
+import re
+
 import pytest
 
 from dskit.balanced import validate_balanced
 from dskit.complexes import Complex
 from dskit.enumeration import f_vector, reduced_euler
-from dskit.errors import ValidationError
+from dskit.errors import ResourceLimitError, ValidationError
 from dskit.generators import (
     barycentric_subdivision,
     cross_polytope_boundary,
@@ -144,3 +146,58 @@ def test_gen_dispatcher():
         gen("random", ["1", "5", "abc"])
     with pytest.raises(ValidationError):
         gen("simplex-boundary", ["x"])
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("simplex-boundary", ["6"]),
+        ("cross-polytope-boundary", ["5"]),
+        ("cylinder", []),
+        ("subdivided-triangle", []),
+        ("glued-triangles", ["7"]),
+        ("glued-tetrahedra", ["7"]),
+        ("double-banana", []),
+        ("double-banana-minus-triangle", []),
+        ("random", ["3", "12", "0.5"]),
+    ],
+)
+def test_every_family_honours_the_face_cap(family, params):
+    n = gen(family, params).complex.num_faces
+    assert gen(family, params, max_faces=n).complex.num_faces == n
+    with pytest.raises(ResourceLimitError):
+        gen(family, params, max_faces=n - 1)
+
+
+@pytest.mark.parametrize(
+    "family, params, count, cap",
+    [
+        ("simplex-boundary", ["10"], "11 facets", 10),
+        # d+1 facets fit, but each has 2^d faces; listing the facets of
+        # d = 10^6 would take 10^12 steps
+        ("simplex-boundary", ["1000000"], "2^1000000 faces of one facet", 10**7),
+        # 2^d facets of d vertices each: one facet alone has 2^d faces
+        ("cross-polytope-boundary", ["12"], "2^12 faces of one facet", 4095),
+        # 2^40 facets: listing them first would never finish
+        ("cross-polytope-boundary", ["40"], "2^40 faces of one facet", 1000),
+        ("glued-triangles", ["20"], "20 facets", 19),
+        ("glued-tetrahedra", ["20"], "20 facets", 19),
+        ("random", ["1", "100000", "1"], "200000 facets", 1000),
+    ],
+    ids=["simplex-10", "simplex-10^6", "cp-12", "cp-40", "glued-triangles", "glued-tetrahedra",
+         "random"],
+)
+def test_closed_form_facet_count_fails_before_listing(family, params, count, cap):
+    with pytest.raises(ResourceLimitError, match="^" + re.escape(f"{count} exceed")):
+        gen(family, params, max_faces=cap)
+
+
+def test_barycentric_subdivision_checks_its_chain_count():
+    base = cross_polytope_boundary(3).complex  # 8 triangles, 3! chains each
+    with pytest.raises(ResourceLimitError, match="^48 facets exceed"):
+        barycentric_subdivision(base, max_faces=47)
+    sd = barycentric_subdivision(base).complex
+    assert len(sd.facets) == 48
+    assert barycentric_subdivision(base, max_faces=sd.num_faces).complex == sd
+    with pytest.raises(ResourceLimitError):
+        barycentric_subdivision(base, max_faces=sd.num_faces - 1)

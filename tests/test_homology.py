@@ -211,7 +211,7 @@ def test_boundary_faces_cylinder():
         (1,), (2,), (3,), (4,), (5,), (6,),
         (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6),
     }
-    assert is_downward_closed(bd, cx)
+    assert is_downward_closed(bd)
     # complement (the interior) matches the multiplicity split
     table = multiplicities(cx)
     interior = {face for face, m in table.items() if face and m == 1}

@@ -1,19 +1,24 @@
 """Delta-basis transforms against brute-force expansion oracles."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dskit.balanced import _flag_h_from_f
+from dskit.enumeration import h_vector
 from dskit.errors import DomainError
 from dskit.poly import (
     DeltaCoeffs,
     IntPoly,
     MDeltaCoeffs,
     MPoly,
+    _binomial_transform,
     delta_expand,
     exponents_below,
+    mcomb,
     mdelta_expand,
     mmonomial_to_delta,
     monomial_to_delta,
@@ -181,3 +186,72 @@ def test_intpoly_shift_and_reflect():
 def test_intpoly_equality_ignores_padding():
     assert IntPoly([1, 2, 0, 0]) == IntPoly([1, 2])
     assert IntPoly([0]) == IntPoly([], 5)
+
+
+# -- the per-index sums that the lattice transform replaced ------------------
+
+
+def _sub(u, v):
+    return tuple(x - y for x, y in zip(u, v))
+
+
+def ref_flag_h(f, a):
+    """h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c, one double sum per b."""
+    return {
+        b: sum(
+            (-1) ** (sum(b) - sum(c)) * mcomb(_sub(a, c), _sub(b, c)) * f[c]
+            for c in exponents_below(b)
+        )
+        for b in exponents_below(a)
+    }
+
+
+def ref_balanced_ds_scalar(eps, a):
+    """sum_{c<=b} C(a-c, a-b) E_c for every b <= a (balanced DS, scalar form)."""
+    return {
+        b: sum(mcomb(_sub(a, c), _sub(a, b)) * eps[c] for c in exponents_below(b))
+        for b in exponents_below(a)
+    }
+
+
+def ref_ds_h_scalar(eps, d):
+    """sum_c C(d-c, i) eps_c for 0 <= i <= d (univariate DS, scalar form)."""
+    return [sum(comb(d - c, i) * eps[c] for c in range(d + 1)) for i in range(d + 1)]
+
+
+# a = () and a_i = 0 have one-point axes; a_i >= 2 has binomial weights != 1
+LATTICE_BOUNDS = [(), (0,), (3,), (0, 2), (2, 0, 1), (3, 2), (1, 1, 1, 1), (0, 0)]
+
+
+def _sparse_values(rng, keys):
+    return {k: rng.choice((0, 0, rng.randrange(-(10**6), 10**6))) for k in keys}
+
+
+def test_lattice_transform_matches_the_per_b_sums():
+    rng = random.Random(515)
+    bounds = LATTICE_BOUNDS + [_random_bound(rng) for _ in range(60)]
+    for a in bounds:
+        lattice = list(exponents_below(a))
+        for v in (dict.fromkeys(lattice, 0), _sparse_values(rng, lattice)):
+            h = ref_flag_h(v, a)
+            assert mmonomial_to_delta(MPoly(v, a)) == MDeltaCoeffs(h, a)
+            assert _flag_h_from_f(v, a) == h
+            listed = [v[b] for b in lattice]
+            assert _binomial_transform(listed, a, inverse=True) == [h[b] for b in lattice]
+            scalar = ref_balanced_ds_scalar(v, a)
+            assert mdelta_expand(MDeltaCoeffs(v, a)) == MPoly(scalar, a)
+            assert _binomial_transform(listed, a) == [scalar[b] for b in lattice]
+
+
+def test_univariate_transforms_match_the_per_index_sums():
+    rng = random.Random(516)
+    for d in range(9):
+        eps = [rng.choice((0, rng.randrange(-1000, 1000))) for _ in range(d + 1)]
+        # the forward transform of eps at x^(d-i); delta_expand reads its
+        # input by the power of (x+1), so eps goes in reversed
+        got = delta_expand(DeltaCoeffs(eps[::-1]))
+        assert [got.coeff(d - i) for i in range(d + 1)] == ref_ds_h_scalar(eps, d)
+        f = [1] + [rng.randrange(0, 1000) for _ in range(d)]
+        h = ref_flag_h({(i,): fi for i, fi in enumerate(f)}, (d,))
+        assert h_vector(f) == tuple(h[(k,)] for k in range(d + 1))
+        assert monomial_to_delta(IntPoly(f, d)).coeffs == h_vector(f)[::-1]
