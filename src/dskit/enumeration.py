@@ -182,21 +182,35 @@ class MultiplicityTable:
 
 
 def multiplicities(cx: Complex) -> MultiplicityTable:
-    """All m_F by one descending superset sweep over the face lattice.
+    """All m_F by Yates' superset zeta transform, one vertex at a time.
 
-    Each face G contributes (-1)^(d-|G|) to every subset of G; cost is
-    sum over G of 2^|G|, with no link construction.
+    The table starts at m[G] = (-1)^(d-|G|); then, for each vertex v, every
+    face G containing v adds m[G] into m[G - v]. A pass reads only sets
+    that contain v and writes only sets that do not, so its order is free.
+    After the last pass each G >= F has reached F along exactly one path,
+    dropping the vertices of G - F in pass order, so m[F] sums the seed
+    over every G >= F once. This is exact because the face family is
+    closed downward: every set between F and G is a face, so no step
+    leaves the table. The cost is sum over G of |G| additions, and no
+    link is built.
     """
-    d = cx.d
-    table = {m: 0 for m in cx.face_set}
-    for g in cx.face_set:
-        s = _sign(d - g.bit_count())
-        sub = g
-        while True:
-            table[sub] += s
-            if sub == 0:
-                break
-            sub = (sub - 1) & g
+    table = {}
+    # bit position -> every face containing that vertex, filled by one walk
+    # of each face's set bits from the top, so a wide id is cleared first
+    stars: dict[int, list[int]] = {v - 1: [] for v in cx.vertices}
+    for card, group in enumerate(cx.masks_by_card):
+        s = _sign(cx.d - card)
+        for g in group:
+            table[g] = s
+            rest = g
+            while rest:
+                i = rest.bit_length() - 1
+                stars[i].append(g)
+                rest ^= 1 << i
+    for i, star in stars.items():
+        bit = 1 << i
+        for g in star:
+            table[g ^ bit] += table[g]
     return MultiplicityTable(cx, table)
 
 

@@ -197,13 +197,17 @@ def random_complex(
 ) -> Generated:
     """Seeded random complex with facets of mixed sizes (often non-pure).
 
-    It draws max(1, round(2 n density)) facets; the cap bounds that number.
+    It draws max(1, round(2 n density)) facets, a count taken in floating
+    point; the cap bounds that number.
     """
     if n < 1:
         raise ValidationError("random needs n >= 1")
     if not 0 < density <= 1:
         raise ValidationError("density must be in (0, 1]")
-    draws = max(1, round(density * 2 * n))
+    try:
+        draws = max(1, round(density * 2 * n))
+    except OverflowError:  # n, or the product, is beyond the float range
+        raise ValidationError("random needs 2 * n * density to fit a float") from None
     cap = _checked_cap(max_faces, draws)
     rng = random.Random(seed)
     max_size = min(n, 6)
@@ -260,6 +264,10 @@ def gen(
         raise ValidationError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     build, parsers = _FAMILIES[family]
     if parsers is None:
+        if len(params) > 1:
+            raise ValidationError(
+                f"family {family!r} takes 0 or 1 parameter(s), got {len(params)}"
+            )
         return build(_int(params[0]) if params else 3, max_faces)
     if build is barycentric_subdivision and base is None:
         raise ValidationError("barycentric-subdivision needs an input complex")

@@ -102,6 +102,14 @@ def test_unknown_subcommand_exit_2(capsys):
 def test_bad_gen_params_exit_2(capsys):
     assert main(["gen", "no-such-family"]) == 2
     assert main(["gen", "cylinder", "9"]) == 2
+    capsys.readouterr()
+    for family in ("glued-triangles", "glued-tetrahedra"):
+        code, out, err = run_cli(capsys, ["gen", family, "3", "4", "9"])
+        assert (code, out) == (2, "")
+        assert f"family '{family}' takes 0 or 1 parameter(s), got 3" in err
+    code, out, err = run_cli(capsys, ["gen", "random", "1", str(10**400), "0.5"])
+    assert (code, out) == (2, "")
+    assert "fit a float" in err
 
 
 def test_max_faces_cap(capsys, monkeypatch, tmp_path):

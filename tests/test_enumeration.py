@@ -1,8 +1,11 @@
 """f/h vectors, Euler characteristics, multiplicities and interior splits."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dskit.complexes import Complex
 from dskit.enumeration import (
@@ -143,11 +146,47 @@ def test_multiplicities_single_edge():
     assert table.m_empty == 0
 
 
-def test_multiplicities_sweep_equals_per_face(randoms):
-    for cx in randoms[:30]:
+def test_multiplicities_sweep_equals_per_face(randoms, suite, balanced_pairs):
+    edge_cases = [
+        Complex.from_facets([]),  # {emptyset}
+        Complex.from_facets([[5]]),  # a single vertex
+        Complex.from_facets([[1, 2, 3], [3, 4], [7], [9, 10]]),  # disconnected, non-pure
+    ]
+    spheres = [cx for name, cx, _ in balanced_pairs
+               if name.startswith(("cross-polytope", "sd-simplex", "barycentric-subdivision-oct"))]
+    assert len(spheres) == 6
+    corpus = randoms + [made.complex for _, made in suite] + edge_cases + spheres
+    for cx in corpus:
         table = multiplicities(cx)
+        assert len(table.by_mask) == cx.num_faces
         for face, m in table.items():
             assert m == multiplicity(cx, face, "superset-sum")
+
+
+def test_multiplicities_large_cross_polytope_all_one():
+    # cp10 has 3^10 faces; visiting each face's subsets took seconds
+    t0 = time.perf_counter()
+    cx = cross_polytope_boundary(10).complex
+    table = multiplicities(cx)
+    assert len(table.by_mask) == 3**10
+    assert all(m == 1 for m in table.by_mask.values())
+    assert time.perf_counter() - t0 < 30
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sets(st.integers(1, 8), min_size=1, max_size=5), max_size=6),
+    st.lists(st.integers(1, 10**6), min_size=8, max_size=8, unique=True),
+)
+def test_multiplicities_commute_with_relabelling(facets, ids):
+    # an injective relabelling maps the m_F table face for face
+    relabel = dict(zip(range(1, 9), ids))
+    cx = Complex.from_facets(facets)
+    moved = multiplicities(Complex.from_facets([[relabel[v] for v in f] for f in facets]))
+    table = multiplicities(cx)
+    assert len(moved.by_mask) == len(table.by_mask)
+    for face, m in table.items():
+        assert moved.m(relabel[v] for v in face) == m
 
 
 def test_m_empty_is_signed_reduced_euler(randoms):

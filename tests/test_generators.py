@@ -1,11 +1,12 @@
 """Generator families: golden counts, determinism, dispatcher validation."""
 
+import hashlib
 import re
 
 import pytest
 
 from dskit.balanced import validate_balanced
-from dskit.complexes import Complex
+from dskit.complexes import Complex, write_cplx
 from dskit.enumeration import f_vector, reduced_euler
 from dskit.errors import ResourceLimitError, ValidationError
 from dskit.generators import (
@@ -110,6 +111,18 @@ def test_random_complex_determinism():
         (2, 3, 4, 5, 6, 7),
     )
     assert random_complex(43, 8, 0.5).complex != a
+    # the benchmark corpus sizes: the draw count, and so the text, is pinned
+    pinned = {
+        (12, 0.5): "9de016dac297b890",
+        (12, 1.0): "6ab7354ba2c0456f",
+        (30, 0.5): "f62f3204b9bd22bd",
+        (30, 1.0): "50afdaa9e5df1ce9",
+        (60, 0.5): "5e3fd3271a815bef",
+        (60, 1.0): "c9b0bc2b979eb36c",
+    }
+    for (n, density), digest in pinned.items():
+        text = write_cplx(random_complex(7, n, density).complex)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_random_complex_mixes_sizes():
@@ -127,6 +140,15 @@ def test_random_complex_validation():
         random_complex(1, 5, 0.0)
     with pytest.raises(ValidationError):
         random_complex(1, 5, 1.5)
+    # 2 n density is taken in floating point; past the float range it is a
+    # validation error, not an OverflowError from the conversion
+    with pytest.raises(ValidationError, match="fit a float"):
+        random_complex(1, 10**400, 0.5)
+    with pytest.raises(ValidationError, match="fit a float"):
+        random_complex(1, 10**308, 1.0)  # n fits, 2 n does not
+    # a count that fits a float but not the cap fails before any draw
+    with pytest.raises(ResourceLimitError, match="^10000000000000000"):
+        random_complex(1, 10**300, 0.5, max_faces=1000)
 
 
 def test_gen_dispatcher():
@@ -146,6 +168,9 @@ def test_gen_dispatcher():
         gen("random", ["1", "5", "abc"])
     with pytest.raises(ValidationError):
         gen("simplex-boundary", ["x"])
+    for family in ("glued-triangles", "glued-tetrahedra"):
+        with pytest.raises(ValidationError, match=r"takes 0 or 1 parameter\(s\), got 3$"):
+            gen(family, ["3", "4", "9"])
 
 
 @pytest.mark.parametrize(
