@@ -103,9 +103,10 @@ def _flag_counts(
     """
     a, m = coloring.a, coloring.m
     color_masks = [0] * m
-    for v in cx.vertices:
-        b_of((v,), coloring.kappa, m)  # the checks and messages b_of gives a face
-        color_masks[coloring.kappa[v] - 1] |= 1 << (v - 1)
+    for i, v in enumerate(cx.labels):
+        if cx.vertex_mask >> i & 1:
+            b_of((v,), coloring.kappa, m)  # the checks and messages b_of gives a face
+            color_masks[coloring.kappa[v] - 1] |= 1 << i
     f = dict.fromkeys(exponents_below(a), 0)
     msum = dict(f)
     by_mask = table.by_mask if table is not None else None

@@ -1,10 +1,14 @@
-"""Abstract simplicial complexes stored as bit sets over the vertex universe.
+"""Abstract simplicial complexes stored as bit sets over dense vertex labels.
 
-A face is internally an int bitmask: bit v-1 set <=> vertex v in the face
-(vertex ids are 1-based externally, Python ints give an unbounded bit
-vector). The empty face is mask 0 and belongs to every complex. Public
-APIs accept and return faces as sorted vertex tuples; the mask layer is
-exposed for the enumeration-heavy modules.
+Vertex ids are names: any positive integers, however large. A complex
+relabels them once, at construction: its sorted ids sit in the tuple
+`labels`, and vertex labels[i] is bit i of a face mask, so a mask has one
+bit per vertex whatever the ids are. The relabelling preserves order, so
+mask order is the order of the external vertex tuples. A link keeps its
+parent's labels. The empty face is mask 0 and belongs to every complex.
+Public APIs accept and return faces as sorted vertex tuples;
+Complex.face_mask and Complex.mask_vertices convert, and the mask layer
+is exposed for the enumeration-heavy modules.
 
 Text format .cplx: UTF-8, '#' starts a comment line, every other
 non-blank line is one facet as space-separated positive integers; an
@@ -15,6 +19,7 @@ lexicographic vertex order.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 from .errors import DomainError, ParseError, ResourceLimitError, ValidationError
@@ -25,29 +30,15 @@ MAX_FACES_ENV = "DSKIT_MAX_FACES"
 FaceTuple = tuple[int, ...]
 
 
-def face_mask(vertices: Iterable[int]) -> int:
-    """Bitmask of a vertex collection; rejects non-positive ids and duplicates."""
-    mask = 0
-    count = 0
-    for v in vertices:
-        v = int(v)
-        if v <= 0:
-            raise ValidationError(f"vertex id must be positive, got {v}")
-        mask |= 1 << (v - 1)
-        count += 1
-    if mask.bit_count() != count:
+def _checked_vertices(face: Iterable[int]) -> list[int]:
+    """Vertex ids of a face as ints; rejects non-positive ids and duplicates."""
+    out = [int(v) for v in face]
+    if out and min(out) <= 0:
+        bad = next(v for v in out if v <= 0)
+        raise ValidationError(f"vertex id must be positive, got {bad}")
+    if len(set(out)) != len(out):
         raise ValidationError("duplicate vertex in face")
-    return mask
-
-
-def mask_vertices(mask: int) -> FaceTuple:
-    """Sorted vertex tuple of a face mask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
+    return out
 
 
 def _effective_max_faces(max_faces: int | None) -> int:
@@ -69,6 +60,7 @@ class Complex:
         "facet_masks",
         "face_set",
         "masks_by_card",
+        "labels",
         "n",
         "d",
         "vertex_mask",
@@ -76,10 +68,14 @@ class Complex:
         "__weakref__",
     )
 
-    def __init__(self, facet_masks: tuple[int, ...], face_set: frozenset[int]):
-        # internal: inputs are already a reduced facet list and its closure
+    def __init__(
+        self, facet_masks: tuple[int, ...], face_set: frozenset[int], labels: FaceTuple
+    ):
+        # internal: inputs are already a reduced facet list and its closure,
+        # over bit positions of labels (labels[i] is the id of bit i)
         self.facet_masks = facet_masks
         self.face_set = face_set
+        self.labels = labels
         max_card = max(m.bit_count() for m in facet_masks)
         by_card: list[list[int]] = [[] for _ in range(max_card + 1)]
         for m in face_set:
@@ -92,7 +88,7 @@ class Complex:
             self.vertex_mask |= m
         self.n = self.vertex_mask.bit_count()
         self.d = max_card  # d = 1 + dim(complex); dim(emptyset) = -1
-        self._stars: dict[int, list[int]] | None = None  # vertex -> facets, lazy
+        self._stars: dict[int, list[int]] | None = None  # vertex bit -> facets, lazy
 
     @classmethod
     def from_facets(
@@ -103,30 +99,33 @@ class Complex:
         An empty facet list yields the complex {emptyset}.
         """
         cap = _effective_max_faces(max_faces)
-        masks = []
+        checked = []
         for f in facets:
-            m = face_mask(f)
-            if m == 0:
+            vs = _checked_vertices(f)
+            if not vs:
                 raise ValidationError(
                     "empty facet line not allowed; an empty facet list means {emptyset}"
                 )
-            masks.append(m)
-        # drop duplicates and non-maximal facets
-        masks = sorted(set(masks), key=lambda m: (-m.bit_count(), m))
-        maximal: list[int] = []
-        for m in masks:
-            if not any(m & big == m for big in maximal):
-                maximal.append(m)
-        return cls._from_facet_masks(maximal, cap)
+            checked.append(vs)
+        labels = tuple(sorted({v for vs in checked for v in vs}))
+        bit = {v: 1 << i for i, v in enumerate(labels)}
+        masks = {sum(map(bit.__getitem__, vs)) for vs in checked}
+        return cls._from_facet_masks(sorted(masks, key=int.bit_count, reverse=True), cap, labels)
 
     @classmethod
-    def _from_facet_masks(cls, maximal: list[int], cap: int) -> Complex:
-        """Downward closure of an antichain of facet masks (no absorption)."""
-        if not maximal:
-            maximal = [0]
+    def _from_facet_masks(cls, masks: list[int], cap: int, labels: FaceTuple) -> Complex:
+        """Downward closure of distinct facet masks, in non-increasing size.
+
+        A mask already in the closure lies in a larger facet and is absorbed;
+        an antichain, such as a link's facets, may come in any order.
+        """
         faces = {0}
         add = faces.add
-        for g in maximal:
+        maximal = []
+        for g in masks:
+            if g in faces:
+                continue
+            maximal.append(g)
             # a facet with more subsets than the cap exceeds it alone and is
             # not listed, so the face set never outgrows twice the cap
             too_big = g.bit_count() >= cap.bit_length()
@@ -139,7 +138,37 @@ class Complex:
                     f"face count exceeds cap {cap}; raise --max-faces/"
                     f"{MAX_FACES_ENV} if intended"
                 )
-        return cls(tuple(sorted(maximal)), frozenset(faces))
+        return cls(tuple(sorted(maximal)) or (0,), frozenset(faces), labels)
+
+    # -- vertex ids <-> masks ----------------------------------------------
+
+    def face_mask(self, face: Iterable[int]) -> int:
+        """Mask of a face given by vertex ids; DomainError unless it is a face.
+
+        Non-positive ids and duplicates are a ValidationError.
+        """
+        vs = _checked_vertices(face)
+        labels = self.labels
+        mask = 0
+        for v in vs:
+            i = bisect_left(labels, v)
+            if i == len(labels) or labels[i] != v:
+                break  # an id this complex has no bit for
+            mask |= 1 << i
+        else:
+            if mask in self.face_set:
+                return mask
+        raise DomainError(f"face {tuple(sorted(vs))} is not in the complex")
+
+    def mask_vertices(self, mask: int) -> FaceTuple:
+        """Sorted vertex tuple of a face mask."""
+        labels = self.labels
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(labels[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
     # -- queries ---------------------------------------------------------
 
@@ -153,11 +182,11 @@ class Complex:
 
     @property
     def vertices(self) -> FaceTuple:
-        return mask_vertices(self.vertex_mask)
+        return self.mask_vertices(self.vertex_mask)
 
     @property
     def facets(self) -> tuple[FaceTuple, ...]:
-        return tuple(sorted(mask_vertices(m) for m in self.facet_masks))
+        return tuple(sorted(self.mask_vertices(m) for m in self.facet_masks))
 
     def is_pure(self) -> bool:
         cards = {m.bit_count() for m in self.facet_masks}
@@ -165,47 +194,59 @@ class Complex:
 
     def has_face(self, face: Iterable[int]) -> bool:
         try:
-            return face_mask(face) in self.face_set
-        except ValidationError:
+            self.face_mask(face)
+        except (ValidationError, DomainError):
             return False
+        return True
 
     def faces(self) -> Iterator[FaceTuple]:
         """All faces including (), ordered by cardinality then mask."""
         for group in self.masks_by_card:
             for m in group:
-                yield mask_vertices(m)
+                yield self.mask_vertices(m)
 
     def faces_by_dim(self) -> list[list[FaceTuple]]:
         """Faces grouped by dimension; index 0 holds the empty face (dim -1)."""
-        return [[mask_vertices(m) for m in group] for group in self.masks_by_card]
+        return [[self.mask_vertices(m) for m in group] for group in self.masks_by_card]
 
     def link_mask(self, fmask: int) -> Complex:
         if fmask not in self.face_set:
-            raise DomainError(f"face {mask_vertices(fmask)} is not in the complex")
+            # a mask with bits past the labels names no vertices to show
+            face = hex(fmask) if fmask >> len(self.labels) else self.mask_vertices(fmask)
+            raise DomainError(f"face {face} is not in the complex")
         if fmask == 0:
             return self
         if self._stars is None:
             self._stars = {}
             for g in self.facet_masks:
-                for v in mask_vertices(g):
-                    self._stars.setdefault(v, []).append(g)
+                rest = g
+                while rest:
+                    low = rest & -rest
+                    self._stars.setdefault(low, []).append(g)
+                    rest ^= low
         # the facets containing F, minus F, are the link's facets and already
-        # an antichain; the link never has more faces than the complex
-        v = (fmask & -fmask).bit_length()
-        star = [g ^ fmask for g in self._stars[v] if g & fmask == fmask]
-        return Complex._from_facet_masks(star, len(self.face_set))
+        # an antichain; the link never has more faces than the complex, and
+        # it keeps this complex's labels
+        star = [g ^ fmask for g in self._stars[fmask & -fmask] if g & fmask == fmask]
+        return Complex._from_facet_masks(star, len(self.face_set), self.labels)
 
     def link(self, face: Iterable[int]) -> Complex:
         """Link of a face: {G : G disjoint from F, G union F in the complex}."""
-        return self.link_mask(face_mask(face))
+        return self.link_mask(self.face_mask(face))
 
+    # two complexes are equal when their faces, as vertex-id tuples, are;
+    # masks alone are not enough, since {1 2} and {1 3} both have mask 0b11
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, Complex):
             return NotImplemented
-        return self.face_set == other.face_set
+        return self.facets == other.facets
 
     def __hash__(self) -> int:
-        return hash(self.face_set)
+        # equal complexes share their vertices and face count, and these
+        # cost far less than the sorted facets
+        return hash((self.vertices, len(self.face_set)))
 
     def __repr__(self) -> str:
         return f"Complex(n={self.n}, dim={self.dim}, faces={self.num_faces})"

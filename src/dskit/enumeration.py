@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .complexes import Complex, FaceTuple, face_mask, mask_vertices
-from .errors import DomainError, PreconditionError, ValidationError
+from .complexes import Complex, FaceTuple
+from .errors import PreconditionError, ValidationError
 from .poly import DeltaCoeffs, IntPoly, _binomial_transform, _sign, delta_expand
 
 FVector = tuple[int, ...]
@@ -91,9 +91,7 @@ def multiplicity(cx: Complex, face: Iterable[int], method: str = "superset-sum")
     method 'superset-sum': sum of (-1)^(d-|G|) over faces G containing F.
     method 'link-euler':   (-1)^(d-1-|F|) * chi_reduced(link(F)).
     """
-    fmask = face_mask(face)
-    if fmask not in cx.face_set:
-        raise DomainError(f"face {mask_vertices(fmask)} is not in the complex")
+    fmask = cx.face_mask(face)
     d = cx.d
     if method == "superset-sum":
         return sum(
@@ -124,43 +122,43 @@ class MultiplicityTable:
         return self.by_mask[0]
 
     def m(self, face: Iterable[int]) -> int:
-        fmask = face_mask(face)
-        if fmask not in self.by_mask:
-            raise DomainError(f"face {mask_vertices(fmask)} is not in the complex")
-        return self.by_mask[fmask]
+        return self.by_mask[self.complex.face_mask(face)]
 
     def items(self) -> list[tuple[FaceTuple, int]]:
         """(face, m) pairs ordered by cardinality then mask."""
+        vertices = self.complex.mask_vertices
         out = []
         for group in self.complex.masks_by_card:
             for mask in group:
-                out.append((mask_vertices(mask), self.by_mask[mask]))
+                out.append((vertices(mask), self.by_mask[mask]))
         return out
+
+    def _sums_by_card(self) -> list[int]:
+        """sum of m_F over faces of each cardinality, index = |F|."""
+        get = self.by_mask.__getitem__
+        return [sum(map(get, group)) for group in self.complex.masks_by_card]
 
     def poly(self) -> IntPoly:
         """sum over faces of m_F x^|F|, degree bound d."""
-        out = [0] * (self.d + 1)
-        for mask, m in self.by_mask.items():
-            out[mask.bit_count()] += m
-        return IntPoly(out, self.d)
+        return IntPoly(self._sums_by_card(), self.d)
 
     def epsilon_mask(self, fmask: int) -> int:
         return _sign(self.d - 1 - fmask.bit_count()) * (self.by_mask[fmask] - 1)
 
     def epsilon_sums_by_card(self) -> list[int]:
         """sum of eps_F over faces of each cardinality, index = |F|."""
-        out = [0] * (self.d + 1)
-        for mask, m in self.by_mask.items():
-            c = mask.bit_count()
-            out[c] += _sign(self.d - 1 - c) * (m - 1)
-        return out
+        groups = self.complex.masks_by_card
+        return [
+            _sign(self.d - 1 - c) * (msum - len(groups[c]))
+            for c, msum in enumerate(self._sums_by_card())
+        ]
 
     def reciprocity_witness(self) -> FaceTuple | None:
         """A non-empty face with m_F not in {0,1}, or None if reciprocal."""
         for group in self.complex.masks_by_card[1:]:
             for mask in group:
                 if self.by_mask[mask] not in (0, 1):
-                    return mask_vertices(mask)
+                    return self.complex.mask_vertices(mask)
         return None
 
     def semi_eulerian_witness(self) -> FaceTuple | None:
@@ -168,7 +166,7 @@ class MultiplicityTable:
         for group in self.complex.masks_by_card[1:]:
             for mask in group:
                 if self.by_mask[mask] != 1:
-                    return mask_vertices(mask)
+                    return self.complex.mask_vertices(mask)
         return None
 
     def is_reciprocal(self) -> bool:
@@ -196,8 +194,8 @@ def multiplicities(cx: Complex) -> MultiplicityTable:
     """
     table = {}
     # bit position -> every face containing that vertex, filled by one walk
-    # of each face's set bits from the top, so a wide id is cleared first
-    stars: dict[int, list[int]] = {v - 1: [] for v in cx.vertices}
+    # of each face's set bits
+    stars: list[list[int]] = [[] for _ in range(cx.vertex_mask.bit_length())]
     for card, group in enumerate(cx.masks_by_card):
         s = _sign(cx.d - card)
         for g in group:
@@ -207,7 +205,7 @@ def multiplicities(cx: Complex) -> MultiplicityTable:
                 i = rest.bit_length() - 1
                 stars[i].append(g)
                 rest ^= 1 << i
-    for i, star in stars.items():
+    for i, star in enumerate(stars):
         bit = 1 << i
         for g in star:
             table[g ^ bit] += table[g]
@@ -220,15 +218,13 @@ def epsilon(cx: Complex, face: Iterable[int], method: str = "link-euler") -> int
     method 'link-euler':   chi_reduced(link(F)) - (-1)^(d-1-|F|).
     method 'multiplicity': (-1)^(d-1-|F|) * (m_F - 1).
     """
-    fmask = face_mask(face)
-    if fmask not in cx.face_set:
-        raise DomainError(f"face {mask_vertices(fmask)} is not in the complex")
+    fmask = cx.face_mask(face)
     d = cx.d
     if method == "link-euler":
         link = cx.link_mask(fmask)
         return _reduced_euler_masks(link.face_set) - _sign(d - 1 - fmask.bit_count())
     if method == "multiplicity":
-        m = multiplicity(cx, mask_vertices(fmask), method="superset-sum")
+        m = multiplicity(cx, cx.mask_vertices(fmask), method="superset-sum")
         return _sign(d - 1 - fmask.bit_count()) * (m - 1)
     raise ValidationError(f"unknown method {method!r}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from weakref import WeakKeyDictionary
 
-from .complexes import Complex, FaceTuple, mask_vertices
+from .complexes import Complex, FaceTuple
 from .errors import PreconditionError, ValidationError
 from .poly import _sign
 
@@ -229,13 +229,18 @@ class ManifoldVerdict:
 
 # per-complex memo of link Betti tables; complexes are immutable, links in
 # manifolds are small, and the manifold test plus the boundary split both
-# walk the same links
+# walk the same links. Equal complexes can carry different labels (a link
+# keeps its parent's), so one mask names different faces in each: the memo
+# of a complex is split by its label tuple.
 _link_betti_cache: WeakKeyDictionary = WeakKeyDictionary()
 
 
+def _link_betti_memo(cx: Complex) -> dict:
+    return _link_betti_cache.setdefault(cx, {}).setdefault(cx.labels, {})
+
+
 def _link_betti(cx: Complex, memo: dict, fmask: int, field: FieldSpec) -> BettiTable:
-    # memo is cx's entry in _link_betti_cache, looked up once per scan: each
-    # WeakKeyDictionary lookup compares the whole face set
+    # memo is _link_betti_memo(cx), looked up once per scan
     key = (fmask, field)
     betti = memo.get(key)
     if betti is None:
@@ -264,12 +269,12 @@ def is_homology_manifold(cx: Complex, field: FieldSpec = FieldSpec(0)) -> Manifo
     checked to vanish as well.
     """
     d = cx.d
-    memo = _link_betti_cache.setdefault(cx, {})
+    memo = _link_betti_memo(cx)
     for group in cx.masks_by_card[1:]:
         for fmask in group:
             betti = _link_betti(cx, memo, fmask, field)
             if not _link_betti_ok(betti, d - 1 - fmask.bit_count()):
-                return ManifoldVerdict(False, mask_vertices(fmask), betti, field)
+                return ManifoldVerdict(False, cx.mask_vertices(fmask), betti, field)
     return ManifoldVerdict(True, None, None, field)
 
 
@@ -284,17 +289,17 @@ def boundary_faces_homological(
     """
     out: list[FaceTuple] = [()]
     d = cx.d
-    memo = _link_betti_cache.setdefault(cx, {})
+    memo = _link_betti_memo(cx)
     for group in cx.masks_by_card[1:]:
         for fmask in group:
             betti = _link_betti(cx, memo, fmask, field)
             sphere_dim = d - 1 - fmask.bit_count()
             if not _link_betti_ok(betti, sphere_dim):
                 raise PreconditionError(
-                    "complex is not a homology manifold", mask_vertices(fmask)
+                    "complex is not a homology manifold", cx.mask_vertices(fmask)
                 )
             if betti.b(sphere_dim) == 0:
-                out.append(mask_vertices(fmask))
+                out.append(cx.mask_vertices(fmask))
     return tuple(out)
 
 

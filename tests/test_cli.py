@@ -340,3 +340,47 @@ def test_non_utf8_input_is_a_parse_error(capsys, monkeypatch, tmp_path):
     (batch / "b.cplx").write_bytes(b"\xff1 2\n")
     code, _, err = run_cli(capsys, ["batch", str(batch)])
     assert (code, err) == (3, "dskit: parse error: b.cplx: " + expected)
+
+
+def test_huge_vertex_ids(capsys, tmp_path):
+    # an id is a name, not a bit position: a mask has one bit per vertex
+    for big in (10**19, 10**400):
+        cplx = tmp_path / "edge.cplx"
+        cplx.write_text(f"1 {big}\n")
+        colors = tmp_path / "edge.colors"
+        colors.write_text(f"1 1\n{big} 2\n")
+        code, out, err = run_cli(capsys, ["f-vector", str(cplx)])
+        assert (code, out, err) == (0, "1 2 1\n", "")
+        code, out, err = run_cli(capsys, ["verify", str(cplx), "--json"])
+        assert (code, err) == (0, "")
+        assert all(rep["holds"] for rep in json.loads(out))
+        code, out, err = run_cli(capsys, ["classify", str(cplx)])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "reciprocal: true",
+            "semi_eulerian: false  (witness: 1)",
+            "eulerian: false  (witness: 1)",
+            "homology_manifold: true",
+        ]
+        code, out, err = run_cli(capsys, ["multiplicities", str(cplx)])
+        assert (code, err) == (0, "")
+        assert out == f"- : 0\n1 : 0\n{big} : 0\n1 {big} : 1\n"
+        code, out, err = run_cli(capsys, ["flag", str(cplx), "--colors", str(colors)])
+        assert (code, err) == (0, "")
+        assert out == "b=(0,0) f=1 h=1\nb=(0,1) f=1 h=0\nb=(1,0) f=1 h=0\nb=(1,1) f=1 h=0\n"
+
+
+def test_id_past_the_int_digit_limit_is_a_parse_error(capsys, tmp_path):
+    # int() refuses digit strings past 4300 digits; the error names the line
+    long_id = "9" * 5000
+    cplx = tmp_path / "long.cplx"
+    cplx.write_text(f"1 2\n1 {long_id}\n")
+    code, out, err = run_cli(capsys, ["f-vector", str(cplx)])
+    assert (code, out) == (3, "")
+    assert err.startswith("dskit: parse error: line 2: ")
+    cplx.write_text("1 2\n")
+    colors = tmp_path / "long.colors"
+    colors.write_text(f"1 1\n2 1\n{long_id} 1\n")
+    code, out, err = run_cli(capsys, ["flag", str(cplx), "--colors", str(colors)])
+    assert (code, out) == (3, "")
+    assert err.startswith("dskit: parse error: line 3: ")

@@ -1,8 +1,11 @@
 """Complex construction, closure, links and the .cplx format."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dskit.complexes import (
     Complex,
@@ -13,7 +16,12 @@ from dskit.complexes import (
     write_cplx,
 )
 from dskit.errors import DomainError, ParseError, ResourceLimitError, ValidationError
-from dskit.generators import cross_polytope_boundary, glued_triangles, random_complex
+from dskit.generators import (
+    cross_polytope_boundary,
+    cylinder,
+    glued_triangles,
+    random_complex,
+)
 
 from conftest import oclosure, ofaces_of, olink, ochi_reduced
 
@@ -215,3 +223,122 @@ def test_read_cplx_strict_utf8(tmp_path):
     bad.write_bytes(b"1 2\n# \xff\n")
     with pytest.raises(ParseError, match="^not UTF-8 text: invalid start byte at byte 6$"):
         read_cplx(str(bad))
+
+
+def test_labels_are_the_sorted_ids():
+    # bit i of a mask is labels[i], however large the ids are
+    cx = Complex.from_facets([[10**30, 5], [7]])
+    assert cx.labels == (5, 7, 10**30)
+    assert cx.vertex_mask == 0b111
+    assert cx.face_mask([5, 10**30]) == 0b101
+    assert cx.mask_vertices(0b101) == (5, 10**30)
+    assert cx.facets == ((5, 10**30), (7,))
+    assert list(cx.faces()) == [(), (5,), (7,), (10**30,), (5, 10**30)]
+
+
+def test_face_mask_errors():
+    cx = Complex.from_facets([[1, 2], [2, 3]])
+    for face in ([1, 3], [9], [2, 10**30]):
+        with pytest.raises(DomainError, match=re.escape(f"face {tuple(face)} is not")):
+            cx.face_mask(face)
+        assert not cx.has_face(face)
+    with pytest.raises(ValidationError, match="vertex id must be positive, got 0"):
+        cx.face_mask([1, 0])
+    with pytest.raises(ValidationError, match="duplicate vertex in face"):
+        cx.face_mask([2, 2])
+    assert not cx.has_face([-1])
+    assert cx.has_face([3, 2]) and cx.has_face([])
+    with pytest.raises(DomainError, match=re.escape("face (1, 3) is not")):
+        cx.link_mask(0b101)
+    for mask in (0b1000, -1):  # bits past the labels
+        with pytest.raises(DomainError, match=re.escape(f"face {hex(mask)} is not")):
+            cx.link_mask(mask)
+
+
+def test_equality_follows_vertex_ids_not_masks():
+    a = Complex.from_facets([[1, 2]])
+    b = Complex.from_facets([[1, 3]])
+    assert a.face_set == b.face_set  # both are {0, 0b01, 0b10, 0b11}
+    assert a != b
+    again = Complex.from_facets([[2, 1]])
+    assert again == a and hash(again) == hash(a)
+
+
+def test_link_equals_the_complex_parsed_from_text():
+    cx = parse_cplx("1 2 3\n3 4 5\n3 7\n6\n")
+    link = cx.link([3])
+    expected = parse_cplx("1 2\n4 5\n7\n")
+    assert link.labels == cx.labels != expected.labels  # links keep their labels
+    assert link == expected and hash(link) == hash(expected)
+    assert link.vertices == (1, 2, 4, 5, 7)
+    assert link.has_face([4, 5]) and not link.has_face([3]) and not link.has_face([6])
+    assert cx.link([3, 4]) == parse_cplx("5\n") == link.link([4])
+    assert cx.link([1, 2, 3]) == Complex.from_facets([])
+
+
+# -- parser fuzz: every rejection is a ParseError with a line number --------
+
+_TOKENS = (
+    "0", "-3", "x", "1.5", "+7", "1_0", "\u0663", "#", "1#2", "\x00", "\ufeff",
+    str(10**19), str(10**30), "9" * 4400,
+)
+
+
+def _mutate(text: str, draw) -> str:
+    """A few byte and token mutations of text, kept as str by surrogateescape."""
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["set", "insert", "delete", "token"]))
+        if kind == "token":
+            parts = re.split(r"(\s+)", text)
+            i = draw(st.integers(0, len(parts) - 1))
+            parts[i] = draw(
+                st.sampled_from(_TOKENS)
+                | st.integers(-(10**30), 10**30).map(str)
+                | st.just(parts[i] + " " + parts[i])  # a repeated vertex
+            )
+            text = "".join(parts)
+            continue
+        data = text.encode("utf-8", "surrogateescape")
+        pos = draw(st.integers(0, len(data)))
+        byte = bytes([draw(st.integers(0, 255))])
+        if kind == "insert":
+            data = data[:pos] + byte + data[pos:]
+        elif kind == "set":
+            data = data[:pos] + byte + data[pos + 1 :]
+        else:
+            data = data[:pos] + data[pos + 1 :]
+        text = data.decode("utf-8", "surrogateescape")
+    return text
+
+
+_CPLX_SEEDS = (
+    write_cplx(glued_triangles(3).complex),
+    write_cplx(cylinder().complex),
+    write_cplx(random_complex(3, 7, 0.5).complex),
+    "# comment\n\n1 2\n",
+)
+_COLORS_SEEDS = (
+    write_colors(dict(cross_polytope_boundary(3).coloring.kappa)),
+    "# colors\n1 1\n2 2\n\n3 1\n",
+)
+
+
+def _parses_or_names_a_line(parse, text: str) -> None:
+    try:
+        parse(text)
+    except ParseError as exc:
+        assert exc.line is not None and 1 <= exc.line <= len(text.splitlines())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cplx_parser_fuzz(data):
+    text = _mutate(data.draw(st.sampled_from(_CPLX_SEEDS)), data.draw)
+    _parses_or_names_a_line(parse_cplx, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_colors_parser_fuzz(data):
+    text = _mutate(data.draw(st.sampled_from(_COLORS_SEEDS)), data.draw)
+    _parses_or_names_a_line(parse_colors, text)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from dskit.complexes import Complex
+from dskit.complexes import Complex, parse_cplx
 from dskit.enumeration import interior_f_vector, multiplicities, reduced_euler
 from dskit.errors import PreconditionError, ValidationError
 from dskit.generators import (
@@ -291,3 +291,53 @@ def test_manifolds_are_reciprocal(suite):
         cx = made.complex
         if is_homology_manifold(cx).is_manifold:
             assert multiplicities(cx).reciprocity_witness() is None
+
+
+def test_link_betti_cache_lookups_are_cheap(monkeypatch):
+    # the memo is keyed by the complex; a lookup of the same object hashes
+    # its vertices and matches by identity, so it never builds the
+    # vertex-id facets that equality of two distinct complexes compares
+    from weakref import WeakKeyDictionary
+
+    from dskit import homology
+
+    # an equal complex cached by an earlier test would be the stored key
+    monkeypatch.setattr(homology, "_link_betti_cache", WeakKeyDictionary())
+    cx = cross_polytope_boundary(4).complex
+    is_homology_manifold(cx)
+    facets = Complex.facets
+    built = []
+    monkeypatch.setattr(
+        Complex, "facets", property(lambda self: built.append(self) or facets.fget(self))
+    )
+    memo = homology._link_betti_cache[cx]
+    for field in (FieldSpec(0), FieldSpec(2)):
+        assert is_homology_manifold(cx, field).is_manifold
+        boundary_faces_homological(cx, field)
+    assert built == []
+    assert homology._link_betti_cache[cx] is memo
+    # an equal complex built apart finds the same memo
+    assert homology._link_betti_cache[cross_polytope_boundary(4).complex] is memo
+
+
+def test_link_betti_memo_follows_the_labels(monkeypatch):
+    # a link keeps its parent's labels, so it can equal a parsed complex
+    # whose masks name other faces; the two must not share memo entries
+    from weakref import WeakKeyDictionary
+
+    from dskit import homology
+
+    monkeypatch.setattr(homology, "_link_betti_cache", WeakKeyDictionary())
+    # a segment plus an isolated vertex: 4 is the first failing face
+    parsed = parse_cplx("1 3\n4")
+    link = parse_cplx("1 2 3\n2 4").link([2])
+    assert link == parsed and link.labels != parsed.labels
+    assert is_homology_manifold(parsed).witness == (4,)
+    assert is_homology_manifold(link).witness == (4,)
+    # a path 1-3-4: its ends are the boundary vertices
+    parsed = parse_cplx("1 3\n3 4")
+    link = parse_cplx("1 2 3\n2 3 4").link([2])
+    assert link == parsed and link.labels != parsed.labels
+    expected = ((), (1,), (4,))
+    assert boundary_faces_homological(parsed) == expected
+    assert boundary_faces_homological(link) == expected

@@ -1,0 +1,99 @@
+"""Metamorphic tests: vertex ids are names, so relabelling changes nothing.
+
+An order-preserving relabelling must leave every CLI output the same once
+the ids are mapped back; any injective relabelling must keep every
+invariant that does not name a face.
+"""
+
+import contextlib
+import io
+import re
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dskit.cli import main
+from dskit.complexes import Complex
+from dskit.enumeration import f_vector, h_vector
+from dskit.homology import FieldSpec, reduced_betti
+from dskit.relations import classify
+
+VERTICES = range(1, 9)
+# color classes {1,4,7}, {2,5,8}, {3,6}: a facet with one vertex of each
+# is balanced of type (1,1,1)
+COLOR = {v: (v - 1) % 3 + 1 for v in VERTICES}
+
+any_facets = st.lists(st.sets(st.integers(1, 8), min_size=1, max_size=5), max_size=6)
+transversal_facets = st.lists(
+    st.tuples(st.sampled_from([1, 4, 7]), st.sampled_from([2, 5, 8]), st.sampled_from([3, 6])),
+    min_size=1,
+    max_size=6,
+)
+facet_lists = any_facets | transversal_facets
+
+COMMANDS = (
+    ["verify"],
+    ["classify"],
+    ["betti"],
+    ["multiplicities"],
+    ["interior"],
+    ["flag", "--colors"],
+)
+
+
+def _cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _outputs(root: Path, facets, relabel: dict[int, int]) -> list[tuple[int, str, str]]:
+    cplx, colors = root / "cx.cplx", root / "cx.colors"
+    cplx.write_text("".join(" ".join(str(relabel[v]) for v in f) + "\n" for f in facets))
+    colors.write_text("".join(f"{relabel[v]} {COLOR[v]}\n" for v in VERTICES))
+    out = []
+    for command in COMMANDS:
+        argv = [command[0], str(cplx), *command[1:]]
+        if command[0] == "flag":
+            argv.append(str(colors))
+        out.append(_cli(argv + ["--json"]))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    facet_lists,
+    # eight ids or more above any count, so a long digit run is an id
+    st.lists(st.integers(10**7, 10**30), min_size=8, max_size=8, unique=True).map(sorted),
+)
+def test_order_preserving_relabelling_keeps_cli_output(facets, ids):
+    relabel = dict(zip(VERTICES, ids))
+    back = {str(new): str(old) for old, new in relabel.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        plain = _outputs(Path(tmp), facets, {v: v for v in VERTICES})
+        moved = _outputs(Path(tmp), facets, relabel)
+    for (code, out, err), expected in zip(moved, plain):
+        mapped = [re.sub(r"\d{8,}", lambda m: back[m.group()], s) for s in (out, err)]
+        assert (code, *mapped) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    facet_lists,
+    st.lists(st.integers(1, 10**30), min_size=8, max_size=8, unique=True),
+)
+def test_injective_relabelling_keeps_invariants(facets, ids):
+    # ids in drawn order: the relabelling is in general not monotone
+    relabel = dict(zip(VERTICES, ids))
+    cx = Complex.from_facets(facets)
+    moved = Complex.from_facets([[relabel[v] for v in f] for f in facets])
+    assert f_vector(moved) == f_vector(cx)
+    assert h_vector(f_vector(moved)) == h_vector(f_vector(cx))
+    for field in (FieldSpec(0), FieldSpec(2)):
+        assert reduced_betti(moved, field).betti == reduced_betti(cx, field).betti
+        a, b = classify(cx, field), classify(moved, field)
+        for flag in ("reciprocal", "semi_eulerian", "eulerian", "homology_manifold"):
+            assert getattr(b, flag) == getattr(a, flag)
