@@ -65,14 +65,30 @@ def b_of(face: Iterable[int], kappa: Mapping[int, int], m: int) -> ExponentVec:
     return tuple(counts)
 
 
+def _check_color_range(cx: Complex, kappa: Mapping[int, int]) -> None:
+    """Reject a vertex color above the vertex count.
+
+    Count vectors are sized by the largest color, and n vertices leave a
+    color past n unused, so the check comes before any of them is built.
+    """
+    for v in cx.vertices:
+        color = kappa.get(v)
+        if color is not None and color > cx.n:
+            raise ValidationError(
+                f"vertex {v} has color {color}, above the vertex count {cx.n}"
+            )
+
+
 def validate_balanced(
     cx: Complex, kappa: Mapping[int, int], a: Iterable[int] | None = None
 ) -> Coloring:
     """Check that every facet has exactly a_i vertices of color i.
 
     When a is omitted it is inferred from the lexicographically first
-    facet and then validated globally.
+    facet and then validated globally. No vertex color may exceed the
+    vertex count.
     """
+    _check_color_range(cx, kappa)
     for v in cx.vertices:
         if v not in kappa:
             raise ValidationError(f"vertex {v} has no color")

@@ -66,6 +66,9 @@ def _read_complex(path: str, max_faces: int | None) -> Complex:
 
 def _read_coloring(cx: Complex, path: str) -> balanced.Coloring:
     kappa = parse_colors(_read_text(Path(path)))
+    # a color past the vertex count is bad input (exit 2), not an
+    # unbalanced coloring
+    balanced._check_color_range(cx, kappa)
     try:
         return balanced.validate_balanced(cx, kappa)
     except ValidationError as exc:

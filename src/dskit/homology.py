@@ -4,15 +4,26 @@ Betti numbers come from ranks of the boundary matrices of the augmented
 chain complex (the empty face spans the (-1)-dimensional chain group, so
 the map from vertices is the augmentation). Signs follow
 del [v_0..v_k] = sum_j (-1)^j [v_0..v_hat_j..v_k] with vertex ids
-increasing. Boundary matrices are sparse columns, and each rank is one
-exact column reduction against a table of pivots keyed by pivot row, as in
-Ripser. The dense reference ranks live in tests/conftest.py.
+increasing. Boundary matrices are sparse columns built from the face
+masks: int bitsets over GF(2), {row: +-1} dicts otherwise. Each rank is
+one exact column reduction against a table of pivots keyed by pivot row,
+as in Ripser, and the maps are reduced top-down with clearing (Chen and
+Kerber, "Persistent homology computation with a twist", 2011; Bauer,
+Kerber and Reininghaus, "Clear and compress", 2014). The dense reference
+ranks live in tests/conftest.py.
+
+The homology-manifold scan builds no link complex. It walks the faces in
+(cardinality, mask) order and reads the faces of lk(F) off those of
+lk(F - v), v the lowest vertex of F, which the walk met one cardinality
+earlier. The definitional route, each link closed from the complex, is
+the reference in tests/test_homology.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Container, Sequence
 from weakref import WeakKeyDictionary
 
 from .complexes import Complex, FaceTuple
@@ -86,17 +97,17 @@ class FieldSpec:
         return "q" if self.characteristic == 0 else str(self.characteristic)
 
 
-def rank_mod(cols: list[dict[int, int]], p: int) -> int:
-    """Rank over GF(p) of a matrix given as sparse columns {row: entry}.
+def rank_mod(cols: list, p: int) -> set[int]:
+    """Pivot rows over GF(p) of a matrix given as sparse columns; the rank is their count.
 
+    Over GF(2) a column is an int bitset of its rows, else a dict {row: entry}.
     Each column is reduced by the stored column with its pivot row (largest
-    nonzero row) until it vanishes or is stored. Over GF(2) columns are int
-    bitsets reduced by XOR; else stored columns have pivot entry 1.
+    nonzero row) until it vanishes or is stored: by XOR over GF(2), else
+    against stored columns with pivot entry 1.
     """
     if p == 2:
         pivots2: dict[int, int] = {}
-        for col in cols:
-            bits = sum(1 << r for r, x in col.items() if x & 1)
+        for bits in cols:
             while bits:
                 low = bits.bit_length() - 1
                 piv = pivots2.get(low)
@@ -104,7 +115,7 @@ def rank_mod(cols: list[dict[int, int]], p: int) -> int:
                     pivots2[low] = bits
                     break
                 bits ^= piv
-        return len(pivots2)
+        return set(pivots2)
     pivots: dict[int, dict[int, int]] = {}
     for col in cols:
         c = {r: x % p for r, x in col.items() if x % p}
@@ -122,11 +133,11 @@ def rank_mod(cols: list[dict[int, int]], p: int) -> int:
                     c[r] = y
                 else:
                     del c[r]
-    return len(pivots)
+    return set(pivots)
 
 
-def rank_rational(cols: list[dict[int, int]]) -> int:
-    """Rank over the rationals of an integer matrix given as sparse columns.
+def rank_rational(cols: list[dict[int, int]]) -> set[int]:
+    """Pivot rows over the rationals of an integer matrix given as sparse columns.
 
     rank_mod's reduction, fraction-free: c becomes a*c - b*q for the stored
     q, with a = q[low], b = c[low] over their gcd. Stored columns are divided
@@ -155,20 +166,39 @@ def rank_rational(cols: list[dict[int, int]]) -> int:
                     c[r] = y
                 else:
                     del c[r]
-    return len(pivots)
+    return set(pivots)
 
 
-def boundary_matrix(cx: Complex, card: int) -> list[dict[int, int]]:
-    """Sparse columns {row: +-1} of del from cardinality card to card-1.
+def boundary_matrix(
+    masks_by_card: Sequence[Sequence[int]], card: int, p: int = 0, cleared: Container[int] = ()
+) -> list:
+    """Sparse columns of del from cardinality card to card-1.
 
-    Column j is the j-th card-face, row i the i-th (card-1)-face, in mask
-    order. card = 1 gives the augmentation (vertices map to the empty face).
+    masks_by_card[c] lists the c-faces in mask order. Column j is the j-th
+    card-face, row i the i-th (card-1)-face; the card-faces at the positions
+    in cleared are left out. card = 1 gives the augmentation (vertices map to
+    the empty face). Over GF(2) (p = 2) a column is an int bitset of its
+    rows, else a dict {row: +-1}.
     """
-    if card < 1 or card >= len(cx.masks_by_card):
+    if card < 1 or card >= len(masks_by_card):
         return []
-    index = {m: i for i, m in enumerate(cx.masks_by_card[card - 1])}
-    cols = []
-    for g in cx.masks_by_card[card]:
+    faces = masks_by_card[card]
+    if cleared:
+        faces = [g for j, g in enumerate(faces) if j not in cleared]
+    index = {m: i for i, m in enumerate(masks_by_card[card - 1])}
+    cols: list = []
+    if p == 2:
+        # a table of row bitsets would hold rows^2/2 bits at once
+        for g in faces:
+            bits = 0
+            rest = g
+            while rest:
+                low = rest & -rest
+                bits |= 1 << index[g ^ low]
+                rest ^= low
+            cols.append(bits)
+        return cols
+    for g in faces:
         col = {}
         sign = 1
         rest = g
@@ -204,17 +234,27 @@ class BettiTable:
         return [(i - 1, b) for i, b in enumerate(self.betti)]
 
 
+def _betti_numbers(masks_by_card: Sequence[Sequence[int]], p: int) -> tuple[int, ...]:
+    """Reduced Betti numbers over GF(p), or Q for p = 0, from dimension -1 up,
+    of the complex whose c-faces are masks_by_card[c].
+
+    Top-down with clearing: a pivot row of del_{c+1} is a c-face whose
+    column in del_c reduces to zero, so that column is skipped. The rank of
+    del_c is still the number of its pivots.
+    """
+    top = len(masks_by_card) - 1
+    ranks = [0] * (top + 2)  # ranks[c] = rank of del: card c -> card c-1
+    pivots: set[int] = set()
+    for c in range(top, 0, -1):
+        cols = boundary_matrix(masks_by_card, c, p, pivots)
+        pivots = rank_mod(cols, p) if p else rank_rational(cols)
+        ranks[c] = len(pivots)
+    return tuple(len(masks_by_card[c]) - ranks[c] - ranks[c + 1] for c in range(top + 1))
+
+
 def reduced_betti(cx: Complex, field: FieldSpec = FieldSpec(0)) -> BettiTable:
     """Reduced Betti numbers of the complex over the given field."""
-    ranks = [0] * (cx.d + 2)  # ranks[c] = rank of del: card c -> card c-1
-    p = field.characteristic
-    for c in range(1, cx.d + 1):
-        cols = boundary_matrix(cx, c)
-        ranks[c] = rank_mod(cols, p) if p else rank_rational(cols)
-    betti = tuple(
-        len(cx.masks_by_card[c]) - ranks[c] - ranks[c + 1] for c in range(cx.d + 1)
-    )
-    return BettiTable(betti, field)
+    return BettiTable(_betti_numbers(cx.masks_by_card, field.characteristic), field)
 
 
 @dataclass(frozen=True)
@@ -225,27 +265,6 @@ class ManifoldVerdict:
     witness: FaceTuple | None
     witness_betti: BettiTable | None
     field: FieldSpec
-
-
-# per-complex memo of link Betti tables; complexes are immutable, links in
-# manifolds are small, and the manifold test plus the boundary split both
-# walk the same links. Equal complexes can carry different labels (a link
-# keeps its parent's), so one mask names different faces in each: the memo
-# of a complex is split by its label tuple.
-_link_betti_cache: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _link_betti_memo(cx: Complex) -> dict:
-    return _link_betti_cache.setdefault(cx, {}).setdefault(cx.labels, {})
-
-
-def _link_betti(cx: Complex, memo: dict, fmask: int, field: FieldSpec) -> BettiTable:
-    # memo is _link_betti_memo(cx), looked up once per scan
-    key = (fmask, field)
-    betti = memo.get(key)
-    if betti is None:
-        betti = memo[key] = reduced_betti(cx.link_mask(fmask), field)
-    return betti
 
 
 def _link_betti_ok(betti: BettiTable, sphere_dim: int) -> bool:
@@ -261,20 +280,78 @@ def _link_betti_ok(betti: BettiTable, sphere_dim: int) -> bool:
     return True
 
 
+def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
+    """Link Betti tables of the non-empty faces in (card, mask) order,
+    up to and including the first link without ball or sphere homology.
+
+    No link is closed: with v the lowest vertex of F and P = F - v,
+    lk(F) = {G - v : G in lk(P), v in G}, and P comes one cardinality
+    earlier. Taking G in mask order keeps each list sorted. The children
+    of P (P + u with u below P's lowest vertex) are contiguous in mask
+    order, so lk(P) is kept only if P can have children, only its faces
+    with a vertex below P's lowest (the ones a child reads), and only
+    until its children have passed.
+    """
+    scan: dict[int, BettiTable] = {}
+    tables: dict[tuple[int, ...], BettiTable] = {}  # most links share a few tables
+    p = field.characteristic
+    d = cx.d
+    parents: dict[int, Sequence[Sequence[int]]] = {0: cx.masks_by_card}
+    for card in range(1, len(cx.masks_by_card)):
+        sphere_dim = d - 1 - card
+        children: dict[int, list[list[int]]] = {}
+        parent = None
+        for fmask in cx.masks_by_card[card]:
+            v = fmask & -fmask
+            if fmask ^ v != parent:
+                parent = fmask ^ v
+                parent_link = parents.pop(parent)
+            link = [[g ^ v for g in faces if g & v] for faces in parent_link[1:]]
+            while not link[-1]:  # link[0] is [0]: the empty face
+                link.pop()
+            numbers = _betti_numbers(link, p)
+            betti = tables.get(numbers)
+            if betti is None:
+                betti = tables[numbers] = BettiTable(numbers, field)
+            scan[fmask] = betti
+            if not _link_betti_ok(betti, sphere_dim):
+                return scan
+            if v > 1:
+                below = v - 1
+                children[fmask] = [[g for g in faces if g & below] for faces in link]
+        parents = children
+    return scan
+
+
+# per-complex memo of link scans, one per field; complexes are immutable,
+# and the manifold test plus the boundary split read the same scan. Equal
+# complexes can carry different labels (a link keeps its parent's), so one
+# mask names different faces in each: the memo of a complex is split by
+# its label tuple.
+_link_betti_cache: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _link_scan(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
+    memo = _link_betti_cache.setdefault(cx, {}).setdefault(cx.labels, {})
+    scan = memo.get(field)
+    if scan is None:
+        scan = memo[field] = _scan_links(cx, field)
+    return scan
+
+
 def is_homology_manifold(cx: Complex, field: FieldSpec = FieldSpec(0)) -> ManifoldVerdict:
     """Check that every non-empty face's link has ball or sphere homology.
 
     The link of F must have vanishing reduced homology below dimension
     d-1-|F| and either 0 or the field itself there; everything above is
-    checked to vanish as well.
+    checked to vanish as well. The witness is the first failing face in
+    (cardinality, mask) order.
     """
-    d = cx.d
-    memo = _link_betti_memo(cx)
-    for group in cx.masks_by_card[1:]:
-        for fmask in group:
-            betti = _link_betti(cx, memo, fmask, field)
-            if not _link_betti_ok(betti, d - 1 - fmask.bit_count()):
-                return ManifoldVerdict(False, cx.mask_vertices(fmask), betti, field)
+    scan = _link_scan(cx, field)
+    if scan:
+        fmask, betti = next(reversed(scan.items()))  # only the last can fail
+        if not _link_betti_ok(betti, cx.d - 1 - fmask.bit_count()):
+            return ManifoldVerdict(False, cx.mask_vertices(fmask), betti, field)
     return ManifoldVerdict(True, None, None, field)
 
 
@@ -289,17 +366,14 @@ def boundary_faces_homological(
     """
     out: list[FaceTuple] = [()]
     d = cx.d
-    memo = _link_betti_memo(cx)
-    for group in cx.masks_by_card[1:]:
-        for fmask in group:
-            betti = _link_betti(cx, memo, fmask, field)
-            sphere_dim = d - 1 - fmask.bit_count()
-            if not _link_betti_ok(betti, sphere_dim):
-                raise PreconditionError(
-                    "complex is not a homology manifold", cx.mask_vertices(fmask)
-                )
-            if betti.b(sphere_dim) == 0:
-                out.append(cx.mask_vertices(fmask))
+    for fmask, betti in _link_scan(cx, field).items():
+        sphere_dim = d - 1 - fmask.bit_count()
+        if not _link_betti_ok(betti, sphere_dim):
+            raise PreconditionError(
+                "complex is not a homology manifold", cx.mask_vertices(fmask)
+            )
+        if betti.b(sphere_dim) == 0:
+            out.append(cx.mask_vertices(fmask))
     return tuple(out)
 
 

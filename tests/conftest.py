@@ -183,14 +183,33 @@ def orank_mod(rows, p):
     return rank
 
 
-def ocolumns(rows):
-    """Sparse columns {row: entry} of a row-list matrix, the library's input."""
+def opivot_rows(rows, rank):
+    """Pivot rows of any column reduction that pivots on the largest nonzero
+    row: the rows i at which dim(column space & span(e_0..e_i)) grows,
+    each dimension read off the given rank function."""
+    total = rank(rows)
+    out, prev = set(), 0
+    for i in range(len(rows)):
+        units = [row + [int(j == k) for k in range(i + 1)] for j, row in enumerate(rows)]
+        dim = total + i + 1 - rank(units)
+        if dim > prev:
+            out.add(i)
+        prev = dim
+    return out
+
+
+def ocolumns(rows, p=0):
+    """Columns of a row-list matrix in the library's input format: sparse
+    {row: entry}, or over GF(2) (p = 2) int bitsets of the odd entries."""
     ncols = len(rows[0]) if rows else 0
+    if p == 2:
+        return [sum(1 << i for i, row in enumerate(rows) if row[j] % 2) for j in range(ncols)]
     return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
 
 
-def obetti(faces):
-    """Reduced Betti numbers over Q as a dict dim -> beta, from frozensets."""
+def obetti(faces, p=0):
+    """Reduced Betti numbers over Q (p = 0) or GF(p) as a dict dim -> beta,
+    from frozensets, by dense elimination."""
     bycard: dict[int, list[tuple[int, ...]]] = {}
     for f in faces:
         bycard.setdefault(len(f), []).append(tuple(sorted(f)))
@@ -207,7 +226,7 @@ def obetti(faces):
             for pos in range(len(s)):
                 sub = s[:pos] + s[pos + 1 :]
                 rows[idx[sub]][j] = (-1) ** pos
-        ranks[c] = orank(rows)
+        ranks[c] = orank_mod(rows, p) if p else orank(rows)
     return {
         c - 1: len(bycard.get(c, [])) - ranks.get(c, 0) - ranks.get(c + 1, 0)
         for c in range(0, maxc + 1)

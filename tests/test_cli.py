@@ -370,6 +370,22 @@ def test_huge_vertex_ids(capsys, tmp_path):
         assert out == "b=(0,0) f=1 h=1\nb=(0,1) f=1 h=0\nb=(1,0) f=1 h=0\nb=(1,1) f=1 h=0\n"
 
 
+def test_huge_colors_are_validation_errors(capsys, tmp_path):
+    # count vectors are sized by the largest color, so a color above the
+    # vertex count is rejected, naming its vertex, before any is built
+    cplx = tmp_path / "edge.cplx"
+    cplx.write_text("1 2\n")
+    colors = tmp_path / "edge.colors"
+    for big in (10**19, 10**8):
+        colors.write_text(f"1 1\n2 {big}\n")
+        for command in ("flag", "hilbert"):
+            code, out, err = run_cli(capsys, [command, str(cplx), "--colors", str(colors)])
+            assert (code, out) == (2, "")
+            assert err == f"dskit: vertex 2 has color {big}, above the vertex count 2\n"
+    colors.write_text("1 1\n2 2\n")
+    assert run_cli(capsys, ["flag", str(cplx), "--colors", str(colors)])[0] == 0
+
+
 def test_id_past_the_int_digit_limit_is_a_parse_error(capsys, tmp_path):
     # int() refuses digit strings past 4300 digits; the error names the line
     long_id = "9" * 5000

@@ -26,9 +26,16 @@ from dskit.homology import (
     reduced_betti,
 )
 
-from conftest import obetti, ocolumns, ofaces_of, orank, orank_mod
+from conftest import obetti, ocolumns, ofaces_of, opivot_rows, orank, orank_mod
 
 FUZZ_PRIMES = (2, 3, 2**61 - 1)
+FIELDS = (FieldSpec(0), FieldSpec(2), FieldSpec(3))
+# the 6-vertex real projective plane: every link is a 5-cycle, and its
+# homology has 2-torsion, so its Betti numbers over Q and GF(2) differ
+RP2_FACETS = [
+    [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
+    [2, 3, 5], [3, 4, 6], [2, 4, 5], [3, 5, 6], [2, 4, 6],
+]
 
 
 def betti_dict(cx, field=FieldSpec(0)):
@@ -56,16 +63,23 @@ def test_betti_cylinder_is_circle_homotopy():
 
 
 def test_betti_matches_independent_oracle(randoms):
-    for cx in randoms[:25]:
-        expected = obetti(ofaces_of(cx))
-        assert betti_dict(cx) == expected
+    rp2 = Complex.from_facets(RP2_FACETS)
+    for field in FIELDS:
+        p = field.characteristic
+        for cx in randoms[:25] + [rp2]:
+            assert betti_dict(cx, field) == obetti(ofaces_of(cx), p)
+    assert betti_dict(rp2, FieldSpec(0)) == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert betti_dict(rp2, FieldSpec(2)) == {-1: 0, 0: 0, 1: 1, 2: 1}
 
 
-def test_euler_poincare(randoms):
-    for cx in randoms:
-        table = reduced_betti(cx)
-        assert table.reduced_euler() == reduced_euler(cx)
-        assert type(table.reduced_euler()) is int
+def test_euler_poincare(randoms, suite):
+    # the alternating sum of Betti numbers is the reduced Euler
+    # characteristic over every field
+    for cx in randoms + [made.complex for _, made in suite]:
+        for field in FIELDS:
+            table = reduced_betti(cx, field)
+            assert table.reduced_euler() == reduced_euler(cx)
+            assert type(table.reduced_euler()) is int
 
 
 def test_rank_routines_agree():
@@ -76,12 +90,12 @@ def test_rank_routines_agree():
         [[0, 0], [0, 0]],
     ]
     for m in mats:
-        assert rank_rational(ocolumns(m)) == orank(m)
+        assert len(rank_rational(ocolumns(m))) == orank(m)
     # mod-2 rank can drop: the parity matrix below has rational rank 2
-    m = ocolumns([[1, 1], [1, -1]])
-    assert rank_rational(m) == 2
-    assert rank_mod(m, 2) == 1
-    assert rank_rational([]) == rank_mod([], 3) == 0
+    m = [[1, 1], [1, -1]]
+    assert rank_rational(ocolumns(m)) == {0, 1}
+    assert rank_mod(ocolumns(m, 2), 2) == {1}
+    assert rank_rational([]) == rank_mod([], 3) == rank_mod([], 2) == set()
 
 
 def test_rank_fuzz_against_fraction_elimination():
@@ -97,9 +111,13 @@ def test_rank_fuzz_against_fraction_elimination():
             for j in range(cols):
                 if rng.random() < 0.4:
                     m[i][j] = 0
-        assert rank_rational(ocolumns(m)) == orank(m)
+        pivots = rank_rational(ocolumns(m))
+        assert len(pivots) == orank(m)
+        assert pivots == opivot_rows(m, orank)
         for p in FUZZ_PRIMES:
-            assert rank_mod(ocolumns(m), p) == orank_mod(m, p)
+            pivots = rank_mod(ocolumns(m, p), p)
+            assert len(pivots) == orank_mod(m, p)
+            assert pivots == opivot_rows(m, lambda rows: orank_mod(rows, p))
 
 
 def test_rank_rational_large_entries():
@@ -111,22 +129,44 @@ def test_rank_rational_large_entries():
 
     scale = lcm(*range(1, 16))
     hilbert = [[scale // (i + j + 1) for j in range(8)] for i in range(8)]
-    assert rank_rational(ocolumns(hilbert)) == orank(hilbert) == 8
+    assert len(rank_rational(ocolumns(hilbert))) == orank(hilbert) == 8
     rng = random.Random(7)
     a = [[rng.randrange(-10**6, 10**6) for _ in range(5)] for _ in range(9)]
     b = [[rng.randrange(-10**6, 10**6) for _ in range(7)] for _ in range(5)]
     prod = [[sum(a[i][k] * b[k][j] for k in range(5)) for j in range(7)] for i in range(9)]
-    assert rank_rational(ocolumns(prod)) == orank(prod) == 5
+    assert len(rank_rational(ocolumns(prod))) == orank(prod) == 5
     for p in FUZZ_PRIMES:
-        assert rank_mod(ocolumns(prod), p) == orank_mod(prod, p)
+        assert len(rank_mod(ocolumns(prod, p), p)) == orank_mod(prod, p)
 
 
 def test_boundary_matrix_columns():
-    cx = Complex.from_facets([[1, 2, 3]])
+    by_card = Complex.from_facets([[1, 2, 3]]).masks_by_card
     # edges in mask order: 12, 13, 23; del[1 2 3] = [2 3] - [1 3] + [1 2]
-    assert boundary_matrix(cx, 3) == [{2: 1, 1: -1, 0: 1}]
-    assert boundary_matrix(cx, 1) == [{0: 1}, {0: 1}, {0: 1}]
-    assert boundary_matrix(cx, 4) == boundary_matrix(cx, 0) == []
+    assert boundary_matrix(by_card, 3) == [{2: 1, 1: -1, 0: 1}]
+    assert boundary_matrix(by_card, 1) == [{0: 1}, {0: 1}, {0: 1}]
+    assert boundary_matrix(by_card, 4) == boundary_matrix(by_card, 0) == []
+    # over GF(2) a column is the bitset of its rows
+    assert boundary_matrix(by_card, 3, 2) == [0b111]
+    assert boundary_matrix(by_card, 2, 2) == [0b011, 0b101, 0b110]
+    # the faces at cleared positions are left out: here the edge 13
+    assert boundary_matrix(by_card, 2, 0, {1}) == [{1: 1, 0: -1}, {2: 1, 1: -1}]
+    assert boundary_matrix(by_card, 2, 2, {1}) == [0b011, 0b110]
+
+
+def test_cleared_ranks_equal_full_ranks(suite, randoms, balanced_pairs):
+    # skipping the columns of del_c whose faces are pivot rows of del_{c+1}
+    # changes neither the rank nor the pivot rows of del_c
+    complexes = [made.complex for _, made in suite] + randoms
+    complexes += [cx for _, cx, _ in balanced_pairs]
+    for cx in complexes:
+        by_card = cx.masks_by_card
+        for p in (0, 2, 3):
+            rank = (lambda cols: rank_mod(cols, p)) if p else rank_rational
+            pivots = set()
+            for c in range(cx.d, 0, -1):
+                cleared = rank(boundary_matrix(by_card, c, p, pivots))
+                assert cleared == rank(boundary_matrix(by_card, c, p))
+                pivots = cleared
 
 
 @pytest.mark.parametrize("d, field", [(8, FieldSpec(0)), (10, FieldSpec(2))])
@@ -253,19 +293,31 @@ def test_boundary_faces_witness_is_the_manifold_witness(field):
 
 
 def test_boundary_faces_looks_up_each_link_once(monkeypatch):
+    # each link's Betti numbers are computed once per field, and the
+    # boundary split reads the ones classify computed
+    from weakref import WeakKeyDictionary
+
     from dskit import homology
+    from dskit.relations import classify
 
-    lookups = []
-    inner = homology._link_betti
+    monkeypatch.setattr(homology, "_link_betti_cache", WeakKeyDictionary())
+    computed = []
+    inner = homology._betti_numbers
 
-    def counting(cx, memo, fmask, field):
-        lookups.append(fmask)
-        return inner(cx, memo, fmask, field)
+    def counting(masks_by_card, p):
+        computed.append((tuple(map(tuple, masks_by_card)), p))
+        return inner(masks_by_card, p)
 
-    monkeypatch.setattr(homology, "_link_betti", counting)
+    monkeypatch.setattr(homology, "_betti_numbers", counting)
     cx = cylinder().complex
-    boundary_faces_homological(cx)
-    assert sorted(lookups) == sorted(m for m in cx.face_set if m)
+    links = sorted(cx.link_mask(m).masks_by_card for m in cx.face_set if m)
+    for field in (FieldSpec(0), FieldSpec(2)):
+        p = field.characteristic
+        assert classify(cx, field).homology_manifold
+        assert sorted(by_card for by_card, q in computed if q == p) == links
+        before = len(computed)
+        boundary_faces_homological(cx, field)
+        assert len(computed) == before
 
 
 def test_homological_split_equals_multiplicity_split(suite):
@@ -316,6 +368,9 @@ def test_link_betti_cache_lookups_are_cheap(monkeypatch):
         boundary_faces_homological(cx, field)
     assert built == []
     assert homology._link_betti_cache[cx] is memo
+    # one scan per field, under the complex's labels
+    assert list(memo) == [cx.labels]
+    assert set(memo[cx.labels]) == {FieldSpec(0), FieldSpec(2)}
     # an equal complex built apart finds the same memo
     assert homology._link_betti_cache[cross_polytope_boundary(4).complex] is memo
 
@@ -341,3 +396,56 @@ def test_link_betti_memo_follows_the_labels(monkeypatch):
     expected = ((), (1,), (4,))
     assert boundary_faces_homological(parsed) == expected
     assert boundary_faces_homological(link) == expected
+
+
+def _ball_or_sphere(betti, sphere_dim):
+    return all(b == 0 or (i - 1 == sphere_dim and b == 1) for i, b in enumerate(betti))
+
+
+def _definitional_scan(cx, field):
+    """Link Betti numbers by the definition, each link closed from the
+    complex, in (card, mask) order up to the first that fails."""
+    out = {}
+    for group in cx.masks_by_card[1:]:
+        for fmask in group:
+            betti = out[fmask] = reduced_betti(cx.link_mask(fmask), field).betti
+            if not _ball_or_sphere(betti, cx.d - 1 - fmask.bit_count()):
+                return out
+    return out
+
+
+def test_link_scan_matches_the_definition(suite, randoms, balanced_pairs, monkeypatch):
+    # links read off their parent link against links closed from the
+    # complex: every face's Betti numbers, the first witness and its
+    # table, and the boundary faces
+    from weakref import WeakKeyDictionary
+
+    from dskit import homology
+
+    complexes = [made.complex for _, made in suite] + randoms
+    complexes += [cx for _, cx, _ in balanced_pairs] + [Complex.from_facets(RP2_FACETS)]
+    failed = 0
+    for cx in complexes:
+        for field in FIELDS:
+            # no memo from earlier scans
+            monkeypatch.setattr(homology, "_link_betti_cache", WeakKeyDictionary())
+            want = _definitional_scan(cx, field)
+            got = homology._link_scan(cx, field)
+            assert [(m, b.betti) for m, b in got.items()] == list(want.items())
+            verdict = is_homology_manifold(cx, field)
+            last = list(want)[-1] if want else None
+            if want and not _ball_or_sphere(want[last], cx.d - 1 - last.bit_count()):
+                failed += 1
+                assert verdict.witness == cx.mask_vertices(last)
+                assert verdict.witness_betti.betti == want[last]
+                with pytest.raises(PreconditionError) as err:
+                    boundary_faces_homological(cx, field)
+                assert err.value.witness == verdict.witness
+            else:
+                assert verdict.is_manifold and verdict.witness_betti is None
+                ball = [m for m, b in want.items() if cx.d - m.bit_count() >= len(b)
+                        or b[cx.d - m.bit_count()] == 0]
+                assert boundary_faces_homological(cx, field) == ((),) + tuple(
+                    cx.mask_vertices(m) for m in ball
+                )
+    assert 0 < failed < len(complexes) * len(FIELDS)

@@ -1,8 +1,10 @@
-"""Metamorphic tests: vertex ids are names, so relabelling changes nothing.
+"""Metamorphic tests: relabelling, cones and suspensions.
 
-An order-preserving relabelling must leave every CLI output the same once
-the ids are mapped back; any injective relabelling must keep every
-invariant that does not name a face.
+Vertex ids are names, so relabelling changes nothing: an order-preserving
+relabelling must leave every CLI output the same once the ids are mapped
+back, and any injective relabelling must keep every invariant that does
+not name a face. A cone is acyclic, and a suspension shifts reduced
+homology up by one dimension, over every field.
 """
 
 import contextlib
@@ -97,3 +99,32 @@ def test_injective_relabelling_keeps_invariants(facets, ids):
         a, b = classify(cx, field), classify(moved, field)
         for flag in ("reciprocal", "semi_eulerian", "eulerian", "homology_manifold"):
             assert getattr(b, flag) == getattr(a, flag)
+
+
+FIELDS = (FieldSpec(0), FieldSpec(2), FieldSpec(3))
+
+
+def _cone(cx):
+    apex = max(cx.vertices, default=0) + 1
+    return Complex.from_facets([[*f, apex] for f in cx.facets])
+
+
+def _suspension(cx):
+    top = max(cx.vertices, default=0)
+    return Complex.from_facets([[*f, pole] for f in cx.facets for pole in (top + 1, top + 2)])
+
+
+def test_cone_is_acyclic(randoms, suite):
+    for cx in randoms + [made.complex for _, made in suite]:
+        cone = _cone(cx)
+        for field in FIELDS:
+            assert set(reduced_betti(cone, field).betti) == {0}
+
+
+def test_suspension_shifts_betti_numbers(randoms, suite):
+    # beta_i(SX) = beta_{i-1}(X) for i >= 0, and SX is not empty
+    for cx in randoms + [made.complex for _, made in suite]:
+        susp = _suspension(cx)
+        for field in FIELDS:
+            table, shifted = reduced_betti(cx, field), reduced_betti(susp, field)
+            assert shifted.betti == (0, *table.betti)
