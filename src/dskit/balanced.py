@@ -125,13 +125,12 @@ def _flag_counts(
             color_masks[coloring.kappa[v] - 1] |= 1 << i
     f = dict.fromkeys(exponents_below(a), 0)
     msum = dict(f)
-    by_mask = table.by_mask if table is not None else None
-    for group in cx.masks_by_card:
-        for mask in group:
-            bf = tuple((mask & cm).bit_count() for cm in color_masks)
+    for c, group in enumerate(cx.masks_by_card):
+        bfs = [tuple((mask & cm).bit_count() for cm in color_masks) for mask in group]
+        for bf in bfs:
             f[bf] += 1
-            if by_mask is not None:
-                msum[bf] += by_mask[mask]
+        for bf, m in zip(bfs, table.rows[c] if table is not None else ()):
+            msum[bf] += m
     return f, msum
 
 

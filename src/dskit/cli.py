@@ -5,8 +5,8 @@ composes with everything: `dskit gen cylinder | dskit f-vector`.
 
 Exit codes: 0 all good, 1 a verified relation failed, 2 usage or
 parameter validation, 3 file parse error (message carries the line
-number), 4 precondition/domain failure (message carries a witness face)
-or the face-count cap.
+number), 4 precondition/domain failure (message carries a witness face),
+the face-count cap, or running out of memory.
 """
 
 from __future__ import annotations
@@ -417,6 +417,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"dskit: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except MemoryError:  # an input within the face-count cap can still outgrow memory
+        msg = f"out of memory within the face-count cap; lower --max-faces/{complexes.MAX_FACES_ENV}"
+        print(f"dskit: {msg}", file=sys.stderr)
+        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

@@ -6,6 +6,11 @@ relabels them once, at construction: its sorted ids sit in the tuple
 bit per vertex whatever the ids are. The relabelling preserves order, so
 mask order is the order of the external vertex tuples. A link keeps its
 parent's labels. The empty face is mask 0 and belongs to every complex.
+
+The faces are kept once, in `masks_by_card`: masks_by_card[c] is the
+sorted tuple of the c-face masks. It is the one face index: a face is
+found, and its position j read, by bisection in its group, and per-face
+data elsewhere (the rows of a MultiplicityTable) is aligned with it.
 Public APIs accept and return faces as sorted vertex tuples;
 Complex.face_mask and Complex.mask_vertices convert, and the mask layer
 is exposed for the enumeration-heavy modules.
@@ -54,31 +59,29 @@ def _effective_max_faces(max_faces: int | None) -> int:
 
 
 class Complex:
-    """Immutable abstract simplicial complex with a fully enumerated face set."""
+    """Immutable abstract simplicial complex with its faces enumerated once."""
 
     __slots__ = (
         "facet_masks",
-        "face_set",
         "masks_by_card",
         "labels",
         "n",
         "d",
         "vertex_mask",
         "_stars",
-        "__weakref__",
+        "_link_scans",
     )
 
     def __init__(
-        self, facet_masks: tuple[int, ...], face_set: frozenset[int], labels: FaceTuple
+        self, facet_masks: tuple[int, ...], faces: Iterable[int], labels: FaceTuple
     ):
         # internal: inputs are already a reduced facet list and its closure,
         # over bit positions of labels (labels[i] is the id of bit i)
         self.facet_masks = facet_masks
-        self.face_set = face_set
         self.labels = labels
         max_card = max(m.bit_count() for m in facet_masks)
         by_card: list[list[int]] = [[] for _ in range(max_card + 1)]
-        for m in face_set:
+        for m in faces:
             by_card[m.bit_count()].append(m)
         for group in by_card:
             group.sort()
@@ -89,6 +92,7 @@ class Complex:
         self.n = self.vertex_mask.bit_count()
         self.d = max_card  # d = 1 + dim(complex); dim(emptyset) = -1
         self._stars: dict[int, list[int]] | None = None  # vertex bit -> facets, lazy
+        self._link_scans: dict | None = None  # field -> homology link scan, lazy
 
     @classmethod
     def from_facets(
@@ -138,7 +142,7 @@ class Complex:
                     f"face count exceeds cap {cap}; raise --max-faces/"
                     f"{MAX_FACES_ENV} if intended"
                 )
-        return cls(tuple(sorted(maximal)) or (0,), frozenset(faces), labels)
+        return cls(tuple(sorted(maximal)) or (0,), faces, labels)
 
     # -- vertex ids <-> masks ----------------------------------------------
 
@@ -156,9 +160,23 @@ class Complex:
                 break  # an id this complex has no bit for
             mask |= 1 << i
         else:
-            if mask in self.face_set:
+            if self._position(mask) is not None:
                 return mask
         raise DomainError(f"face {tuple(sorted(vs))} is not in the complex")
+
+    def _position(self, mask: int) -> int | None:
+        """Index of a face mask in masks_by_card[mask.bit_count()], None if no face.
+
+        A negative mask, or one with bits past the labels, equals no entry.
+        """
+        groups = self.masks_by_card
+        card = mask.bit_count()
+        if card < len(groups):
+            group = groups[card]
+            j = bisect_left(group, mask)
+            if j < len(group) and group[j] == mask:
+                return j
+        return None
 
     def mask_vertices(self, mask: int) -> FaceTuple:
         """Sorted vertex tuple of a face mask."""
@@ -178,7 +196,7 @@ class Complex:
 
     @property
     def num_faces(self) -> int:
-        return len(self.face_set)
+        return sum(map(len, self.masks_by_card))
 
     @property
     def vertices(self) -> FaceTuple:
@@ -210,7 +228,7 @@ class Complex:
         return [[self.mask_vertices(m) for m in group] for group in self.masks_by_card]
 
     def link_mask(self, fmask: int) -> Complex:
-        if fmask not in self.face_set:
+        if self._position(fmask) is None:
             # a mask with bits past the labels names no vertices to show
             face = hex(fmask) if fmask >> len(self.labels) else self.mask_vertices(fmask)
             raise DomainError(f"face {face} is not in the complex")
@@ -228,7 +246,7 @@ class Complex:
         # an antichain; the link never has more faces than the complex, and
         # it keeps this complex's labels
         star = [g ^ fmask for g in self._stars[fmask & -fmask] if g & fmask == fmask]
-        return Complex._from_facet_masks(star, len(self.face_set), self.labels)
+        return Complex._from_facet_masks(star, self.num_faces, self.labels)
 
     def link(self, face: Iterable[int]) -> Complex:
         """Link of a face: {G : G disjoint from F, G union F in the complex}."""
@@ -246,7 +264,7 @@ class Complex:
     def __hash__(self) -> int:
         # equal complexes share their vertices and face count, and these
         # cost far less than the sorted facets
-        return hash((self.vertices, len(self.face_set)))
+        return hash((self.vertices, self.num_faces))
 
     def __repr__(self) -> str:
         return f"Complex(n={self.n}, dim={self.dim}, faces={self.num_faces})"

@@ -78,13 +78,6 @@ def reduced_euler(cx: Complex) -> int:
     return reduced_euler_from_f(f_vector(cx))
 
 
-def _reduced_euler_masks(faces: Iterable[int]) -> int:
-    acc = 0
-    for m in faces:
-        acc += _sign(m.bit_count() - 1)
-    return acc
-
-
 def multiplicity(cx: Complex, face: Iterable[int], method: str = "superset-sum") -> int:
     """m_F by one of the two defining formulas.
 
@@ -95,23 +88,22 @@ def multiplicity(cx: Complex, face: Iterable[int], method: str = "superset-sum")
     d = cx.d
     if method == "superset-sum":
         return sum(
-            _sign(d - g.bit_count()) for g in cx.face_set if g & fmask == fmask
+            _sign(d - g.bit_count()) for group in cx.masks_by_card for g in group if g & fmask == fmask
         )
     if method == "link-euler":
-        link = cx.link_mask(fmask)
-        chi_r = _reduced_euler_masks(link.face_set)
-        return _sign(d - 1 - fmask.bit_count()) * chi_r
+        return _sign(d - 1 - fmask.bit_count()) * reduced_euler(cx.link_mask(fmask))
     raise ValidationError(f"unknown method {method!r}")
 
 
 class MultiplicityTable:
-    """Multiplicities m_F for every face of a complex, keyed by face mask."""
+    """Multiplicities m_F for every face of a complex, in rows aligned with
+    its face index: rows[c][j] is m_F of complex.masks_by_card[c][j]."""
 
-    __slots__ = ("complex", "by_mask")
+    __slots__ = ("complex", "rows")
 
-    def __init__(self, cx: Complex, by_mask: dict[int, int]):
+    def __init__(self, cx: Complex, rows: tuple[tuple[int, ...], ...]):
         self.complex = cx
-        self.by_mask = by_mask
+        self.rows = rows
 
     @property
     def d(self) -> int:
@@ -119,54 +111,45 @@ class MultiplicityTable:
 
     @property
     def m_empty(self) -> int:
-        return self.by_mask[0]
+        return self.rows[0][0]
 
     def m(self, face: Iterable[int]) -> int:
-        return self.by_mask[self.complex.face_mask(face)]
+        mask = self.complex.face_mask(face)
+        return self.rows[mask.bit_count()][self.complex._position(mask)]
 
     def items(self) -> list[tuple[FaceTuple, int]]:
         """(face, m) pairs ordered by cardinality then mask."""
         vertices = self.complex.mask_vertices
         out = []
-        for group in self.complex.masks_by_card:
-            for mask in group:
-                out.append((vertices(mask), self.by_mask[mask]))
+        for group, row in zip(self.complex.masks_by_card, self.rows):
+            for mask, m in zip(group, row):
+                out.append((vertices(mask), m))
         return out
-
-    def _sums_by_card(self) -> list[int]:
-        """sum of m_F over faces of each cardinality, index = |F|."""
-        get = self.by_mask.__getitem__
-        return [sum(map(get, group)) for group in self.complex.masks_by_card]
 
     def poly(self) -> IntPoly:
         """sum over faces of m_F x^|F|, degree bound d."""
-        return IntPoly(self._sums_by_card(), self.d)
-
-    def epsilon_mask(self, fmask: int) -> int:
-        return _sign(self.d - 1 - fmask.bit_count()) * (self.by_mask[fmask] - 1)
+        return IntPoly([sum(row) for row in self.rows], self.d)
 
     def epsilon_sums_by_card(self) -> list[int]:
         """sum of eps_F over faces of each cardinality, index = |F|."""
-        groups = self.complex.masks_by_card
         return [
-            _sign(self.d - 1 - c) * (msum - len(groups[c]))
-            for c, msum in enumerate(self._sums_by_card())
+            _sign(self.d - 1 - c) * (sum(row) - len(row)) for c, row in enumerate(self.rows)
         ]
 
     def reciprocity_witness(self) -> FaceTuple | None:
         """A non-empty face with m_F not in {0,1}, or None if reciprocal."""
-        for group in self.complex.masks_by_card[1:]:
-            for mask in group:
-                if self.by_mask[mask] not in (0, 1):
-                    return self.complex.mask_vertices(mask)
+        for group, row in zip(self.complex.masks_by_card[1:], self.rows[1:]):
+            if row.count(0) + row.count(1) != len(row):  # C-speed counts; walk a failing row
+                j = next(j for j, m in enumerate(row) if m not in (0, 1))
+                return self.complex.mask_vertices(group[j])
         return None
 
     def semi_eulerian_witness(self) -> FaceTuple | None:
         """A non-empty face with m_F != 1, or None if semi-Eulerian."""
-        for group in self.complex.masks_by_card[1:]:
-            for mask in group:
-                if self.by_mask[mask] != 1:
-                    return self.complex.mask_vertices(mask)
+        for group, row in zip(self.complex.masks_by_card[1:], self.rows[1:]):
+            if row.count(1) != len(row):  # C-speed count; walk a failing row
+                j = next(j for j, m in enumerate(row) if m != 1)
+                return self.complex.mask_vertices(group[j])
         return None
 
     def is_reciprocal(self) -> bool:
@@ -190,7 +173,8 @@ def multiplicities(cx: Complex) -> MultiplicityTable:
     over every G >= F once. This is exact because the face family is
     closed downward: every set between F and G is a face, so no step
     leaves the table. The cost is sum over G of |G| additions, and no
-    link is built.
+    link is built. The sweep runs on a dict keyed by mask, which is read
+    into the rows and dropped.
     """
     table = {}
     # bit position -> every face containing that vertex, filled by one walk
@@ -209,7 +193,9 @@ def multiplicities(cx: Complex) -> MultiplicityTable:
         bit = 1 << i
         for g in star:
             table[g ^ bit] += table[g]
-    return MultiplicityTable(cx, table)
+    del stars  # before the rows are built, so they do not raise the peak
+    get = table.__getitem__
+    return MultiplicityTable(cx, tuple(tuple(map(get, group)) for group in cx.masks_by_card))
 
 
 def epsilon(cx: Complex, face: Iterable[int], method: str = "link-euler") -> int:
@@ -221,8 +207,7 @@ def epsilon(cx: Complex, face: Iterable[int], method: str = "link-euler") -> int
     fmask = cx.face_mask(face)
     d = cx.d
     if method == "link-euler":
-        link = cx.link_mask(fmask)
-        return _reduced_euler_masks(link.face_set) - _sign(d - 1 - fmask.bit_count())
+        return reduced_euler(cx.link_mask(fmask)) - _sign(d - 1 - fmask.bit_count())
     if method == "multiplicity":
         m = multiplicity(cx, cx.mask_vertices(fmask), method="superset-sum")
         return _sign(d - 1 - fmask.bit_count()) * (m - 1)
@@ -241,11 +226,7 @@ def interior_f_vector(
     witness = table.reciprocity_witness()
     if witness is not None:
         raise PreconditionError("complex is not reciprocal", witness)
-    out = [0] * cx.d
-    for mask, m in table.by_mask.items():
-        if mask and m == 1:
-            out[mask.bit_count() - 1] += 1
-    return tuple(out)
+    return tuple(row.count(1) for row in table.rows[1:])
 
 
 def boundary_f_vector(
@@ -257,9 +238,4 @@ def boundary_f_vector(
     witness = table.reciprocity_witness()
     if witness is not None:
         raise PreconditionError("complex is not reciprocal", witness)
-    out = [0] * (cx.d + 1)
-    out[0] = 1
-    for mask, m in table.by_mask.items():
-        if mask and m == 0:
-            out[mask.bit_count()] += 1
-    return tuple(out)
+    return (1,) + tuple(row.count(0) for row in table.rows[1:])

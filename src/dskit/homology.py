@@ -16,7 +16,10 @@ The homology-manifold scan builds no link complex. It walks the faces in
 (cardinality, mask) order and reads the faces of lk(F) off those of
 lk(F - v), v the lowest vertex of F, which the walk met one cardinality
 earlier. The definitional route, each link closed from the complex, is
-the reference in tests/test_homology.py.
+the reference in tests/test_homology.py. Each field's scan is kept on
+the complex itself, so classify and then the boundary split of one object
+scan once; an equal complex built apart, possibly under other labels,
+scans for itself.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from typing import Container, Sequence
-from weakref import WeakKeyDictionary
 
 from .complexes import Complex, FaceTuple
 from .errors import PreconditionError, ValidationError
@@ -323,19 +325,15 @@ def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
     return scan
 
 
-# per-complex memo of link scans, one per field; complexes are immutable,
-# and the manifold test plus the boundary split read the same scan. Equal
-# complexes can carry different labels (a link keeps its parent's), so one
-# mask names different faces in each: the memo of a complex is split by
-# its label tuple.
-_link_betti_cache: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def _link_scan(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
-    memo = _link_betti_cache.setdefault(cx, {}).setdefault(cx.labels, {})
-    scan = memo.get(field)
+    # one scan per field, kept on the complex: complexes are immutable, and
+    # the manifold test plus the boundary split read the same scan
+    scans = cx._link_scans
+    if scans is None:
+        scans = cx._link_scans = {}
+    scan = scans.get(field)
     if scan is None:
-        scan = memo[field] = _scan_links(cx, field)
+        scan = scans[field] = _scan_links(cx, field)
     return scan
 
 

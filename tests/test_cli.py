@@ -120,6 +120,22 @@ def test_max_faces_cap(capsys, monkeypatch, tmp_path):
     assert "cap" in err
 
 
+def test_out_of_memory_exit_4(capsys, monkeypatch):
+    # an input within the cap can still outgrow memory: that is exit 4, as
+    # for the cap, not exit 1, which means a relation failed
+    from dskit import cli
+
+    def exhausted(text, max_faces=None):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_cplx", exhausted)
+    code, out, err = run_cli(capsys, ["f-vector"], stdin_text="1 2\n", monkeypatch=monkeypatch)
+    assert (code, out) == (4, "")
+    assert err == (
+        "dskit: out of memory within the face-count cap; lower --max-faces/DSKIT_MAX_FACES\n"
+    )
+
+
 def test_gen_honours_max_faces(capsys):
     # each family compares its closed-form facet count with the cap before it
     # lists a facet, so 2^40 facets fail at once

@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -147,17 +148,19 @@ def test_link_matches_oracle_and_composes():
 
 def definitional_link(cx, fmask):
     """{G : G disjoint from F, G union F a face}, by a scan of all faces."""
-    return frozenset(
-        g for g in cx.face_set if g & fmask == 0 and (g | fmask) in cx.face_set
-    )
+    faces = {g for group in cx.masks_by_card for g in group}
+    return frozenset(g for g in faces if g & fmask == 0 and (g | fmask) in faces)
 
 
 def test_link_from_star_equals_definition(suite, randoms):
     for cx in [made.complex for _, made in suite] + randoms:
-        for fmask in cx.face_set:
+        for fmask in (g for group in cx.masks_by_card for g in group):
             link = cx.link_mask(fmask)
             faces = definitional_link(cx, fmask)
-            assert link.face_set == faces
+            top = max(g.bit_count() for g in faces)
+            assert link.masks_by_card == tuple(
+                tuple(sorted(g for g in faces if g.bit_count() == c)) for c in range(top + 1)
+            )
             facets = [g for g in faces if not any(g != h and g & h == g for h in faces)]
             assert link.facet_masks == tuple(sorted(facets))
 
@@ -169,14 +172,24 @@ def test_faces_by_dim_grouping():
 
 
 def test_face_count_is_f_sum():
-    for i in range(10):
-        cx = random_complex(900 + i, 7, 0.4).complex
+    randoms = [random_complex(900 + i, 7, 0.4).complex for i in range(10)]
+    for cx in randoms:
         assert cx.num_faces == sum(len(g) for g in cx.masks_by_card)
         # downward closure: every subset of every face is a face
         faces = ofaces_of(cx)
         for f in faces:
             for v in f:
                 assert f - {v} in faces
+    # the face index: every face's position round-trips through masks_by_card
+    path = Complex.from_facets([[1, 2], [2, 3]])  # facet masks 0b011 and 0b110
+    for cx in randoms + [Complex.from_facets([]), path]:
+        for group in cx.masks_by_card:
+            for j, mask in enumerate(group):
+                assert cx._position(mask) == j
+    # a non-face subset of the vertices, a mask above the top cardinality,
+    # negative masks, and bits past the labels
+    for mask in (0b101, 0b111, -1, -0b10, 0b1000, 0b1010):
+        assert path._position(mask) is None
 
 
 def test_cplx_round_trip():
@@ -255,10 +268,24 @@ def test_face_mask_errors():
             cx.link_mask(mask)
 
 
+def test_a_complex_keeps_few_bytes_per_face():
+    # each face is one int in one sorted tuple: 8 B of pointer plus the
+    # int itself (about 32 B); a set or dict beside it would add 40 B or more
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cx = Complex.from_facets([range(1, 17)])
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cx.num_faces == 1 << 16
+    assert kept / cx.num_faces <= 64
+
+
 def test_equality_follows_vertex_ids_not_masks():
     a = Complex.from_facets([[1, 2]])
     b = Complex.from_facets([[1, 3]])
-    assert a.face_set == b.face_set  # both are {0, 0b01, 0b10, 0b11}
+    assert a.masks_by_card == b.masks_by_card  # both are {0, 0b01, 0b10, 0b11}
     assert a != b
     again = Complex.from_facets([[2, 1]])
     assert again == a and hash(again) == hash(a)

@@ -295,12 +295,9 @@ def test_boundary_faces_witness_is_the_manifold_witness(field):
 def test_boundary_faces_looks_up_each_link_once(monkeypatch):
     # each link's Betti numbers are computed once per field, and the
     # boundary split reads the ones classify computed
-    from weakref import WeakKeyDictionary
-
     from dskit import homology
     from dskit.relations import classify
 
-    monkeypatch.setattr(homology, "_link_betti_cache", WeakKeyDictionary())
     computed = []
     inner = homology._betti_numbers
 
@@ -309,8 +306,8 @@ def test_boundary_faces_looks_up_each_link_once(monkeypatch):
         return inner(masks_by_card, p)
 
     monkeypatch.setattr(homology, "_betti_numbers", counting)
-    cx = cylinder().complex
-    links = sorted(cx.link_mask(m).masks_by_card for m in cx.face_set if m)
+    cx = cylinder().complex  # a fresh object starts with an empty memo
+    links = sorted(cx.link_mask(m).masks_by_card for group in cx.masks_by_card[1:] for m in group)
     for field in (FieldSpec(0), FieldSpec(2)):
         p = field.characteristic
         assert classify(cx, field).homology_manifold
@@ -346,15 +343,15 @@ def test_manifolds_are_reciprocal(suite):
 
 
 def test_link_betti_cache_lookups_are_cheap(monkeypatch):
-    # the memo is keyed by the complex; a lookup of the same object hashes
-    # its vertices and matches by identity, so it never builds the
-    # vertex-id facets that equality of two distinct complexes compares
-    from weakref import WeakKeyDictionary
-
+    # the memo lives on the complex: one scan per field, read back without
+    # building the vertex-id facets that equality of two complexes compares
     from dskit import homology
 
-    # an equal complex cached by an earlier test would be the stored key
-    monkeypatch.setattr(homology, "_link_betti_cache", WeakKeyDictionary())
+    scans = []
+    inner = homology._scan_links
+    monkeypatch.setattr(
+        homology, "_scan_links", lambda cx, field: scans.append(cx) or inner(cx, field)
+    )
     cx = cross_polytope_boundary(4).complex
     is_homology_manifold(cx)
     facets = Complex.facets
@@ -362,27 +359,24 @@ def test_link_betti_cache_lookups_are_cheap(monkeypatch):
     monkeypatch.setattr(
         Complex, "facets", property(lambda self: built.append(self) or facets.fget(self))
     )
-    memo = homology._link_betti_cache[cx]
+    memo = cx._link_scans
     for field in (FieldSpec(0), FieldSpec(2)):
         assert is_homology_manifold(cx, field).is_manifold
         boundary_faces_homological(cx, field)
     assert built == []
-    assert homology._link_betti_cache[cx] is memo
-    # one scan per field, under the complex's labels
-    assert list(memo) == [cx.labels]
-    assert set(memo[cx.labels]) == {FieldSpec(0), FieldSpec(2)}
-    # an equal complex built apart finds the same memo
-    assert homology._link_betti_cache[cross_polytope_boundary(4).complex] is memo
+    assert cx._link_scans is memo and set(memo) == {FieldSpec(0), FieldSpec(2)}
+    assert scans == [cx, cx]
+    # an equal complex built apart computes its own
+    again = cross_polytope_boundary(4).complex
+    assert again == cx and again._link_scans is None
+    assert is_homology_manifold(again).is_manifold
+    assert len(scans) == 3 and scans[2] is again and set(again._link_scans) == {FieldSpec(0)}
+    assert again._link_scans[FieldSpec(0)] is not memo[FieldSpec(0)]
 
 
-def test_link_betti_memo_follows_the_labels(monkeypatch):
+def test_link_betti_memo_follows_the_labels():
     # a link keeps its parent's labels, so it can equal a parsed complex
     # whose masks name other faces; the two must not share memo entries
-    from weakref import WeakKeyDictionary
-
-    from dskit import homology
-
-    monkeypatch.setattr(homology, "_link_betti_cache", WeakKeyDictionary())
     # a segment plus an isolated vertex: 4 is the first failing face
     parsed = parse_cplx("1 3\n4")
     link = parse_cplx("1 2 3\n2 4").link([2])
@@ -414,21 +408,18 @@ def _definitional_scan(cx, field):
     return out
 
 
-def test_link_scan_matches_the_definition(suite, randoms, balanced_pairs, monkeypatch):
+def test_link_scan_matches_the_definition(suite, randoms, balanced_pairs):
     # links read off their parent link against links closed from the
     # complex: every face's Betti numbers, the first witness and its
     # table, and the boundary faces
-    from weakref import WeakKeyDictionary
-
     from dskit import homology
 
     complexes = [made.complex for _, made in suite] + randoms
     complexes += [cx for _, cx, _ in balanced_pairs] + [Complex.from_facets(RP2_FACETS)]
     failed = 0
     for cx in complexes:
+        cx = Complex.from_facets(cx.facets)  # no memo from earlier scans
         for field in FIELDS:
-            # no memo from earlier scans
-            monkeypatch.setattr(homology, "_link_betti_cache", WeakKeyDictionary())
             want = _definitional_scan(cx, field)
             got = homology._link_scan(cx, field)
             assert [(m, b.betti) for m, b in got.items()] == list(want.items())

@@ -4,7 +4,8 @@ Vertex ids are names, so relabelling changes nothing: an order-preserving
 relabelling must leave every CLI output the same once the ids are mapped
 back, and any injective relabelling must keep every invariant that does
 not name a face. A cone is acyclic, and a suspension shifts reduced
-homology up by one dimension, over every field.
+homology up by one dimension, over every field; coning multiplies f~ by
+1+x and keeps h, suspending multiplies f~ by 1+2x and h by 1+x.
 """
 
 import contextlib
@@ -114,17 +115,35 @@ def _suspension(cx):
     return Complex.from_facets([[*f, pole] for f in cx.facets for pole in (top + 1, top + 2)])
 
 
+def _times(p, q):
+    """Product of two polynomials given as ascending coefficient tuples."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
 def test_cone_is_acyclic(randoms, suite):
+    # also f~(cone X) = (1+x) f~(X), and h(cone X) = h(X) as a polynomial:
+    # the cone's h-vector is one entry longer, and that entry is 0
     for cx in randoms + [made.complex for _, made in suite]:
         cone = _cone(cx)
         for field in FIELDS:
             assert set(reduced_betti(cone, field).betti) == {0}
+        f = f_vector(cx)
+        assert f_vector(cone) == _times(f, (1, 1))
+        assert h_vector(f_vector(cone)) == (*h_vector(f), 0)
 
 
 def test_suspension_shifts_betti_numbers(randoms, suite):
-    # beta_i(SX) = beta_{i-1}(X) for i >= 0, and SX is not empty
+    # beta_i(SX) = beta_{i-1}(X) for i >= 0, and SX is not empty; also
+    # f~(SX) = (1+2x) f~(X) and h(SX)(x) = (1+x) h(X)(x)
     for cx in randoms + [made.complex for _, made in suite]:
         susp = _suspension(cx)
         for field in FIELDS:
             table, shifted = reduced_betti(cx, field), reduced_betti(susp, field)
             assert shifted.betti == (0, *table.betti)
+        f = f_vector(cx)
+        assert f_vector(susp) == _times(f, (1, 2))
+        assert h_vector(f_vector(susp)) == _times(h_vector(f), (1, 1))
