@@ -164,19 +164,15 @@ def flag_h(cx: Complex, coloring: Coloring) -> dict[ExponentVec, int]:
     return _flag_h_from_f(flag_f(cx, coloring), coloring.a)
 
 
-def multiplicity_mpoly(
-    cx: Complex, coloring: Coloring, table: MultiplicityTable
-) -> MPoly:
+def multiplicity_mpoly(cx: Complex, coloring: Coloring) -> MPoly:
     """sum_F m_F x^b(F)."""
-    return MPoly(_flag_counts(cx, coloring, table)[1], coloring.a)
+    return MPoly(_flag_counts(cx, coloring, multiplicities(cx))[1], coloring.a)
 
 
-def _reciprocity_sides(
-    cx: Complex, coloring: Coloring, table: MultiplicityTable
-) -> tuple[MPoly, MPoly, MPoly]:
+def _reciprocity_sides(cx: Complex, coloring: Coloring) -> tuple[MPoly, MPoly, MPoly]:
     """(h, sum_b h_b (x+1)^b x^(a-b), sum_F m_F x^b(F)) from one face walk."""
     a = coloring.a
-    f, msum = _flag_counts(cx, coloring, table)
+    f, msum = _flag_counts(cx, coloring, multiplicities(cx))
     h = MPoly(_flag_h_from_f(f, a), a)
     # (x+1)^b x^(a-b) is the delta element indexed by a-b
     swapped = {_vec_sub(a, b): hb for b, hb in h.coeffs.items()}
@@ -204,12 +200,10 @@ def _mvar_report(
     )
 
 
-def verify_flag_fh_tilde(
-    cx: Complex, coloring: Coloring, table: MultiplicityTable | None = None
-) -> RelationReport:
+def verify_flag_fh_tilde(cx: Complex, coloring: Coloring) -> RelationReport:
     """sum_b h_b x^b (x+1)^(a-b) recovers the flag f-polynomial (always holds).
 
-    No multiplicity enters; table is accepted for a uniform signature.
+    No multiplicity enters.
     """
     a = coloring.a
     f, _ = _flag_counts(cx, coloring)
@@ -217,19 +211,13 @@ def verify_flag_fh_tilde(
     return _mvar_report("flag-fh-tilde", cx, a, lhs, MPoly(f, a))
 
 
-def verify_flag_reciprocity(
-    cx: Complex, coloring: Coloring, table: MultiplicityTable | None = None
-) -> RelationReport:
+def verify_flag_reciprocity(cx: Complex, coloring: Coloring) -> RelationReport:
     """sum_b h_b (x+1)^b x^(a-b) counts faces with multiplicity (always holds)."""
-    if table is None:
-        table = multiplicities(cx)
-    _, lhs, rhs = _reciprocity_sides(cx, coloring, table)
+    _, lhs, rhs = _reciprocity_sides(cx, coloring)
     return _mvar_report("flag-reciprocity", cx, coloring.a, lhs, rhs)
 
 
-def verify_balanced_ds(
-    cx: Complex, coloring: Coloring, table: MultiplicityTable | None = None
-) -> RelationReport:
+def verify_balanced_ds(cx: Complex, coloring: Coloring) -> RelationReport:
     """Balanced Dehn-Sommerville, polynomial and scalar forms (always holds).
 
     Polynomial: sum_b (h_b - h_{a-b}) x^b (x+1)^(a-b) = sum_F (1-m_F) x^b(F).
@@ -239,10 +227,8 @@ def verify_balanced_ds(
     E_c = (-1)^(d-1-|c|) (sum of their m_F - f_c), so the sum
     sum_{c<=b} C(a-c, b-c) E_c is the forward binomial transform of E.
     """
-    if table is None:
-        table = multiplicities(cx)
     a = coloring.a
-    f, msum = _flag_counts(cx, coloring, table)
+    f, msum = _flag_counts(cx, coloring, multiplicities(cx))
     h = list(_flag_h_from_f(f, a).values())
     # exponents_below(a) reversed lists a-b in the place of b
     diffs = [hb - hab for hb, hab in zip(h, reversed(h))]
@@ -256,12 +242,9 @@ def verify_balanced_ds(
     return _mvar_report("balanced-ds", cx, a, lhs, rhs, _mvar_labels(a, "b="), scalar)
 
 
-def verify_balanced_semi_eulerian(
-    cx: Complex, coloring: Coloring, table: MultiplicityTable | None = None
-) -> RelationReport:
+def verify_balanced_semi_eulerian(cx: Complex, coloring: Coloring) -> RelationReport:
     """h_{a-b} - h_b = (-1)^|b| (chi_reduced - (-1)^(d-1)) C(a,b), semi-Eulerian only."""
-    if table is None:
-        table = multiplicities(cx)
+    table = multiplicities(cx)
     witness = table.semi_eulerian_witness()
     if witness is not None:
         raise PreconditionError("complex is not semi-Eulerian", witness)

@@ -119,7 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify")
     _add_common(p)
-    p.add_argument("--field", default="q", help="q or a prime")
     p.add_argument(
         "--relation",
         default="all",

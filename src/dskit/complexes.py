@@ -69,7 +69,7 @@ class Complex:
         "d",
         "vertex_mask",
         "_stars",
-        "_link_scans",
+        "_derived",
     )
 
     def __init__(
@@ -92,7 +92,7 @@ class Complex:
         self.n = self.vertex_mask.bit_count()
         self.d = max_card  # d = 1 + dim(complex); dim(emptyset) = -1
         self._stars: dict[int, list[int]] | None = None  # vertex bit -> facets, lazy
-        self._link_scans: dict | None = None  # field -> homology link scan, lazy
+        self._derived: dict | None = None  # see _derive, lazy
 
     @classmethod
     def from_facets(
@@ -143,6 +143,23 @@ class Complex:
                     f"{MAX_FACES_ENV} if intended"
                 )
         return cls(tuple(sorted(maximal)) or (0,), faces, labels)
+
+    def _derive(self, key, compute):
+        """compute(self), run once and kept under key.
+
+        For data that other modules derive from the faces: the faces never
+        change, so neither does the result. Keep nothing that refers back
+        to the complex, which would make a reference cycle. There is no
+        lock: threads that race here may each compute, and get equal
+        results.
+        """
+        derived = self._derived
+        if derived is None:
+            derived = self._derived = {}
+        value = derived.get(key)
+        if value is None:
+            value = derived[key] = compute(self)
+        return value
 
     # -- vertex ids <-> masks ----------------------------------------------
 

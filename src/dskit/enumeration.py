@@ -152,18 +152,18 @@ class MultiplicityTable:
                 return self.complex.mask_vertices(group[j])
         return None
 
-    def is_reciprocal(self) -> bool:
-        return self.reciprocity_witness() is None
-
-    def is_semi_eulerian(self) -> bool:
-        return self.semi_eulerian_witness() is None
-
-    def is_eulerian(self) -> bool:
-        return self.is_semi_eulerian() and self.m_empty == 1
-
 
 def multiplicities(cx: Complex) -> MultiplicityTable:
-    """All m_F by Yates' superset zeta transform, one vertex at a time.
+    """All m_F, swept once per complex and kept on it as rows.
+
+    Every call returns a new table over the kept rows; the complex keeps
+    the rows alone, since a table refers back to it.
+    """
+    return MultiplicityTable(cx, cx._derive("multiplicities", _superset_sweep))
+
+
+def _superset_sweep(cx: Complex) -> tuple[tuple[int, ...], ...]:
+    """Rows of m_F by Yates' superset zeta transform, one vertex at a time.
 
     The table starts at m[G] = (-1)^(d-|G|); then, for each vertex v, every
     face G containing v adds m[G] into m[G - v]. A pass reads only sets
@@ -174,7 +174,7 @@ def multiplicities(cx: Complex) -> MultiplicityTable:
     closed downward: every set between F and G is a face, so no step
     leaves the table. The cost is sum over G of |G| additions, and no
     link is built. The sweep runs on a dict keyed by mask, which is read
-    into the rows and dropped.
+    into rows aligned with cx.masks_by_card and dropped.
     """
     table = {}
     # bit position -> every face containing that vertex, filled by one walk
@@ -195,7 +195,7 @@ def multiplicities(cx: Complex) -> MultiplicityTable:
             table[g ^ bit] += table[g]
     del stars  # before the rows are built, so they do not raise the peak
     get = table.__getitem__
-    return MultiplicityTable(cx, tuple(tuple(map(get, group)) for group in cx.masks_by_card))
+    return tuple(tuple(map(get, group)) for group in cx.masks_by_card)
 
 
 def epsilon(cx: Complex, face: Iterable[int], method: str = "link-euler") -> int:
@@ -214,27 +214,21 @@ def epsilon(cx: Complex, face: Iterable[int], method: str = "link-euler") -> int
     raise ValidationError(f"unknown method {method!r}")
 
 
-def interior_f_vector(
-    cx: Complex, table: MultiplicityTable | None = None
-) -> tuple[int, ...]:
+def interior_f_vector(cx: Complex) -> tuple[int, ...]:
     """(f^int_0, ..., f^int_{d-1}): counts of non-empty faces with m_F = 1.
 
     Requires a reciprocal complex (every non-empty m_F in {0,1}).
     """
-    if table is None:
-        table = multiplicities(cx)
+    table = multiplicities(cx)
     witness = table.reciprocity_witness()
     if witness is not None:
         raise PreconditionError("complex is not reciprocal", witness)
     return tuple(row.count(1) for row in table.rows[1:])
 
 
-def boundary_f_vector(
-    cx: Complex, table: MultiplicityTable | None = None
-) -> tuple[int, ...]:
+def boundary_f_vector(cx: Complex) -> tuple[int, ...]:
     """(f^bd_-1, f^bd_0, ..., f^bd_{d-1}) with f^bd_-1 = 1 (empty face)."""
-    if table is None:
-        table = multiplicities(cx)
+    table = multiplicities(cx)
     witness = table.reciprocity_witness()
     if witness is not None:
         raise PreconditionError("complex is not reciprocal", witness)

@@ -326,15 +326,9 @@ def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
 
 
 def _link_scan(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
-    # one scan per field, kept on the complex: complexes are immutable, and
-    # the manifold test plus the boundary split read the same scan
-    scans = cx._link_scans
-    if scans is None:
-        scans = cx._link_scans = {}
-    scan = scans.get(field)
-    if scan is None:
-        scan = scans[field] = _scan_links(cx, field)
-    return scan
+    # one scan per field, kept on the complex: the manifold test and the
+    # boundary split read the same scan
+    return cx._derive(("link scan", field), lambda cx: _scan_links(cx, field))
 
 
 def is_homology_manifold(cx: Complex, field: FieldSpec = FieldSpec(0)) -> ManifoldVerdict:

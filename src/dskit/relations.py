@@ -26,7 +26,6 @@ from typing import Sequence
 
 from .complexes import Complex, FaceTuple
 from .enumeration import (
-    MultiplicityTable,
     boundary_f_vector,
     check_f_vector,
     euler_from_f,
@@ -190,10 +189,10 @@ def _poly_report(
     )
 
 
-def verify_fh_tilde(cx: Complex, table: MultiplicityTable | None = None) -> RelationReport:
+def verify_fh_tilde(cx: Complex) -> RelationReport:
     """sum_i h_i x^i (x+1)^(d-i) recovers the f-polynomial (always holds).
 
-    No multiplicity enters; table is accepted for a uniform signature.
+    No multiplicity enters.
     """
     f = f_vector(cx)
     h = h_vector(f)
@@ -201,21 +200,19 @@ def verify_fh_tilde(cx: Complex, table: MultiplicityTable | None = None) -> Rela
     return _poly_report("fh-tilde", cx, lhs, f_tilde(f), h=h)
 
 
-def verify_reciprocity(cx: Complex, table: MultiplicityTable | None = None) -> RelationReport:
+def verify_reciprocity(cx: Complex) -> RelationReport:
     """sum_i h_i (x+1)^i x^(d-i) counts faces with multiplicity (always holds)."""
-    if table is None:
-        table = multiplicities(cx)
     h = h_vector(f_vector(cx))
-    return _poly_report("reciprocity", cx, delta_expand(DeltaCoeffs(h)), table.poly(), h=h)
+    lhs = delta_expand(DeltaCoeffs(h))
+    return _poly_report("reciprocity", cx, lhs, multiplicities(cx).poly(), h=h)
 
 
-def verify_ds_h(cx: Complex, table: MultiplicityTable | None = None) -> RelationReport:
+def verify_ds_h(cx: Complex) -> RelationReport:
     """h-version Dehn-Sommerville for arbitrary complexes (always holds).
 
     Checks the polynomial identity and all d+1 scalar error-sum relations.
     """
-    if table is None:
-        table = multiplicities(cx)
+    table = multiplicities(cx)
     f = f_vector(cx)
     h = h_vector(f)
     d = cx.d
@@ -273,34 +270,29 @@ def ds_f_inverse_residuals(
     return tuple(labels), tuple(residuals)
 
 
-def verify_ds_f(cx: Complex, table: MultiplicityTable | None = None) -> RelationReport:
+def verify_ds_f(cx: Complex) -> RelationReport:
     """f-version Dehn-Sommerville on a reciprocal complex."""
-    if table is None:
-        table = multiplicities(cx)
     f = f_vector(cx)
-    f_int = interior_f_vector(cx, table)
-    labels, residuals = ds_f_residuals(f, f_int, table.m_empty)
+    f_int = interior_f_vector(cx)
+    labels, residuals = ds_f_residuals(f, f_int, multiplicities(cx).m_empty)
     ctx = _base_context(cx)
     ctx.update({"f": f, "f_int": f_int})
     return _report("ds-f", labels, residuals, ctx)
 
 
-def verify_ds_f_inverse(cx: Complex, table: MultiplicityTable | None = None) -> RelationReport:
+def verify_ds_f_inverse(cx: Complex) -> RelationReport:
     """Interior face numbers as the same linear combinations of face numbers."""
-    if table is None:
-        table = multiplicities(cx)
     f = f_vector(cx)
-    f_int = interior_f_vector(cx, table)
+    f_int = interior_f_vector(cx)
     labels, residuals = ds_f_inverse_residuals(f, f_int)
     ctx = _base_context(cx)
     ctx.update({"f": f, "f_int": f_int})
     return _report("ds-f-inverse", labels, residuals, ctx)
 
 
-def verify_semi_eulerian_h(cx: Complex, table: MultiplicityTable | None = None) -> RelationReport:
+def verify_semi_eulerian_h(cx: Complex) -> RelationReport:
     """h_{d-i} - h_i = (-1)^i C(d,i) (chi_reduced - (-1)^(d-1)) on semi-Eulerian input."""
-    if table is None:
-        table = multiplicities(cx)
+    table = multiplicities(cx)
     witness = table.semi_eulerian_witness()
     if witness is not None:
         raise PreconditionError("complex is not semi-Eulerian", witness)
@@ -351,22 +343,16 @@ def macdonald_residuals(
     return labels, tuple(residuals)
 
 
-def macdonald_q(cx: Complex, table: MultiplicityTable | None = None) -> IntPoly:
+def macdonald_q(cx: Complex) -> IntPoly:
     """Doubled Macdonald polynomial 2Q of a reciprocal complex.
 
     The boundary counts are the multiplicity-zero faces (which on a
     homology manifold coincide with the homological boundary).
     """
-    if table is None:
-        table = multiplicities(cx)
-    return macdonald_two_q(f_vector(cx), boundary_f_vector(cx, table))
+    return macdonald_two_q(f_vector(cx), boundary_f_vector(cx))
 
 
-def verify_macdonald(
-    cx: Complex,
-    table: MultiplicityTable | None = None,
-    boundary_f: Sequence[int] | None = None,
-) -> RelationReport:
+def verify_macdonald(cx: Complex, boundary_f: Sequence[int] | None = None) -> RelationReport:
     """Macdonald's polynomial relation on a reciprocal complex.
 
     boundary_f overrides the multiplicity-derived boundary counts (used to
@@ -375,13 +361,12 @@ def verify_macdonald(
     for the implied interior counts; the polynomial relation is strictly
     weaker, so ds-f holding forces this relation to hold as well.
     """
-    if table is None:
-        table = multiplicities(cx)
+    table = multiplicities(cx)
     witness = table.reciprocity_witness()
     if witness is not None:
         raise PreconditionError("complex is not reciprocal", witness)
     f = f_vector(cx)
-    fb = tuple(boundary_f) if boundary_f is not None else boundary_f_vector(cx, table)
+    fb = tuple(boundary_f) if boundary_f is not None else boundary_f_vector(cx)
     chi_r = reduced_euler_from_f(f)
     labels, residuals = macdonald_residuals(f, fb, chi_r)
     implied_int = tuple(f[k] - fb[k] for k in range(1, len(f)))
@@ -415,22 +400,19 @@ RELATIONS = {
 RELATION_NAMES = tuple(RELATIONS)
 
 
-def verify_relation(cx: Complex, name: str, table: MultiplicityTable | None = None) -> RelationReport:
+def verify_relation(cx: Complex, name: str) -> RelationReport:
     """Dispatch a single relation by CLI name."""
     if name not in RELATIONS:
         raise ValidationError(f"unknown relation {name!r}")
-    if table is None:
-        table = multiplicities(cx)
-    return globals()[RELATIONS[name]](cx, table)
+    return globals()[RELATIONS[name]](cx)
 
 
 def verify_all(cx: Complex) -> list[RelationReport]:
     """Run every relation, skipping those whose precondition fails."""
-    table = multiplicities(cx)
     reports = []
     for name in RELATION_NAMES:
         try:
-            reports.append(verify_relation(cx, name, table))
+            reports.append(verify_relation(cx, name))
         except PreconditionError as exc:
             ctx = _base_context(cx)
             if exc.witness is not None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .balanced import Coloring, _mvar_report, _reciprocity_sides, flag_h
 from .complexes import Complex
-from .enumeration import MultiplicityTable, f_vector, h_vector, multiplicities
+from .enumeration import f_vector, h_vector, multiplicities
 from .poly import DeltaCoeffs, ExponentVec, IntPoly, MPoly, delta_expand
 from .relations import RelationReport, _poly_report
 
@@ -53,28 +53,22 @@ def hilbert_series_colored(cx: Complex, coloring: Coloring) -> RationalSeries:
     return RationalSeries(MPoly(flag_h(cx, coloring), a), a)
 
 
-def verify_sr_reciprocity(
-    cx: Complex, table: MultiplicityTable | None = None
-) -> RelationReport:
+def verify_sr_reciprocity(cx: Complex) -> RelationReport:
     """Series route of the f=h reciprocity equals the multiplicity route.
 
     Clearing denominators in the 1/L evaluation of the series at
     L = x/(x+1) turns the numerator n into sum_i n_i (x+1)^i x^(d-i);
     that polynomial must match sum_F m_F x^|F| coefficientwise.
     """
-    if table is None:
-        table = multiplicities(cx)
     series = hilbert_series(cx)
     n = series.numerator.coeffs
     return _poly_report(
-        "sr-reciprocity", cx, delta_expand(DeltaCoeffs(n)), table.poly(),
+        "sr-reciprocity", cx, delta_expand(DeltaCoeffs(n)), multiplicities(cx).poly(),
         numerator=n, denominator_exponent=series.denominator_exponent,
     )
 
 
-def verify_sr_reciprocity_colored(
-    cx: Complex, coloring: Coloring, table: MultiplicityTable | None = None
-) -> RelationReport:
+def verify_sr_reciprocity_colored(cx: Complex, coloring: Coloring) -> RelationReport:
     """Color-graded series route equals the multivariate multiplicity route.
 
     Both sides come from one walk over the faces: the series numerator is
@@ -82,9 +76,7 @@ def verify_sr_reciprocity_colored(
     side sums m_F by b(F). This is the flag reciprocity check of
     balanced.verify_flag_reciprocity, reported with the numerator.
     """
-    if table is None:
-        table = multiplicities(cx)
-    n, lhs, rhs = _reciprocity_sides(cx, coloring, table)
+    n, lhs, rhs = _reciprocity_sides(cx, coloring)
     return _mvar_report(
         "sr-reciprocity-colored", cx, coloring.a, lhs, rhs, numerator=n.items_sorted()
     )

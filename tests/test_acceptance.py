@@ -57,7 +57,9 @@ from dskit.relations import (
 )
 from dskit.stanley_reisner import verify_sr_reciprocity, verify_sr_reciprocity_colored
 
-from conftest import balanced_corpus, named_suite, random_corpus
+from conftest import balanced_corpus, named_suite, odelta_expand, opoly_eq, random_corpus
+from test_balanced import flag_h_from_expansion
+from test_stanley_reisner import _numerator_from_faces
 
 
 @contextmanager
@@ -116,17 +118,15 @@ def test_criterion_3_universal_identities_on_500_random_complexes():
         non_pure = 0
         for cx in corpus:
             non_pure += 0 if cx.is_pure() else 1
-            table = multiplicities(cx)
-            assert verify_fh_tilde(cx, table).holds       # recovers f-polynomial
-            assert verify_reciprocity(cx, table).holds    # multiplicity count
-            assert verify_ds_h(cx, table).holds           # h-version, poly + scalar
+            assert verify_fh_tilde(cx).holds       # recovers f-polynomial
+            assert verify_reciprocity(cx).holds    # multiplicity count
+            assert verify_ds_h(cx).holds           # h-version, poly + scalar
         assert len(corpus) > 500 and non_pure >= 50
         for _, cx, coloring in balanced_corpus():
             assert sum(coloring.a) <= 6
-            table = multiplicities(cx)
-            assert verify_flag_fh_tilde(cx, coloring, table).holds
-            assert verify_flag_reciprocity(cx, coloring, table).holds
-            assert verify_balanced_ds(cx, coloring, table).holds
+            assert verify_flag_fh_tilde(cx, coloring).holds
+            assert verify_flag_reciprocity(cx, coloring).holds
+            assert verify_balanced_ds(cx, coloring).holds
         assert time.perf_counter() - start < 60.0
 
 
@@ -177,12 +177,11 @@ def test_criterion_6_macdonald_appendix():
         corpus = [made.complex for _, made in named_suite()] + random_corpus(60)
         implications = 0
         for cx in corpus:
-            table = multiplicities(cx)
-            if table.reciprocity_witness() is not None:
+            if multiplicities(cx).reciprocity_witness() is not None:
                 continue
-            if verify_ds_f(cx, table).holds:
+            if verify_ds_f(cx).holds:
                 implications += 1
-                assert verify_macdonald(cx, table).holds
+                assert verify_macdonald(cx).holds
         assert implications >= 10
 
         # the (1,5,7,2) probe satisfies Macdonald yet breaks relation k=3
@@ -222,19 +221,29 @@ def test_criterion_7_delta_basis_round_trips():
 
 
 def test_criterion_8_stanley_reisner_routes():
+    # the series reports share their arithmetic with the direct ones, so
+    # the numerators are also checked against face-count expansions that
+    # share none: IntPoly products of (1-L), and per-face flag terms
     with criterion(8, "series route equals direct reciprocity route"):
         for name, made in named_suite():
-            rep = verify_sr_reciprocity(made.complex)
-            direct = verify_reciprocity(made.complex)
+            cx = made.complex
+            rep = verify_sr_reciprocity(cx)
+            direct = verify_reciprocity(cx)
             assert rep.holds and direct.holds
             assert rep.context["lhs"] == direct.context["lhs"]
             assert rep.context["rhs"] == direct.context["rhs"]
+            numerator = _numerator_from_faces(f_vector(cx))
+            assert IntPoly(rep.context["numerator"], cx.d) == numerator
+            expanded = odelta_expand([numerator.coeff(k) for k in range(cx.d + 1)])
+            assert opoly_eq(rep.context["lhs"], expanded)
             if made.coloring is not None:
-                colored = verify_sr_reciprocity_colored(made.complex, made.coloring)
-                flag = verify_flag_reciprocity(made.complex, made.coloring)
+                colored = verify_sr_reciprocity_colored(cx, made.coloring)
+                flag = verify_flag_reciprocity(cx, made.coloring)
                 assert colored.holds and flag.holds
                 assert colored.context["lhs"] == flag.context["lhs"]
                 assert colored.context["rhs"] == flag.context["rhs"]
+                reference = MPoly(flag_h_from_expansion(cx, made.coloring), made.coloring.a)
+                assert colored.context["numerator"] == reference.items_sorted()
 
 
 def test_criterion_9_structural_theorems():

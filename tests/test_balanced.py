@@ -182,7 +182,7 @@ def test_flag_counts_equal_per_face_b_of(balanced_pairs):
         table = multiplicities(cx)
         f, m = _per_face_counts(cx, coloring, table)
         assert flag_f(cx, coloring) == {b: f.get(b, 0) for b in exponents_below(coloring.a)}
-        assert multiplicity_mpoly(cx, coloring, table) == MPoly(m, coloring.a)
+        assert multiplicity_mpoly(cx, coloring) == MPoly(m, coloring.a)
         assert flag_h(cx, coloring) == flag_h_from_expansion(cx, coloring)
 
 
@@ -231,11 +231,8 @@ def test_each_flag_verifier_walks_the_faces_once(monkeypatch, verifier):
 
     monkeypatch.setattr(balanced, "_flag_counts", counting)
     made = cross_polytope_boundary(4)
-    table = multiplicities(made.complex)
-    for t in (None, table):
-        passes.clear()
-        assert verifier(made.complex, made.coloring, t).holds
-        assert len(passes) == 1
+    assert verifier(made.complex, made.coloring).holds
+    assert passes == [made.complex]
 
 
 @pytest.mark.parametrize(
@@ -302,8 +299,7 @@ def test_flag_reciprocity_octahedron_specializes_to_univariate():
     made = colored_octahedron()
     rep = verify_flag_reciprocity(made.complex, made.coloring)
     assert rep.holds
-    table = multiplicities(made.complex)
-    mp = multiplicity_mpoly(made.complex, made.coloring, table)
+    mp = multiplicity_mpoly(made.complex, made.coloring)
     assert mp.specialized() == IntPoly([1, 6, 12, 8])
     # all m_F = 1 here, so the multivariate count is just the flag f-polynomial
     assert mp == flag_f_mpoly(made.complex, made.coloring)
@@ -362,7 +358,7 @@ def test_balanced_ds_scalar_sum_equals_per_face_brute_force(balanced_pairs):
         if not any(eps):
             continue
         checked += 1
-        rep = verify_balanced_ds(cx, coloring, table)
+        rep = verify_balanced_ds(cx, coloring)
         h = flag_h_from_expansion(cx, coloring)
         a = coloring.a
         rhs = scalar_ds_brute_force(cx, coloring, table)
@@ -452,8 +448,7 @@ def test_specialization_consistency(balanced_pairs):
         # Eq-level: multivariate reciprocity sides specialize to the univariate ones
         rep = verify_flag_reciprocity(cx, coloring)
         uni = verify_reciprocity(cx)
-        table = multiplicities(cx)
-        mp = multiplicity_mpoly(cx, coloring, table)
+        mp = multiplicity_mpoly(cx, coloring)
         assert tuple(mp.specialized().padded(cx.d).coeffs) == tuple(uni.context["rhs"])
 
 

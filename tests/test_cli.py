@@ -325,6 +325,19 @@ def test_betti_over_large_prime_field(capsys, tmp_path):
     assert "out of range" in err
 
 
+def test_verify_takes_no_field(capsys, tmp_path):
+    # relations are identities over the integers: no coefficient field
+    # enters, so verify rejects --field like any unknown option
+    path = tmp_path / "oct.cplx"
+    run_cli(capsys, ["gen", "cross-polytope-boundary", "3", "-o", str(path)])
+    for field in ("4", "2", "q"):
+        code, out, err = run_cli(capsys, ["verify", "--field", field, str(path)])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --field" in err
+    code, out, _ = run_cli(capsys, ["verify", str(path)])
+    assert code == 0 and out.startswith("fh-tilde: ok\n")
+
+
 def test_non_utf8_input_is_a_parse_error(capsys, monkeypatch, tmp_path):
     bad = tmp_path / "bad.cplx"
     bad.write_bytes(b"\xff1 2\n")

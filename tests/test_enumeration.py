@@ -1,14 +1,21 @@
 """f/h vectors, Euler characteristics, multiplicities and interior splits."""
 
+import gc
 import random
+import sys
+import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dskit import balanced, enumeration, relations, stanley_reisner
 from dskit.complexes import Complex
 from dskit.enumeration import (
+    MultiplicityTable,
+    boundary_f_vector,
     epsilon,
     euler,
     f_vector,
@@ -20,6 +27,7 @@ from dskit.enumeration import (
     reduced_euler,
 )
 from dskit.errors import DomainError, PreconditionError
+from dskit.homology import FieldSpec
 from dskit.generators import (
     cross_polytope_boundary,
     cylinder,
@@ -230,3 +238,105 @@ def test_interior_requires_reciprocal():
     with pytest.raises(PreconditionError) as err:
         interior_f_vector(glued_triangles(3).complex)
     assert err.value.witness == (1, 2)
+
+
+# -- the m_F memo on the complex ------------------------------------------
+
+
+def _count_sweeps(monkeypatch) -> list:
+    swept = []
+    inner = enumeration._superset_sweep
+    monkeypatch.setattr(
+        enumeration, "_superset_sweep", lambda cx: swept.append(cx) or inner(cx)
+    )
+    return swept
+
+
+def test_one_sweep_per_complex_across_the_verifiers(monkeypatch):
+    swept = _count_sweeps(monkeypatch)
+    made = cross_polytope_boundary(4)
+    cx, coloring = made.complex, made.coloring
+    assert all(rep.holds and not rep.skipped for rep in relations.verify_all(cx))
+    for verify in (
+        balanced.verify_flag_fh_tilde,
+        balanced.verify_flag_reciprocity,
+        balanced.verify_balanced_ds,
+        balanced.verify_balanced_semi_eulerian,
+        stanley_reisner.verify_sr_reciprocity_colored,
+    ):
+        assert verify(cx, coloring).holds
+    assert stanley_reisner.verify_sr_reciprocity(cx).holds
+    assert interior_f_vector(cx) == (8, 24, 32, 16)
+    assert boundary_f_vector(cx) == (1, 0, 0, 0, 0)
+    assert relations.classify(cx, FieldSpec(2)).reciprocal
+    assert swept == [cx]
+    # every call wraps the kept rows in a table of its own
+    first, second = multiplicities(cx), multiplicities(cx)
+    assert first is not second and first.rows is second.rows
+    assert swept == [cx]
+
+
+def test_equal_complexes_and_links_sweep_for_themselves(monkeypatch):
+    swept = _count_sweeps(monkeypatch)
+    cx = cross_polytope_boundary(4).complex
+    again = cross_polytope_boundary(4).complex
+    assert again == cx and again is not cx
+    assert multiplicities(cx).rows == multiplicities(again).rows
+    assert swept == [cx, again]
+    link = cx.link([1])
+    assert multiplicities(link).m_empty == 1
+    assert swept == [cx, again, link]
+    multiplicities(link)
+    assert swept == [cx, again, link]
+
+
+class _Droppable(Complex):
+    """A complex that takes weak references, to see when it is freed."""
+
+
+def test_memo_keeps_rows_so_a_dropped_complex_is_freed():
+    cx = _Droppable.from_facets(cross_polytope_boundary(4).complex.facets)
+    table = multiplicities(cx)
+    relations.verify_all(cx)
+    relations.classify(cx, FieldSpec(2))
+    assert cx._derived["multiplicities"] is table.rows
+    assert not any(isinstance(v, MultiplicityTable) for v in cx._derived.values())
+    gone = weakref.ref(cx)
+    # with the collector off, only a complex in no reference cycle is freed
+    gc.disable()
+    try:
+        del cx, table
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_threads_sharing_a_complex_read_the_same_results():
+    # the memo is filled without a lock: threads racing on a fresh complex
+    # may each sweep, but every one must see the serial results
+    made = cross_polytope_boundary(4)
+    expected = [rep.to_json_dict() for rep in relations.verify_all(made.complex)]
+    cx = Complex.from_facets(made.complex.facets)
+    results, errors = [], []
+
+    def work():
+        try:
+            for _ in range(5):
+                results.append([rep.to_json_dict() for rep in relations.verify_all(cx)])
+        except Exception as exc:  # reported below; a thread cannot fail the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 40 and all(r == expected for r in results)
+    assert cx._derived["multiplicities"] == multiplicities(made.complex).rows

@@ -256,7 +256,7 @@ def test_boundary_faces_cylinder():
     table = multiplicities(cx)
     interior = {face for face, m in table.items() if face and m == 1}
     assert interior == {f for f in cx.faces() if f and f not in set(bd)}
-    assert interior_f_vector(cx, table) == (0, 6, 6)
+    assert interior_f_vector(cx) == (0, 6, 6)
 
 
 def test_boundary_faces_octahedron_only_empty():
@@ -359,19 +359,20 @@ def test_link_betti_cache_lookups_are_cheap(monkeypatch):
     monkeypatch.setattr(
         Complex, "facets", property(lambda self: built.append(self) or facets.fget(self))
     )
-    memo = cx._link_scans
+    memo = cx._derived
     for field in (FieldSpec(0), FieldSpec(2)):
         assert is_homology_manifold(cx, field).is_manifold
         boundary_faces_homological(cx, field)
     assert built == []
-    assert cx._link_scans is memo and set(memo) == {FieldSpec(0), FieldSpec(2)}
+    q, gf2 = ("link scan", FieldSpec(0)), ("link scan", FieldSpec(2))
+    assert cx._derived is memo and set(memo) == {q, gf2}
     assert scans == [cx, cx]
     # an equal complex built apart computes its own
     again = cross_polytope_boundary(4).complex
-    assert again == cx and again._link_scans is None
+    assert again == cx and again._derived is None
     assert is_homology_manifold(again).is_manifold
-    assert len(scans) == 3 and scans[2] is again and set(again._link_scans) == {FieldSpec(0)}
-    assert again._link_scans[FieldSpec(0)] is not memo[FieldSpec(0)]
+    assert len(scans) == 3 and scans[2] is again and set(again._derived) == {q}
+    assert again._derived[q] is not memo[q]
 
 
 def test_link_betti_memo_follows_the_labels():

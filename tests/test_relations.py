@@ -116,11 +116,10 @@ def test_ds_f_inverse_vector_level_paper_cylinder():
 def test_ds_f_equivalence_with_inverse(suite, randoms):
     # for reciprocal complexes the two systems hold together
     for cx in [made.complex for _, made in suite] + randoms[:40]:
-        table = multiplicities(cx)
-        if table.reciprocity_witness() is not None:
+        if multiplicities(cx).reciprocity_witness() is not None:
             continue
-        assert verify_ds_f(cx, table).holds
-        assert verify_ds_f_inverse(cx, table).holds
+        assert verify_ds_f(cx).holds
+        assert verify_ds_f_inverse(cx).holds
 
 
 def test_ds_h_octahedron_all_zero():
@@ -236,12 +235,11 @@ def test_lemma_a1_implication(suite, randoms):
     # whenever ds-f holds, Macdonald holds (checked corpus-wide)
     checked = 0
     for cx in [made.complex for _, made in suite] + randoms[:40]:
-        table = multiplicities(cx)
-        if table.reciprocity_witness() is not None:
+        if multiplicities(cx).reciprocity_witness() is not None:
             continue
-        if verify_ds_f(cx, table).holds:
+        if verify_ds_f(cx).holds:
             checked += 1
-            assert verify_macdonald(cx, table).holds
+            assert verify_macdonald(cx).holds
     assert checked >= 8
 
 
