@@ -7,7 +7,9 @@ vertices per color; flag vectors refine face counts by b(F).
 
 Every flag object needs only two numbers per color-count vector b: f_b and
 the sum of m_F over faces with b(F) = b. One walk over the faces
-(_flag_counts) yields both, and each verifier makes exactly one walk.
+(_flag_counts) yields both and is kept on the complex, so all flag objects
+of a complex and coloring share it (a second walk adds the m_F sums if an
+f-only call came before the multiplicity sweep).
 The flag h-numbers have a single runtime route, the inclusion-exclusion
 closed form h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c (flag_h),
 which is also the colored Hilbert numerator. It is the inverse binomial
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import Complex
-from .enumeration import MultiplicityTable, multiplicities, reduced_euler
+from .enumeration import _kept_rows, multiplicities, reduced_euler
 from .errors import PreconditionError, ValidationError
 from .poly import (
     ExponentVec,
@@ -109,47 +111,74 @@ def validate_balanced(
     return Coloring(kappa=dict(kappa), a=a)
 
 
-def _flag_counts(
-    cx: Complex, coloring: Coloring, table: MultiplicityTable | None = None
-) -> tuple[dict[ExponentVec, int], dict[ExponentVec, int]]:
-    """(f_b, sum of m_F over faces with b(F) = b) for every b <= a.
+def _flag_counts(cx: Complex, coloring: Coloring, sums: bool = False) -> tuple:
+    """(f_b, h_b, sum of m_F over faces with b(F) = b), as dicts over b <= a.
 
-    One walk over the faces; b(F) is read off one vertex mask per color.
-    The multiplicity sums are all zero when no table is given.
+    The vertex colors are checked on every call. The walk runs once per
+    complex and coloring and is kept on the complex, keyed by a and the
+    colors of the complex's own vertices. It adds up m_F when asked to or
+    when the m_F rows are kept, else the sums are None; an entry with the
+    sums serves every later call. Callers must not change the dicts.
     """
-    a, m = coloring.a, coloring.m
-    color_masks = [0] * m
-    for i, v in enumerate(cx.labels):
-        if cx.vertex_mask >> i & 1:
-            b_of((v,), coloring.kappa, m)  # the checks and messages b_of gives a face
-            color_masks[coloring.kappa[v] - 1] |= 1 << i
-    f = dict.fromkeys(exponents_below(a), 0)
-    msum = dict(f)
+    vertices = cx.vertices
+    b_of(vertices, coloring.kappa, coloring.m)  # the checks and messages of b_of
+    colors, a = tuple(map(coloring.kappa.__getitem__, vertices)), coloring.a
+    key = ("flag counts", colors, a)
+    kept = cx._derive(key + (True,))
+    if kept is None:
+        rows = _kept_rows(cx)
+        if rows is None and sums:
+            rows = multiplicities(cx).rows
+        kept = cx._derive(
+            key + (rows is not None,), lambda cx: _face_walk(cx, colors, a, rows)
+        )
+    return kept
+
+
+def _face_walk(cx: Complex, colors: tuple[int, ...], a: ExponentVec, rows) -> tuple:
+    """The flag counts in one walk over the faces; colors[k] colors vertex bit k.
+
+    b is walked as its place in exponents_below(a), digits b_i in radix
+    a_i + 1: the place of F is that of F minus its lowest vertex v, from
+    the previous group, plus the place value of v's color. A facet with
+    more vertices of a color than a allows would carry, and is rejected.
+    """
+    color_masks, place = [0] * len(a), [1] * len(a)
+    for i in range(len(a) - 1, 0, -1):
+        place[i - 1] = place[i] * (a[i] + 1)
+    step, rest = {}, cx.vertex_mask
+    for color in colors:
+        low = rest & -rest
+        color_masks[color - 1] |= low
+        step[low] = place[color - 1]
+        rest ^= low
+    for g in cx.facet_masks:
+        bf = tuple((g & cm).bit_count() for cm in color_masks)
+        if any(map(int.__gt__, bf, a)):
+            raise ValidationError(
+                f"facet {cx.mask_vertices(g)} has color counts {bf}, above type {a}"
+            )
+    b = list(exponents_below(a))
+    f = [0] * len(b)
+    msum = None if rows is None else list(f)
+    at, previous = [0], ()
     for c, group in enumerate(cx.masks_by_card):
-        bfs = [tuple((mask & cm).bit_count() for cm in color_masks) for mask in group]
-        for bf in bfs:
-            f[bf] += 1
-        for bf, m in zip(bfs, table.rows[c] if table is not None else ()):
-            msum[bf] += m
-    return f, msum
-
-
-def _flag_h_from_f(f: dict[ExponentVec, int], a: ExponentVec) -> dict[ExponentVec, int]:
-    """h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c for every b <= a.
-
-    f is keyed in exponents_below(a) order, as _flag_counts builds it.
-    """
-    return dict(zip(f, _binomial_transform(list(f.values()), a, inverse=True)))
+        if c:
+            index = dict(zip(previous, at))
+            at = [index[g ^ (g & -g)] + step[g & -g] for g in group]
+        previous = group
+        for i in at:
+            f[i] += 1
+        if msum is not None:
+            for i, m in zip(at, rows[c]):
+                msum[i] += m
+    h = _binomial_transform(f, a, inverse=True)  # the closed form of flag_h
+    return tuple(None if v is None else dict(zip(b, v)) for v in (f, h, msum))
 
 
 def flag_f(cx: Complex, coloring: Coloring) -> dict[ExponentVec, int]:
     """Flag f-numbers: f_b = #faces with b(F) = b, complete over b <= a."""
-    return _flag_counts(cx, coloring)[0]
-
-
-def flag_f_mpoly(cx: Complex, coloring: Coloring) -> MPoly:
-    """sum_F x^b(F) as an exact multivariate polynomial."""
-    return MPoly(flag_f(cx, coloring), coloring.a)
+    return dict(_flag_counts(cx, coloring)[0])
 
 
 def flag_h(cx: Complex, coloring: Coloring) -> dict[ExponentVec, int]:
@@ -161,19 +190,14 @@ def flag_h(cx: Complex, coloring: Coloring) -> dict[ExponentVec, int]:
     weightless shape. The polynomial-expansion route is its reference in
     tests/test_balanced.py (test_flag_h_closed_form_equals_expansion).
     """
-    return _flag_h_from_f(flag_f(cx, coloring), coloring.a)
-
-
-def multiplicity_mpoly(cx: Complex, coloring: Coloring) -> MPoly:
-    """sum_F m_F x^b(F)."""
-    return MPoly(_flag_counts(cx, coloring, multiplicities(cx))[1], coloring.a)
+    return dict(_flag_counts(cx, coloring)[1])
 
 
 def _reciprocity_sides(cx: Complex, coloring: Coloring) -> tuple[MPoly, MPoly, MPoly]:
     """(h, sum_b h_b (x+1)^b x^(a-b), sum_F m_F x^b(F)) from one face walk."""
     a = coloring.a
-    f, msum = _flag_counts(cx, coloring, multiplicities(cx))
-    h = MPoly(_flag_h_from_f(f, a), a)
+    _, h, msum = _flag_counts(cx, coloring, sums=True)
+    h = MPoly(h, a)
     # (x+1)^b x^(a-b) is the delta element indexed by a-b
     swapped = {_vec_sub(a, b): hb for b, hb in h.coeffs.items()}
     return h, mdelta_expand(MDeltaCoeffs(swapped, a)), MPoly(msum, a)
@@ -206,8 +230,8 @@ def verify_flag_fh_tilde(cx: Complex, coloring: Coloring) -> RelationReport:
     No multiplicity enters.
     """
     a = coloring.a
-    f, _ = _flag_counts(cx, coloring)
-    lhs = mdelta_expand(MDeltaCoeffs(_flag_h_from_f(f, a), a))
+    f, h, _ = _flag_counts(cx, coloring)
+    lhs = mdelta_expand(MDeltaCoeffs(h, a))
     return _mvar_report("flag-fh-tilde", cx, a, lhs, MPoly(f, a))
 
 
@@ -228,8 +252,8 @@ def verify_balanced_ds(cx: Complex, coloring: Coloring) -> RelationReport:
     sum_{c<=b} C(a-c, b-c) E_c is the forward binomial transform of E.
     """
     a = coloring.a
-    f, msum = _flag_counts(cx, coloring, multiplicities(cx))
-    h = list(_flag_h_from_f(f, a).values())
+    f, h, msum = _flag_counts(cx, coloring, sums=True)
+    h = list(h.values())
     # exponents_below(a) reversed lists a-b in the place of b
     diffs = [hb - hab for hb, hab in zip(h, reversed(h))]
     lhs = mdelta_expand(MDeltaCoeffs(dict(zip(f, diffs)), a))
@@ -249,7 +273,7 @@ def verify_balanced_semi_eulerian(cx: Complex, coloring: Coloring) -> RelationRe
     if witness is not None:
         raise PreconditionError("complex is not semi-Eulerian", witness)
     a = coloring.a
-    h = flag_h(cx, coloring)
+    h = _flag_counts(cx, coloring)[1]
     gap = reduced_euler(cx) - _sign(cx.d - 1)
     residuals = [
         (h[_vec_sub(a, b)] - h[b]) - _sign(sum(b)) * gap * mcomb(a, b)

@@ -144,8 +144,8 @@ class Complex:
                 )
         return cls(tuple(sorted(maximal)) or (0,), faces, labels)
 
-    def _derive(self, key, compute):
-        """compute(self), run once and kept under key.
+    def _derive(self, key, compute=None):
+        """compute(self), run once and kept under key; without compute, a lookup.
 
         For data that other modules derive from the faces: the faces never
         change, so neither does the result. Keep nothing that refers back
@@ -157,7 +157,7 @@ class Complex:
         if derived is None:
             derived = self._derived = {}
         value = derived.get(key)
-        if value is None:
+        if value is None and compute is not None:
             value = derived[key] = compute(self)
         return value
 
@@ -227,22 +227,11 @@ class Complex:
         cards = {m.bit_count() for m in self.facet_masks}
         return len(cards) == 1
 
-    def has_face(self, face: Iterable[int]) -> bool:
-        try:
-            self.face_mask(face)
-        except (ValidationError, DomainError):
-            return False
-        return True
-
     def faces(self) -> Iterator[FaceTuple]:
         """All faces including (), ordered by cardinality then mask."""
         for group in self.masks_by_card:
             for m in group:
                 yield self.mask_vertices(m)
-
-    def faces_by_dim(self) -> list[list[FaceTuple]]:
-        """Faces grouped by dimension; index 0 holds the empty face (dim -1)."""
-        return [[self.mask_vertices(m) for m in group] for group in self.masks_by_card]
 
     def link_mask(self, fmask: int) -> Complex:
         if self._position(fmask) is None:

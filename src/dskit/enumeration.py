@@ -162,6 +162,11 @@ def multiplicities(cx: Complex) -> MultiplicityTable:
     return MultiplicityTable(cx, cx._derive("multiplicities", _superset_sweep))
 
 
+def _kept_rows(cx: Complex) -> tuple[tuple[int, ...], ...] | None:
+    """The m_F rows if multiplicities(cx) has swept them, else None."""
+    return cx._derive("multiplicities")
+
+
 def _superset_sweep(cx: Complex) -> tuple[tuple[int, ...], ...]:
     """Rows of m_F by Yates' superset zeta transform, one vertex at a time.
 

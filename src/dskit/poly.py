@@ -77,12 +77,6 @@ class IntPoly:
     def coeff(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def padded(self, degree_bound: int) -> IntPoly:
-        """Same polynomial stored with a (weakly) larger degree bound."""
-        if degree_bound < self.degree:
-            raise ValidationError("cannot shrink below the actual degree")
-        return IntPoly(self.coeffs[: self.degree + 1], degree_bound)
-
     def _stripped(self) -> tuple[int, ...]:
         return self.coeffs[: self.degree + 1]
 
@@ -313,13 +307,6 @@ class MPoly:
 
     def scaled(self, c: int) -> MPoly:
         return MPoly({b: c * cb for b, cb in self.coeffs.items()}, self.bound)
-
-    def specialized(self) -> IntPoly:
-        """Substitute x_i -> x for all i, collapsing to total degree."""
-        out = [0] * (sum(self.bound) + 1)
-        for b, cb in self.coeffs.items():
-            out[sum(b)] += cb
-        return IntPoly(out)
 
     def items_sorted(self) -> list[tuple[ExponentVec, int]]:
         return sorted(self.coeffs.items())

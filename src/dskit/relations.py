@@ -103,14 +103,7 @@ def _report(relation: str, labels, residuals, context) -> RelationReport:
 
 
 def _skipped(relation: str, reason: str, context: dict) -> RelationReport:
-    return RelationReport(
-        relation=relation,
-        holds=True,
-        labels=(),
-        residuals=(),
-        context=context,
-        skipped=reason,
-    )
+    return RelationReport(relation, True, (), (), context, skipped=reason)
 
 
 def _base_context(cx: Complex) -> dict:

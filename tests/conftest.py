@@ -14,8 +14,11 @@ from itertools import combinations
 
 import pytest
 
-from dskit import generators
+from dskit import balanced, generators
+from dskit.balanced import flag_f
 from dskit.complexes import Complex
+from dskit.errors import DomainError, ValidationError
+from dskit.poly import IntPoly, MPoly
 
 # -- polynomial oracle (plain coefficient lists) --------------------------
 
@@ -231,6 +234,46 @@ def obetti(faces, p=0):
         c - 1: len(bycard.get(c, [])) - ranks.get(c, 0) - ranks.get(c + 1, 0)
         for c in range(0, maxc + 1)
     }
+
+
+# -- views on library objects, kept here since only the tests use them ------
+
+
+def has_face(cx: Complex, face) -> bool:
+    try:
+        cx.face_mask(face)
+    except (ValidationError, DomainError):
+        return False
+    return True
+
+
+def faces_by_dim(cx: Complex):
+    """Faces grouped by dimension; index 0 holds the empty face (dim -1)."""
+    return [[cx.mask_vertices(m) for m in group] for group in cx.masks_by_card]
+
+
+def padded(p: IntPoly, degree_bound: int) -> IntPoly:
+    """Same polynomial stored with a (weakly) larger degree bound."""
+    assert degree_bound >= p.degree
+    return IntPoly(p.coeffs[: p.degree + 1], degree_bound)
+
+
+def specialized(p: MPoly) -> IntPoly:
+    """Substitute x_i -> x for all i, collapsing to total degree."""
+    out = [0] * (sum(p.bound) + 1)
+    for b, cb in p.coeffs.items():
+        out[sum(b)] += cb
+    return IntPoly(out)
+
+
+def flag_f_mpoly(cx: Complex, coloring) -> MPoly:
+    """sum_F x^b(F) as an exact multivariate polynomial."""
+    return MPoly(flag_f(cx, coloring), coloring.a)
+
+
+def multiplicity_mpoly(cx: Complex, coloring) -> MPoly:
+    """sum_F m_F x^b(F), from the flag face walk's multiplicity sums."""
+    return MPoly(balanced._flag_counts(cx, coloring, sums=True)[2], coloring.a)
 
 
 # -- corpora ---------------------------------------------------------------

@@ -1,22 +1,23 @@
 """Colorings, flag vectors and the multivariate Dehn-Sommerville checks."""
 
+import gc
+import weakref
+
 import pytest
 
-from dskit import balanced
+from dskit import balanced, cli, enumeration, relations
 from dskit.balanced import (
     Coloring,
     b_of,
     flag_f,
-    flag_f_mpoly,
     flag_h,
-    multiplicity_mpoly,
     validate_balanced,
     verify_balanced_ds,
     verify_balanced_semi_eulerian,
     verify_flag_fh_tilde,
     verify_flag_reciprocity,
 )
-from dskit.complexes import Complex
+from dskit.complexes import Complex, write_colors, write_cplx
 from dskit.enumeration import f_vector, h_vector, multiplicities
 from dskit.errors import PreconditionError, ValidationError
 from dskit.generators import (
@@ -29,7 +30,9 @@ from dskit.generators import (
 )
 from dskit.poly import IntPoly, MPoly, exponents_below, mcomb
 from dskit.relations import verify_ds_h, verify_reciprocity
-from dskit.stanley_reisner import verify_sr_reciprocity_colored
+from dskit.stanley_reisner import hilbert_series_colored, verify_sr_reciprocity_colored
+
+from conftest import flag_f_mpoly, multiplicity_mpoly, padded, specialized
 
 
 def flag_h_from_expansion(cx, coloring):
@@ -188,32 +191,65 @@ def test_flag_counts_equal_per_face_b_of(balanced_pairs):
 
 def test_flag_counts_validate_each_vertex():
     # a hand-built Coloring skips validate_balanced; the face pass still
-    # rejects an uncolored vertex and an out-of-range color, by name
-    cx = cross_polytope_boundary(3).complex
-    kappa = dict(cross_polytope_boundary(3).coloring.kappa)
-    del kappa[4]
-    with pytest.raises(ValidationError, match="^vertex 4 has no color$"):
-        flag_f(cx, Coloring(kappa=kappa, a=(1, 1, 1)))
-    kappa[4] = 7
-    with pytest.raises(ValidationError, match=r"^vertex 4 has color 7 outside 1\.\.3$"):
-        verify_balanced_ds(cx, Coloring(kappa=kappa, a=(1, 1, 1)))
+    # rejects an uncolored vertex and an out-of-range color, by name, also
+    # once a valid coloring has filled the kept counts
+    made = cross_polytope_boundary(3)
+    cx = made.complex
+    for _ in range(2):
+        kappa = dict(made.coloring.kappa)
+        del kappa[4]
+        with pytest.raises(ValidationError, match="^vertex 4 has no color$"):
+            flag_f(cx, Coloring(kappa=kappa, a=(1, 1, 1)))
+        kappa[4] = 7
+        with pytest.raises(ValidationError, match=r"^vertex 4 has color 7 outside 1\.\.3$"):
+            verify_balanced_ds(cx, Coloring(kappa=kappa, a=(1, 1, 1)))
+        assert verify_balanced_ds(cx, made.coloring).holds
 
 
-def test_fh_tilde_verifiers_build_no_multiplicity_table(monkeypatch):
-    from dskit import relations
+def test_flag_counts_reject_a_type_below_a_facet():
+    # a hand-built Coloring whose type is too small for some facet: the
+    # walk must not let one color's count spill into another's
+    path = Complex.from_facets([[1, 2], [2, 3]])
+    for kappa, a in (({1: 2, 2: 2, 3: 1}, (2, 1)), ({1: 1, 2: 1, 3: 1}, (1,))):
+        with pytest.raises(ValidationError, match=r"^facet \(1, 2\) has color counts \(.*above type"):
+            flag_f(path, Coloring(kappa=kappa, a=a))
+        with pytest.raises(ValidationError, match="above type"):
+            verify_balanced_ds(path, Coloring(kappa=kappa, a=a))
 
-    made = barycentric_subdivision(glued_triangles(3).complex)
-    cx, coloring = made.complex, made.coloring
-    m_empty = multiplicities(cx).m_empty
 
+def _refuse_sweeps(monkeypatch):
     def refuse(cx):
         raise AssertionError("multiplicity sweep")
 
+    monkeypatch.setattr(enumeration, "_superset_sweep", refuse)
     monkeypatch.setattr(relations, "multiplicities", refuse)
     monkeypatch.setattr(balanced, "multiplicities", refuse)
+
+
+def test_fh_tilde_verifiers_build_no_multiplicity_table(monkeypatch):
+    made = barycentric_subdivision(glued_triangles(3).complex)
+    coloring = made.coloring
+    m_empty = multiplicities(made.complex).m_empty
+    f, h = flag_f(made.complex, coloring), flag_h(made.complex, coloring)
+    cx = Complex.from_facets(made.complex.facets)  # equal, with nothing kept
+    _refuse_sweeps(monkeypatch)
     for rep in (relations.verify_fh_tilde(cx), verify_flag_fh_tilde(cx, coloring)):
         assert rep.holds
         assert rep.context["m_empty"] == m_empty
+    assert flag_f(cx, coloring) == f and flag_h(cx, coloring) == h
+    assert hilbert_series_colored(cx, coloring).numerator == MPoly(h, coloring.a)
+
+
+def _count_walks(monkeypatch) -> list:
+    walked = []
+    inner = balanced._face_walk
+
+    def counting(cx, *args):
+        walked.append(cx)
+        return inner(cx, *args)
+
+    monkeypatch.setattr(balanced, "_face_walk", counting)
+    return walked
 
 
 @pytest.mark.parametrize(
@@ -222,17 +258,163 @@ def test_fh_tilde_verifiers_build_no_multiplicity_table(monkeypatch):
      verify_balanced_semi_eulerian, verify_sr_reciprocity_colored],
 )
 def test_each_flag_verifier_walks_the_faces_once(monkeypatch, verifier):
-    passes = []
-    inner = balanced._flag_counts
-
-    def counting(*args, **kwargs):
-        passes.append(args[0])
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(balanced, "_flag_counts", counting)
+    walked = _count_walks(monkeypatch)
     made = cross_polytope_boundary(4)
     assert verifier(made.complex, made.coloring).holds
-    assert passes == [made.complex]
+    assert walked == [made.complex]
+    assert verifier(made.complex, made.coloring).holds
+    assert walked == [made.complex]
+
+
+def _flag_objects(cx, coloring):
+    """Every flag object, then the flag_f + flag_h pair of the CLI flag command."""
+    return [
+        flag_f(cx, coloring),
+        flag_h(cx, coloring),
+        verify_flag_fh_tilde(cx, coloring).holds,
+        verify_flag_reciprocity(cx, coloring).holds,
+        verify_balanced_ds(cx, coloring).holds,
+        verify_balanced_semi_eulerian(cx, coloring).holds,
+        verify_sr_reciprocity_colored(cx, coloring).holds,
+        hilbert_series_colored(cx, coloring),
+        flag_f(cx, coloring),
+        flag_h(cx, coloring),
+    ]
+
+
+_CP4_AND_SD_D4 = pytest.mark.parametrize(
+    "build",
+    [lambda: cross_polytope_boundary(4),
+     lambda: barycentric_subdivision(simplex_boundary(4).complex)],
+    ids=["cp4", "sd-simplex-boundary-4"],
+)
+
+
+@_CP4_AND_SD_D4
+def test_one_walk_per_complex_and_coloring_after_the_sweep(monkeypatch, build):
+    walked = _count_walks(monkeypatch)
+    made = build()
+    cx, coloring = made.complex, made.coloring
+    multiplicities(cx)
+    first = _flag_objects(cx, coloring)
+    assert walked == [cx]
+    assert _flag_objects(cx, coloring) == first
+    assert walked == [cx]
+    fresh = Complex.from_facets(cx.facets)
+    assert _flag_objects(fresh, coloring) == first  # same results without the memo
+
+
+@_CP4_AND_SD_D4
+def test_f_only_flag_objects_start_no_sweep(monkeypatch, tmp_path, capsys, build):
+    made = build()
+    cx, coloring = made.complex, made.coloring
+    expected = [flag_f(cx, coloring), flag_h(cx, coloring), hilbert_series_colored(cx, coloring)]
+    cplx, colors = tmp_path / "cx.cplx", tmp_path / "cx.colors"
+    cplx.write_text(write_cplx(cx))
+    colors.write_text(write_colors(dict(coloring.kappa)))
+    cx = Complex.from_facets(cx.facets)
+    walked = _count_walks(monkeypatch)
+    _refuse_sweeps(monkeypatch)
+    assert verify_flag_fh_tilde(cx, coloring).holds
+    f, h = flag_f(cx, coloring), flag_h(cx, coloring)
+    assert [f, h, hilbert_series_colored(cx, coloring)] == expected
+    assert (flag_f(cx, coloring), flag_h(cx, coloring)) == (f, h)
+    assert walked == [cx]
+    for argv in (["flag", str(cplx), "--colors", str(colors), "--json"],
+                 ["hilbert", str(cplx), "--colors", str(colors), "--json"]):
+        assert cli.main(argv) == 0
+    assert len(walked) == 3  # one walk for each parsed complex
+    assert capsys.readouterr().err == ""
+
+
+def test_returned_flag_dicts_are_copies():
+    made = cross_polytope_boundary(4)
+    cx, coloring = made.complex, made.coloring
+    f, h = flag_f(cx, coloring), flag_h(cx, coloring)
+    expected = (dict(f), dict(h))
+    for got in (f, h):
+        got[(0, 0, 0, 0)] = 99
+        got.clear()
+    assert (flag_f(cx, coloring), flag_h(cx, coloring)) == expected
+    assert verify_flag_fh_tilde(cx, coloring).holds
+
+
+def test_two_colorings_of_one_complex_keep_their_own_counts(monkeypatch):
+    made = cross_polytope_boundary(4)
+    cx, antipodal = made.complex, made.coloring
+    mono = validate_balanced(cx, {v: 1 for v in cx.vertices})
+    assert mono.a == (4,)
+    walked = _count_walks(monkeypatch)
+    table = multiplicities(cx)
+    for _ in range(2):
+        for coloring in (antipodal, mono, antipodal):
+            f, m = _per_face_counts(cx, coloring, table)
+            assert flag_f(cx, coloring) == f
+            assert multiplicity_mpoly(cx, coloring) == MPoly(m, coloring.a)
+            assert flag_h(cx, coloring) == flag_h_from_expansion(cx, coloring)
+            assert verify_balanced_ds(cx, coloring).holds
+    assert walked == [cx, cx]
+    assert flag_h(cx, antipodal) == {b: 1 for b in exponents_below((1, 1, 1, 1))}
+    assert flag_h(cx, mono) == {(k,): hk for k, hk in enumerate((1, 4, 6, 4, 1))}
+    # two colorings of one type: the key holds the colors, not just a
+    path = Complex.from_facets([[1, 2], [2, 3]])
+    one, two = validate_balanced(path, {1: 1, 2: 2, 3: 1}), validate_balanced(path, {1: 2, 2: 1, 3: 2})
+    assert one.a == two.a == (1, 1)
+    assert flag_f(path, one)[(1, 0)] == flag_f(path, two)[(0, 1)] == 2
+    assert flag_f(path, one)[(0, 1)] == flag_f(path, two)[(1, 0)] == 1
+
+
+def test_a_link_walks_its_own_vertices(monkeypatch):
+    # a link keeps its parent's labels over fewer vertex bits
+    made = cross_polytope_boundary(4)
+    cx, coloring = made.complex, made.coloring
+    link = cx.link([1])
+    link_coloring = validate_balanced(link, coloring.kappa)
+    walked = _count_walks(monkeypatch)
+    assert flag_f(cx, coloring) != flag_f(link, link_coloring)
+    assert flag_f(link, link_coloring) == _per_face_counts(link, link_coloring, multiplicities(link))[0]
+    assert verify_balanced_ds(link, link_coloring).holds
+    assert walked == [cx, link, link]  # f alone, then with the m_F sums
+
+
+def test_a_coloring_naming_extra_ids_shares_the_kept_counts(monkeypatch):
+    made = cross_polytope_boundary(4)
+    cx, coloring = made.complex, made.coloring
+    wider = Coloring(kappa={**coloring.kappa, 100: 2, 101: 3}, a=coloring.a)
+    walked = _count_walks(monkeypatch)
+    assert flag_f(cx, coloring) == flag_f(cx, wider)
+    assert flag_h(cx, wider) == flag_h(cx, coloring)
+    assert walked == [cx]
+
+
+def test_equal_complexes_walk_for_themselves(monkeypatch):
+    made = cross_polytope_boundary(4)
+    cx, coloring = made.complex, made.coloring
+    again = Complex.from_facets(cx.facets)
+    assert again == cx and again is not cx
+    walked = _count_walks(monkeypatch)
+    assert flag_f(cx, coloring) == flag_f(again, coloring)
+    assert walked == [cx, again]
+
+
+class _Droppable(Complex):
+    """A complex that takes weak references, to see when it is freed."""
+
+
+def test_kept_flag_counts_let_a_dropped_complex_be_freed():
+    made = cross_polytope_boundary(4)
+    cx = _Droppable.from_facets(made.complex.facets)
+    multiplicities(cx)
+    _flag_objects(cx, made.coloring)
+    assert any(key[0] == "flag counts" for key in cx._derived if isinstance(key, tuple))
+    gone = weakref.ref(cx)
+    # with the collector off, only a complex in no reference cycle is freed
+    gc.disable()
+    try:
+        del cx
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(
@@ -300,7 +482,7 @@ def test_flag_reciprocity_octahedron_specializes_to_univariate():
     rep = verify_flag_reciprocity(made.complex, made.coloring)
     assert rep.holds
     mp = multiplicity_mpoly(made.complex, made.coloring)
-    assert mp.specialized() == IntPoly([1, 6, 12, 8])
+    assert specialized(mp) == IntPoly([1, 6, 12, 8])
     # all m_F = 1 here, so the multivariate count is just the flag f-polynomial
     assert mp == flag_f_mpoly(made.complex, made.coloring)
 
@@ -439,7 +621,7 @@ def test_specialization_consistency(balanced_pairs):
     for _, cx, coloring in balanced_pairs[:15]:
         f = f_vector(cx)
         h = h_vector(f)
-        assert flag_f_mpoly(cx, coloring).specialized() == IntPoly(f)
+        assert specialized(flag_f_mpoly(cx, coloring)) == IntPoly(f)
         hm = flag_h(cx, coloring)
         collapsed = [0] * (cx.d + 1)
         for b, v in hm.items():
@@ -449,7 +631,7 @@ def test_specialization_consistency(balanced_pairs):
         rep = verify_flag_reciprocity(cx, coloring)
         uni = verify_reciprocity(cx)
         mp = multiplicity_mpoly(cx, coloring)
-        assert tuple(mp.specialized().padded(cx.d).coeffs) == tuple(uni.context["rhs"])
+        assert tuple(padded(specialized(mp), cx.d).coeffs) == tuple(uni.context["rhs"])
 
 
 def test_subdivision_is_completely_balanced(randoms):

@@ -24,7 +24,7 @@ from dskit.generators import (
     random_complex,
 )
 
-from conftest import oclosure, ofaces_of, olink, ochi_reduced
+from conftest import faces_by_dim, has_face, oclosure, ofaces_of, olink, ochi_reduced
 
 
 def test_from_facets_path():
@@ -166,9 +166,9 @@ def test_link_from_star_equals_definition(suite, randoms):
 
 
 def test_faces_by_dim_grouping():
-    assert Complex.from_facets([]).faces_by_dim() == [[()]]
+    assert faces_by_dim(Complex.from_facets([])) == [[()]]
     edge = Complex.from_facets([[1, 2]])
-    assert edge.faces_by_dim() == [[()], [(1,), (2,)], [(1, 2)]]
+    assert faces_by_dim(edge) == [[()], [(1,), (2,)], [(1, 2)]]
 
 
 def test_face_count_is_f_sum():
@@ -254,13 +254,13 @@ def test_face_mask_errors():
     for face in ([1, 3], [9], [2, 10**30]):
         with pytest.raises(DomainError, match=re.escape(f"face {tuple(face)} is not")):
             cx.face_mask(face)
-        assert not cx.has_face(face)
+        assert not has_face(cx, face)
     with pytest.raises(ValidationError, match="vertex id must be positive, got 0"):
         cx.face_mask([1, 0])
     with pytest.raises(ValidationError, match="duplicate vertex in face"):
         cx.face_mask([2, 2])
-    assert not cx.has_face([-1])
-    assert cx.has_face([3, 2]) and cx.has_face([])
+    assert not has_face(cx, [-1])
+    assert has_face(cx, [3, 2]) and has_face(cx, [])
     with pytest.raises(DomainError, match=re.escape("face (1, 3) is not")):
         cx.link_mask(0b101)
     for mask in (0b1000, -1):  # bits past the labels
@@ -298,7 +298,7 @@ def test_link_equals_the_complex_parsed_from_text():
     assert link.labels == cx.labels != expected.labels  # links keep their labels
     assert link == expected and hash(link) == hash(expected)
     assert link.vertices == (1, 2, 4, 5, 7)
-    assert link.has_face([4, 5]) and not link.has_face([3]) and not link.has_face([6])
+    assert has_face(link, [4, 5]) and not has_face(link, [3]) and not has_face(link, [6])
     assert cx.link([3, 4]) == parse_cplx("5\n") == link.link([4])
     assert cx.link([1, 2, 3]) == Complex.from_facets([])
 

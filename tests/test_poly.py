@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dskit.balanced import _flag_h_from_f
 from dskit.enumeration import h_vector
 from dskit.errors import DomainError
 from dskit.poly import (
@@ -235,7 +234,6 @@ def test_lattice_transform_matches_the_per_b_sums():
         for v in (dict.fromkeys(lattice, 0), _sparse_values(rng, lattice)):
             h = ref_flag_h(v, a)
             assert mmonomial_to_delta(MPoly(v, a)) == MDeltaCoeffs(h, a)
-            assert _flag_h_from_f(v, a) == h
             listed = [v[b] for b in lattice]
             assert _binomial_transform(listed, a, inverse=True) == [h[b] for b in lattice]
             scalar = ref_balanced_ds_scalar(v, a)

@@ -16,6 +16,7 @@ from dskit.stanley_reisner import (
     verify_sr_reciprocity,
     verify_sr_reciprocity_colored,
 )
+from conftest import padded
 from test_balanced import flag_h_from_expansion
 
 
@@ -29,7 +30,7 @@ def _numerator_from_faces(f: tuple[int, ...]) -> IntPoly:
         for _ in range(d - i):
             term = term * one_minus
         acc = acc + term
-    return acc.padded(d)
+    return padded(acc, d)
 
 
 def test_hilbert_series_single_vertex():
