@@ -6,10 +6,12 @@ balanced of type a when every facet has exactly a_i vertices of color i
 vertices per color; flag vectors refine face counts by b(F).
 
 Every flag object needs only two numbers per color-count vector b: f_b and
-the sum of m_F over faces with b(F) = b. One walk over the faces
-(_flag_counts) yields both and is kept on the complex, so all flag objects
-of a complex and coloring share it (a second walk adds the m_F sums if an
-f-only call came before the multiplicity sweep).
+msum_b, the sum of m_F over faces with b(F) = b. One walk over the faces
+(_flag_counts) yields both, as lists in exponents_below(a) order, and is
+kept on the complex, so all flag objects of a complex and coloring share it
+(a second walk adds the m_F sums if an f-only call came before the
+multiplicity sweep). The flag verifiers hand these lists to the kernels in
+relations that also check the plain identities, the one-color case.
 The flag h-numbers have a single runtime route, the inclusion-exclusion
 closed form h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c (flag_h),
 which is also the colored Hilbert numerator. It is the inverse binomial
@@ -23,23 +25,23 @@ tests/test_balanced.py as its independent reference
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import Complex
-from .enumeration import _kept_rows, multiplicities, reduced_euler
-from .errors import PreconditionError, ValidationError
-from .poly import (
-    ExponentVec,
-    MDeltaCoeffs,
-    MPoly,
-    _binomial_transform,
-    _sign,
-    _vec_sub,
-    exponents_below,
-    mcomb,
-    mdelta_expand,
+from .enumeration import _kept_rows, multiplicities
+from .errors import ValidationError
+from .poly import ExponentVec, _binomial_transform, exponents_below
+from .relations import (
+    RelationReport,
+    _base_context,
+    _ds_kernel,
+    _fh_tilde_kernel,
+    _reciprocity_kernel,
+    _report,
+    _semi_eulerian_gap,
+    _semi_eulerian_kernel,
 )
-from .relations import RelationReport, _base_context, _report
 
 
 @dataclass(frozen=True)
@@ -112,13 +114,14 @@ def validate_balanced(
 
 
 def _flag_counts(cx: Complex, coloring: Coloring, sums: bool = False) -> tuple:
-    """(f_b, h_b, sum of m_F over faces with b(F) = b), as dicts over b <= a.
+    """(f, h, msum): f_b, h_b and the sum of m_F over faces with b(F) = b.
 
-    The vertex colors are checked on every call. The walk runs once per
-    complex and coloring and is kept on the complex, keyed by a and the
-    colors of the complex's own vertices. It adds up m_F when asked to or
-    when the m_F rows are kept, else the sums are None; an entry with the
-    sums serves every later call. Callers must not change the dicts.
+    Lists in exponents_below(a) order. The vertex colors are checked on
+    every call. The walk runs once per complex and coloring and is kept on
+    the complex, keyed by a and the colors of the complex's own vertices.
+    It adds up m_F when asked to or when the m_F rows are kept, else msum
+    is None; an entry with the sums serves every later call. Callers must
+    not change the lists.
     """
     vertices = cx.vertices
     b_of(vertices, coloring.kappa, coloring.m)  # the checks and messages of b_of
@@ -158,8 +161,7 @@ def _face_walk(cx: Complex, colors: tuple[int, ...], a: ExponentVec, rows) -> tu
             raise ValidationError(
                 f"facet {cx.mask_vertices(g)} has color counts {bf}, above type {a}"
             )
-    b = list(exponents_below(a))
-    f = [0] * len(b)
+    f = [0] * prod(x + 1 for x in a)
     msum = None if rows is None else list(f)
     at, previous = [0], ()
     for c, group in enumerate(cx.masks_by_card):
@@ -172,13 +174,12 @@ def _face_walk(cx: Complex, colors: tuple[int, ...], a: ExponentVec, rows) -> tu
         if msum is not None:
             for i, m in zip(at, rows[c]):
                 msum[i] += m
-    h = _binomial_transform(f, a, inverse=True)  # the closed form of flag_h
-    return tuple(None if v is None else dict(zip(b, v)) for v in (f, h, msum))
+    return f, _binomial_transform(f, a, inverse=True), msum  # h: the closed form of flag_h
 
 
 def flag_f(cx: Complex, coloring: Coloring) -> dict[ExponentVec, int]:
     """Flag f-numbers: f_b = #faces with b(F) = b, complete over b <= a."""
-    return dict(_flag_counts(cx, coloring)[0])
+    return dict(zip(exponents_below(coloring.a), _flag_counts(cx, coloring)[0]))
 
 
 def flag_h(cx: Complex, coloring: Coloring) -> dict[ExponentVec, int]:
@@ -190,17 +191,7 @@ def flag_h(cx: Complex, coloring: Coloring) -> dict[ExponentVec, int]:
     weightless shape. The polynomial-expansion route is its reference in
     tests/test_balanced.py (test_flag_h_closed_form_equals_expansion).
     """
-    return dict(_flag_counts(cx, coloring)[1])
-
-
-def _reciprocity_sides(cx: Complex, coloring: Coloring) -> tuple[MPoly, MPoly, MPoly]:
-    """(h, sum_b h_b (x+1)^b x^(a-b), sum_F m_F x^b(F)) from one face walk."""
-    a = coloring.a
-    _, h, msum = _flag_counts(cx, coloring, sums=True)
-    h = MPoly(h, a)
-    # (x+1)^b x^(a-b) is the delta element indexed by a-b
-    swapped = {_vec_sub(a, b): hb for b, hb in h.coeffs.items()}
-    return h, mdelta_expand(MDeltaCoeffs(swapped, a)), MPoly(msum, a)
+    return dict(zip(exponents_below(coloring.a), _flag_counts(cx, coloring)[1]))
 
 
 def _mvar_labels(a: ExponentVec, prefix: str = "x^") -> list[str]:
@@ -209,17 +200,21 @@ def _mvar_labels(a: ExponentVec, prefix: str = "x^") -> list[str]:
     ]
 
 
+def _terms(a: ExponentVec, values: Sequence[int]) -> list[tuple[ExponentVec, int]]:
+    """The nonzero (b, v_b) pairs of a list over exponents_below(a)."""
+    return [(b, v) for b, v in zip(exponents_below(a), values, strict=True) if v]
+
+
 def _mvar_report(
-    relation: str, cx: Complex, a: ExponentVec, lhs: MPoly, rhs: MPoly,
+    relation: str, cx: Complex, a: ExponentVec, lhs: Sequence[int], rhs: Sequence[int],
     labels: Sequence[str] = (), residuals: Sequence[int] = (), **context,
 ) -> RelationReport:
-    """lhs == rhs coefficientwise over x^b, b <= a, then any scalar residuals."""
-    ctx = {**_base_context(cx), "a": a, **context}
-    ctx.update({"lhs": lhs.items_sorted(), "rhs": rhs.items_sorted()})
+    """lhs == rhs, lists over exponents_below(a), then any scalar residuals."""
+    ctx = {**_base_context(cx), "a": a, **context, "lhs": _terms(a, lhs), "rhs": _terms(a, rhs)}
     return _report(
         relation,
         _mvar_labels(a) + list(labels),
-        [lhs.coeff(e) - rhs.coeff(e) for e in exponents_below(a)] + list(residuals),
+        [l - r for l, r in zip(lhs, rhs, strict=True)] + list(residuals),
         ctx,
     )
 
@@ -231,59 +226,33 @@ def verify_flag_fh_tilde(cx: Complex, coloring: Coloring) -> RelationReport:
     """
     a = coloring.a
     f, h, _ = _flag_counts(cx, coloring)
-    lhs = mdelta_expand(MDeltaCoeffs(h, a))
-    return _mvar_report("flag-fh-tilde", cx, a, lhs, MPoly(f, a))
+    return _mvar_report("flag-fh-tilde", cx, a, *_fh_tilde_kernel(a, f, h))
 
 
 def verify_flag_reciprocity(cx: Complex, coloring: Coloring) -> RelationReport:
     """sum_b h_b (x+1)^b x^(a-b) counts faces with multiplicity (always holds)."""
-    _, lhs, rhs = _reciprocity_sides(cx, coloring)
-    return _mvar_report("flag-reciprocity", cx, coloring.a, lhs, rhs)
+    a = coloring.a
+    _, h, msum = _flag_counts(cx, coloring, sums=True)
+    return _mvar_report("flag-reciprocity", cx, a, *_reciprocity_kernel(a, h, msum))
 
 
 def verify_balanced_ds(cx: Complex, coloring: Coloring) -> RelationReport:
     """Balanced Dehn-Sommerville, polynomial and scalar forms (always holds).
 
-    Polynomial: sum_b (h_b - h_{a-b}) x^b (x+1)^(a-b) = sum_F (1-m_F) x^b(F).
-    Scalar, for every b <= a:
-    h_b - h_{a-b} = (-1)^(|a|-|b|) sum over faces with b(F) <= b of
-    C(a-b(F), a-b) eps_F. The faces with b(F) = c add up to
-    E_c = (-1)^(d-1-|c|) (sum of their m_F - f_c), so the sum
-    sum_{c<=b} C(a-c, b-c) E_c is the forward binomial transform of E.
+    Polynomial: sum_b (h_b - h_{a-b}) x^b (x+1)^(a-b) = sum_F (1-m_F) x^b(F);
+    the scalar forms are in relations._ds_kernel.
     """
     a = coloring.a
     f, h, msum = _flag_counts(cx, coloring, sums=True)
-    h = list(h.values())
-    # exponents_below(a) reversed lists a-b in the place of b
-    diffs = [hb - hab for hb, hab in zip(h, reversed(h))]
-    lhs = mdelta_expand(MDeltaCoeffs(dict(zip(f, diffs)), a))
-    eps = [_sign(cx.d - 1 - sum(c)) * (msum[c] - f[c]) for c in f]
-    scalar = [
-        diff - _sign(sum(a) - sum(b)) * acc
-        for b, diff, acc in zip(f, diffs, _binomial_transform(eps, a))
-    ]
-    rhs = MPoly(f, a) - MPoly(msum, a)
+    lhs, rhs, scalar = _ds_kernel(a, cx.d, f, h, msum)
     return _mvar_report("balanced-ds", cx, a, lhs, rhs, _mvar_labels(a, "b="), scalar)
 
 
 def verify_balanced_semi_eulerian(cx: Complex, coloring: Coloring) -> RelationReport:
     """h_{a-b} - h_b = (-1)^|b| (chi_reduced - (-1)^(d-1)) C(a,b), semi-Eulerian only."""
-    table = multiplicities(cx)
-    witness = table.semi_eulerian_witness()
-    if witness is not None:
-        raise PreconditionError("complex is not semi-Eulerian", witness)
+    gap, eulerian = _semi_eulerian_gap(cx)
     a = coloring.a
-    h = _flag_counts(cx, coloring)[1]
-    gap = reduced_euler(cx) - _sign(cx.d - 1)
-    residuals = [
-        (h[_vec_sub(a, b)] - h[b]) - _sign(sum(b)) * gap * mcomb(a, b)
-        for b in exponents_below(a)
-    ]
-    ctx = {
-        **_base_context(cx),
-        "a": a,
-        "eulerian": table.m_empty == 1,
-        "palindrome": gap == 0,
-        "completely_balanced": all(x == 1 for x in a),
-    }
+    residuals = _semi_eulerian_kernel(a, _flag_counts(cx, coloring)[1], gap)
+    ctx = {**_base_context(cx), "a": a, "eulerian": eulerian, "palindrome": gap == 0}
+    ctx["completely_balanced"] = all(x == 1 for x in a)
     return _report("balanced-semi-eulerian", _mvar_labels(a, "b="), residuals, ctx)

@@ -349,11 +349,11 @@ def _cmd_batch(args) -> int:
     root = Path(args.dir)
     if not root.is_dir():
         raise ValidationError(f"not a directory: {args.dir}")
-    all_ok = True
-    results = {}
+    cap = complexes._effective_max_faces(args.max_faces)  # checked also when no file is read
+    all_ok, results = True, {}
     for path in sorted(root.glob("*.cplx")):
         try:
-            cx = parse_cplx(_read_text(path), max_faces=args.max_faces)
+            cx = parse_cplx(_read_text(path), max_faces=cap)
         except (ParseError, ResourceLimitError) as exc:
             raise type(exc)(f"{path.name}: {exc}") from exc
         reports = relations.verify_all(cx)

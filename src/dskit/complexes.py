@@ -47,15 +47,16 @@ def _checked_vertices(face: Iterable[int]) -> list[int]:
 
 
 def _effective_max_faces(max_faces: int | None) -> int:
-    if max_faces is not None:
-        return max_faces
-    env = os.environ.get(MAX_FACES_ENV)
-    if env is not None:
+    """max_faces, else DSKIT_MAX_FACES, else the default; at least 1, the empty face."""
+    if max_faces is None:
+        env = os.environ.get(MAX_FACES_ENV, str(DEFAULT_MAX_FACES))
         try:
-            return int(env)
+            max_faces = int(env)
         except ValueError:
             raise ValidationError(f"{MAX_FACES_ENV} must be an integer, got {env!r}")
-    return DEFAULT_MAX_FACES
+    if max_faces < 1:
+        raise ValidationError(f"face-count cap must be at least 1, got {max_faces}")
+    return max_faces
 
 
 class Complex:
@@ -68,7 +69,6 @@ class Complex:
         "n",
         "d",
         "vertex_mask",
-        "_stars",
         "_derived",
     )
 
@@ -91,7 +91,6 @@ class Complex:
             self.vertex_mask |= m
         self.n = self.vertex_mask.bit_count()
         self.d = max_card  # d = 1 + dim(complex); dim(emptyset) = -1
-        self._stars: dict[int, list[int]] | None = None  # vertex bit -> facets, lazy
         self._derived: dict | None = None  # see _derive, lazy
 
     @classmethod
@@ -240,18 +239,11 @@ class Complex:
             raise DomainError(f"face {face} is not in the complex")
         if fmask == 0:
             return self
-        if self._stars is None:
-            self._stars = {}
-            for g in self.facet_masks:
-                rest = g
-                while rest:
-                    low = rest & -rest
-                    self._stars.setdefault(low, []).append(g)
-                    rest ^= low
+        stars = self._derive("facet stars", _facet_stars)
         # the facets containing F, minus F, are the link's facets and already
         # an antichain; the link never has more faces than the complex, and
         # it keeps this complex's labels
-        star = [g ^ fmask for g in self._stars[fmask & -fmask] if g & fmask == fmask]
+        star = [g ^ fmask for g in stars[fmask & -fmask] if g & fmask == fmask]
         return Complex._from_facet_masks(star, self.num_faces, self.labels)
 
     def link(self, face: Iterable[int]) -> Complex:
@@ -274,6 +266,18 @@ class Complex:
 
     def __repr__(self) -> str:
         return f"Complex(n={self.n}, dim={self.dim}, faces={self.num_faces})"
+
+
+def _facet_stars(cx: Complex) -> dict[int, list[int]]:
+    """Vertex bit -> the facet masks that contain it."""
+    stars: dict[int, list[int]] = {}
+    for g in cx.facet_masks:
+        rest = g
+        while rest:
+            low = rest & -rest
+            stars.setdefault(low, []).append(g)
+            rest ^= low
+    return stars
 
 
 def from_facets(facets: Iterable[Iterable[int]], max_faces: int | None = None) -> Complex:

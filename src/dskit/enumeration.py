@@ -49,14 +49,8 @@ def h_vector(f: Iterable[int]) -> HVector:
 
 
 def h_to_f(h: Iterable[int]) -> FVector:
-    """Inverse transform: f_tilde(x) = sum_i h_i x^i (x+1)^(d-i)."""
+    """Inverse transform: sum_i f_{i-1} x^i = sum_i h_i x^i (x+1)^(d-i)."""
     return delta_expand(DeltaCoeffs(reversed(tuple(h)))).coeffs
-
-
-def f_tilde(f: Iterable[int]) -> IntPoly:
-    """Generating polynomial sum_i f_{i-1} x^i (ascending coefficients)."""
-    f = tuple(f)
-    return IntPoly(f, len(f) - 1)
 
 
 def euler_from_f(f: Iterable[int]) -> int:
@@ -129,12 +123,6 @@ class MultiplicityTable:
     def poly(self) -> IntPoly:
         """sum over faces of m_F x^|F|, degree bound d."""
         return IntPoly([sum(row) for row in self.rows], self.d)
-
-    def epsilon_sums_by_card(self) -> list[int]:
-        """sum of eps_F over faces of each cardinality, index = |F|."""
-        return [
-            _sign(self.d - 1 - c) * (sum(row) - len(row)) for c, row in enumerate(self.rows)
-        ]
 
     def reciprocity_witness(self) -> FaceTuple | None:
         """A non-empty face with m_F not in {0,1}, or None if reciprocal."""

@@ -239,10 +239,6 @@ def exponents_below(a: ExponentVec) -> Iterator[ExponentVec]:
     return product(*(range(ai + 1) for ai in a))
 
 
-def _vec_sub(u: ExponentVec, v: ExponentVec) -> ExponentVec:
-    return tuple(x - y for x, y in zip(u, v))
-
-
 def _vec_leq(u: ExponentVec, v: ExponentVec) -> bool:
     return all(x <= y for x, y in zip(u, v))
 

@@ -7,7 +7,7 @@ LHS_k - RHS_k, so a failing identity localizes the violated index.
 
 The universal identities:
 
-    fh-tilde:     sum_i h_i x^i (x+1)^(d-i)            == f_tilde(x)
+    fh-tilde:     sum_i h_i x^i (x+1)^(d-i)            == sum_F x^|F|
     reciprocity:  sum_i h_i (x+1)^i x^(d-i)            == sum_F m_F x^|F|
     ds-h:         sum_i (h_i-h_{d-i}) (x+1)^i x^(d-i)  == sum_F (m_F-1) x^|F|
                   h_{d-i}-h_i == (-1)^i sum_F C(d-|F|,i) eps_F
@@ -15,7 +15,9 @@ The universal identities:
 hold for every complex. The f-versions (ds-f, ds-f-inverse, macdonald)
 require a reciprocal complex; semi-eulerian-h requires a semi-Eulerian
 one. Vector-level residual functions are exposed separately so identities
-can be checked on bare (f, f_int) data.
+can be checked on bare (f, f_int) data. Each identity has one kernel,
+shared by the plain, flag and Stanley-Reisner verifiers, on int lists over
+exponents_below(a): a plain complex is balanced of type (d,) under one color.
 """
 
 from __future__ import annotations
@@ -29,16 +31,16 @@ from .enumeration import (
     boundary_f_vector,
     check_f_vector,
     euler_from_f,
-    f_tilde,
     f_vector,
     h_vector,
     interior_f_vector,
     multiplicities,
+    reduced_euler,
     reduced_euler_from_f,
 )
 from .errors import PreconditionError, ValidationError
 from .homology import FieldSpec, is_homology_manifold
-from .poly import DeltaCoeffs, IntPoly, _binomial_transform, _sign, delta_expand
+from .poly import IntPoly, _binomial_transform, _sign, exponents_below, mcomb
 
 
 def _jsonify(v):
@@ -90,9 +92,9 @@ class RelationReport:
 
 
 def _report(relation: str, labels, residuals, context) -> RelationReport:
-    labels = tuple(labels)
     residuals = tuple(int(r) for r in residuals)
-    assert len(labels) == len(residuals)
+    # strict: labels and residuals of unequal length raise ValueError
+    labels = tuple(label for label, _ in zip(labels, residuals, strict=True))
     return RelationReport(
         relation=relation,
         holds=all(r == 0 for r in residuals),
@@ -164,20 +166,75 @@ def classify(cx: Complex, fld: FieldSpec = FieldSpec(0)) -> Classification:
     )
 
 
+# -- one kernel per identity ---------------------------------------------
+
+
+def _fh_tilde_kernel(a, f, h) -> tuple:
+    """Sides of sum_b h_b x^b (x+1)^(a-b) == sum_b f_b x^b."""
+    return _binomial_transform(h, a), f
+
+
+def _reciprocity_kernel(a, h, msum) -> tuple:
+    """Sides of sum_b h_b (x+1)^b x^(a-b) == sum_b msum_b x^b; h[::-1] has h_{a-b} at b."""
+    return _binomial_transform(h[::-1], a), msum
+
+
+def _ds_kernel(a, d, f, h, msum) -> tuple:
+    """(lhs, rhs, scalar): Dehn-Sommerville, the fh-tilde sides minus the reciprocity ones.
+
+    Polynomial: sum_b (h_b - h_{a-b}) x^b (x+1)^(a-b) = sum_b (f_b - msum_b) x^b.
+    Scalar, for every b <= a: h_b - h_{a-b} = (-1)^(|a|-|b|) sum over faces
+    with b(F) <= b of C(a-b(F), a-b) eps_F. The faces with b(F) = c add up
+    to E_c = (-1)^(d-1-|c|) (msum_c - f_c), so the sum
+    sum_{c<=b} C(a-c, b-c) E_c is the forward binomial transform of E.
+    """
+    lattice = list(exponents_below(a))
+    diffs = [hb - hr for hb, hr in zip(h, reversed(h))]
+    eps = [_sign(d - 1 - sum(c)) * (m - fc) for c, fc, m in zip(lattice, f, msum)]
+    scalar = [
+        diff - _sign(sum(a) - sum(b)) * acc
+        for b, diff, acc in zip(lattice, diffs, _binomial_transform(eps, a))
+    ]
+    return _binomial_transform(diffs, a), [fc - m for fc, m in zip(f, msum)], scalar
+
+
+def _semi_eulerian_kernel(a, h, gap) -> list:
+    """Residuals of h_{a-b} - h_b = (-1)^|b| C(a,b) gap, for every b <= a."""
+    return [
+        (hr - hb) - _sign(sum(b)) * mcomb(a, b) * gap
+        for b, hb, hr in zip(exponents_below(a), h, reversed(h))
+    ]
+
+
+def _semi_eulerian_gap(cx: Complex) -> tuple[int, bool]:
+    """(chi_reduced - (-1)^(d-1), whether cx is Eulerian) of a semi-Eulerian complex."""
+    table = multiplicities(cx)
+    witness = table.semi_eulerian_witness()
+    if witness is not None:
+        raise PreconditionError("complex is not semi-Eulerian", witness)
+    return reduced_euler(cx) - _sign(cx.d - 1), table.m_empty == 1
+
+
 # -- universal polynomial identities -------------------------------------
 
 
+def _plain_counts(cx: Complex, sums: bool = False) -> tuple:
+    """(a, f, h, msum) at a = (d,); msum_k sums m_F over the k-faces, None unless sums."""
+    f = f_vector(cx)
+    msum = multiplicities(cx).poly().coeffs if sums else None
+    return (cx.d,), f, h_vector(f), msum
+
+
 def _poly_report(
-    relation: str, cx: Complex, lhs: IntPoly, rhs: IntPoly,
+    relation: str, cx: Complex, lhs: Sequence[int], rhs: Sequence[int],
     labels: Sequence[str] = (), residuals: Sequence[int] = (), **context,
 ) -> RelationReport:
     """lhs == rhs coefficientwise over x^k, k <= d, then any scalar residuals."""
-    d = cx.d
-    ctx = {**_base_context(cx), "lhs": lhs.coeffs, "rhs": rhs.coeffs, **context}
+    ctx = {**_base_context(cx), "lhs": tuple(lhs), "rhs": tuple(rhs), **context}
     return _report(
         relation,
-        [f"x^{k}" for k in range(d + 1)] + list(labels),
-        [lhs.coeff(k) - rhs.coeff(k) for k in range(d + 1)] + list(residuals),
+        [f"x^{k}" for k in range(cx.d + 1)] + list(labels),
+        [l - r for l, r in zip(lhs, rhs, strict=True)] + list(residuals),
         ctx,
     )
 
@@ -187,34 +244,28 @@ def verify_fh_tilde(cx: Complex) -> RelationReport:
 
     No multiplicity enters.
     """
-    f = f_vector(cx)
-    h = h_vector(f)
-    lhs = delta_expand(DeltaCoeffs(tuple(reversed(h))))  # index i of h = power of x
-    return _poly_report("fh-tilde", cx, lhs, f_tilde(f), h=h)
+    a, f, h, _ = _plain_counts(cx)
+    return _poly_report("fh-tilde", cx, *_fh_tilde_kernel(a, f, h), h=h)
 
 
 def verify_reciprocity(cx: Complex) -> RelationReport:
     """sum_i h_i (x+1)^i x^(d-i) counts faces with multiplicity (always holds)."""
-    h = h_vector(f_vector(cx))
-    lhs = delta_expand(DeltaCoeffs(h))
-    return _poly_report("reciprocity", cx, lhs, multiplicities(cx).poly(), h=h)
+    a, _, h, msum = _plain_counts(cx, sums=True)
+    return _poly_report("reciprocity", cx, *_reciprocity_kernel(a, h, msum), h=h)
 
 
 def verify_ds_h(cx: Complex) -> RelationReport:
     """h-version Dehn-Sommerville for arbitrary complexes (always holds).
 
-    Checks the polynomial identity and all d+1 scalar error-sum relations.
+    Checks the polynomial identity and all d+1 scalar error-sum relations:
+    the ds kernel at a = (d,), negated, with the scalar i=k at b = d-k.
     """
-    table = multiplicities(cx)
-    f = f_vector(cx)
-    h = h_vector(f)
-    d = cx.d
-    lhs = delta_expand(DeltaCoeffs([h[i] - h[d - i] for i in range(d + 1)]))
-    # sum_c C(d-c, i) eps_c is the forward binomial transform of eps at x^(d-i)
-    eps_sums = _binomial_transform(table.epsilon_sums_by_card(), (d,))
-    scalar = [(h[d - i] - h[i]) - _sign(i) * eps_sums[d - i] for i in range(d + 1)]
-    labels = [f"i={i}" for i in range(d + 1)]
-    return _poly_report("ds-h", cx, lhs, table.poly() - f_tilde(f), labels, scalar, h=h)
+    a, f, h, msum = _plain_counts(cx, sums=True)
+    lhs, rhs, scalar = _ds_kernel(a, cx.d, f, h, msum)
+    labels = [f"i={i}" for i in range(cx.d + 1)]
+    return _poly_report(
+        "ds-h", cx, [-v for v in lhs], [-v for v in rhs], labels, scalar[::-1], h=h
+    )
 
 
 # -- f-version identities (reciprocal complexes) -------------------------
@@ -265,40 +316,25 @@ def ds_f_inverse_residuals(
 
 def verify_ds_f(cx: Complex) -> RelationReport:
     """f-version Dehn-Sommerville on a reciprocal complex."""
-    f = f_vector(cx)
-    f_int = interior_f_vector(cx)
-    labels, residuals = ds_f_residuals(f, f_int, multiplicities(cx).m_empty)
-    ctx = _base_context(cx)
-    ctx.update({"f": f, "f_int": f_int})
-    return _report("ds-f", labels, residuals, ctx)
+    f, f_int = f_vector(cx), interior_f_vector(cx)
+    ctx = {**_base_context(cx), "f": f, "f_int": f_int}
+    return _report("ds-f", *ds_f_residuals(f, f_int, multiplicities(cx).m_empty), ctx)
 
 
 def verify_ds_f_inverse(cx: Complex) -> RelationReport:
     """Interior face numbers as the same linear combinations of face numbers."""
-    f = f_vector(cx)
-    f_int = interior_f_vector(cx)
-    labels, residuals = ds_f_inverse_residuals(f, f_int)
-    ctx = _base_context(cx)
-    ctx.update({"f": f, "f_int": f_int})
-    return _report("ds-f-inverse", labels, residuals, ctx)
+    f, f_int = f_vector(cx), interior_f_vector(cx)
+    ctx = {**_base_context(cx), "f": f, "f_int": f_int}
+    return _report("ds-f-inverse", *ds_f_inverse_residuals(f, f_int), ctx)
 
 
 def verify_semi_eulerian_h(cx: Complex) -> RelationReport:
     """h_{d-i} - h_i = (-1)^i C(d,i) (chi_reduced - (-1)^(d-1)) on semi-Eulerian input."""
-    table = multiplicities(cx)
-    witness = table.semi_eulerian_witness()
-    if witness is not None:
-        raise PreconditionError("complex is not semi-Eulerian", witness)
-    f = f_vector(cx)
-    h = h_vector(f)
-    d = cx.d
-    chi_r = reduced_euler_from_f(f)
-    gap = chi_r - _sign(d - 1)
-    labels = [f"i={i}" for i in range(d + 1)]
-    residuals = [(h[d - i] - h[i]) - _sign(i) * comb(d, i) * gap for i in range(d + 1)]
-    ctx = _base_context(cx)
-    ctx.update({"h": h, "eulerian": table.m_empty == 1, "palindrome": gap == 0})
-    return _report("semi-eulerian-h", labels, residuals, ctx)
+    gap, eulerian = _semi_eulerian_gap(cx)
+    a, _, h, _ = _plain_counts(cx)
+    labels = [f"i={i}" for i in range(cx.d + 1)]
+    ctx = {**_base_context(cx), "h": h, "eulerian": eulerian, "palindrome": gap == 0}
+    return _report("semi-eulerian-h", labels, _semi_eulerian_kernel(a, h, gap), ctx)
 
 
 # -- Macdonald's relation (Appendix-style weaker form) --------------------

@@ -10,7 +10,9 @@ series are computed from face counts directly.
 The reciprocity route: substituting L = x/(x+1) into the series (after the
 sign-twisted 1/L evaluation) lands exactly on the face-multiplicity count
 sum_F m_F x^|F|, which the verifiers here compare with the direct
-multiplicity computation. The single-graded numerator is the h-vector;
+multiplicity computation. Both verifiers are relations._reciprocity_kernel
+on the numerator, as the plain and flag reciprocity verifiers are on h,
+reported with the numerator. The single-graded numerator is the h-vector;
 its face-count reference sum_i f_{i-1} L^i (1-L)^(d-i) lives in
 tests/test_stanley_reisner.py (test_hilbert_numerator_is_h_vector).
 The colored numerator is the closed-form balanced.flag_h, the single
@@ -23,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balanced import Coloring, _mvar_report, _reciprocity_sides, flag_h
+from .balanced import Coloring, _flag_counts, _mvar_report, _terms, flag_h
 from .complexes import Complex
 from .enumeration import f_vector, h_vector, multiplicities
-from .poly import DeltaCoeffs, ExponentVec, IntPoly, MPoly, delta_expand
-from .relations import RelationReport, _poly_report
+from .poly import ExponentVec, IntPoly, MPoly
+from .relations import RelationReport, _poly_report, _reciprocity_kernel
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,9 @@ def verify_sr_reciprocity(cx: Complex) -> RelationReport:
     """
     series = hilbert_series(cx)
     n = series.numerator.coeffs
+    lhs, rhs = _reciprocity_kernel((cx.d,), n, multiplicities(cx).poly().coeffs)
     return _poly_report(
-        "sr-reciprocity", cx, delta_expand(DeltaCoeffs(n)), multiplicities(cx).poly(),
+        "sr-reciprocity", cx, lhs, rhs,
         numerator=n, denominator_exponent=series.denominator_exponent,
     )
 
@@ -76,7 +79,9 @@ def verify_sr_reciprocity_colored(cx: Complex, coloring: Coloring) -> RelationRe
     side sums m_F by b(F). This is the flag reciprocity check of
     balanced.verify_flag_reciprocity, reported with the numerator.
     """
-    n, lhs, rhs = _reciprocity_sides(cx, coloring)
+    a = coloring.a
+    _, h, msum = _flag_counts(cx, coloring, sums=True)
     return _mvar_report(
-        "sr-reciprocity-colored", cx, coloring.a, lhs, rhs, numerator=n.items_sorted()
+        "sr-reciprocity-colored", cx, a, *_reciprocity_kernel(a, h, msum),
+        numerator=_terms(a, h),
     )

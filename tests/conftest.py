@@ -18,7 +18,7 @@ from dskit import balanced, generators
 from dskit.balanced import flag_f
 from dskit.complexes import Complex
 from dskit.errors import DomainError, ValidationError
-from dskit.poly import IntPoly, MPoly
+from dskit.poly import IntPoly, MPoly, exponents_below
 
 # -- polynomial oracle (plain coefficient lists) --------------------------
 
@@ -273,7 +273,8 @@ def flag_f_mpoly(cx: Complex, coloring) -> MPoly:
 
 def multiplicity_mpoly(cx: Complex, coloring) -> MPoly:
     """sum_F m_F x^b(F), from the flag face walk's multiplicity sums."""
-    return MPoly(balanced._flag_counts(cx, coloring, sums=True)[2], coloring.a)
+    msum = balanced._flag_counts(cx, coloring, sums=True)[2]
+    return MPoly(dict(zip(exponents_below(coloring.a), msum)), coloring.a)
 
 
 # -- corpora ---------------------------------------------------------------

@@ -29,8 +29,17 @@ from dskit.generators import (
     simplex_boundary,
 )
 from dskit.poly import IntPoly, MPoly, exponents_below, mcomb
-from dskit.relations import verify_ds_h, verify_reciprocity
-from dskit.stanley_reisner import hilbert_series_colored, verify_sr_reciprocity_colored
+from dskit.relations import (
+    verify_ds_h,
+    verify_fh_tilde,
+    verify_reciprocity,
+    verify_semi_eulerian_h,
+)
+from dskit.stanley_reisner import (
+    hilbert_series_colored,
+    verify_sr_reciprocity,
+    verify_sr_reciprocity_colored,
+)
 
 from conftest import flag_f_mpoly, multiplicity_mpoly, padded, specialized
 
@@ -556,17 +565,54 @@ def test_balanced_ds_everywhere(balanced_pairs):
         assert verify_balanced_ds(cx, coloring).holds
 
 
-def test_balanced_ds_single_color_reduces_to_univariate():
-    # one color, a = (d): flag data collapses to the univariate h-vector
-    cx = cross_polytope_boundary(3).complex
-    coloring = validate_balanced(cx, {v: 1 for v in cx.vertices})
-    assert coloring.a == (3,)
-    h = flag_h(cx, coloring)
-    uni = h_vector(f_vector(cx))
-    assert {b[0]: v for b, v in h.items()} == dict(enumerate(uni))
-    rep = verify_balanced_ds(cx, coloring)
-    assert rep.holds
-    assert verify_ds_h(cx).holds
+def _dense(terms, d, sign=1):
+    """The x^k coefficients, k <= d, of a flag report's nonzero (b, v) pairs at a = (d,)."""
+    coeffs = dict(terms)
+    return tuple(sign * coeffs.get((k,), 0) for k in range(d + 1))
+
+
+def _assert_plain_is_flag_at_one_color(plain, flag, d, sign=1):
+    """Sides and x^k residuals of a plain report equal the flag ones at b = (k,)."""
+    assert tuple(plain.context["lhs"]) == _dense(flag.context["lhs"], d, sign)
+    assert tuple(plain.context["rhs"]) == _dense(flag.context["rhs"], d, sign)
+    for k in range(d + 1):
+        assert plain.residual(f"x^{k}") == sign * flag.residual(f"x^({k})")
+
+
+def test_balanced_ds_single_color_reduces_to_univariate(suite, randoms):
+    # one color, a = (d,) and b(F) = |F|: every plain identity is its flag
+    # identity, side by side and residual by residual
+    pure = [made.complex for _, made in suite] + list(randoms)
+    pure = [cx for cx in pure if cx.d >= 1 and cx.is_pure()]
+    assert len(pure) >= 90
+    semi_eulerian = 0
+    for cx in pure:
+        d = cx.d
+        coloring = validate_balanced(cx, {v: 1 for v in cx.vertices})
+        assert coloring.a == (d,)
+        h = flag_h(cx, coloring)
+        assert tuple(h[(k,)] for k in range(d + 1)) == h_vector(f_vector(cx))
+        sr, sr_colored = verify_sr_reciprocity(cx), verify_sr_reciprocity_colored(cx, coloring)
+        for plain, flag in (
+            (verify_fh_tilde(cx), verify_flag_fh_tilde(cx, coloring)),
+            (verify_reciprocity(cx), verify_flag_reciprocity(cx, coloring)),
+            (sr, sr_colored),
+        ):
+            _assert_plain_is_flag_at_one_color(plain, flag, d)
+        assert _dense(sr_colored.context["numerator"], d) == sr.context["numerator"]
+        # ds-h is balanced-ds negated, its scalar i at b = (d - i)
+        plain, flag = verify_ds_h(cx), verify_balanced_ds(cx, coloring)
+        _assert_plain_is_flag_at_one_color(plain, flag, d, sign=-1)
+        for i in range(d + 1):
+            assert plain.residual(f"i={i}") == flag.residual(f"b=({d - i})")
+        assert plain.holds and flag.holds
+        if multiplicities(cx).semi_eulerian_witness() is None:
+            semi_eulerian += 1
+            plain = verify_semi_eulerian_h(cx)
+            flag = verify_balanced_semi_eulerian(cx, coloring)
+            assert [plain.residual(f"i={i}") for i in range(d + 1)] == list(flag.residuals)
+            assert flag.labels == tuple(f"b=({i})" for i in range(d + 1))
+    assert semi_eulerian >= 10
 
 
 def test_balanced_semi_eulerian_octahedron_palindrome():

@@ -176,6 +176,32 @@ def test_max_faces_env(capsys, monkeypatch, tmp_path):
     assert code == 4
 
 
+def test_face_cap_below_one_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    # exit 2 with the cap named, never exit 4 with "exceeds cap -5"
+    path = tmp_path / "edge.cplx"
+    path.write_text("1 2\n")
+    empty = tmp_path / "empty.cplx"
+    empty.write_text("")
+    (tmp_path / "none").mkdir()  # no .cplx file for batch, and the cap is still checked
+    for argv in (
+        ["f-vector", str(path), "--max-faces", "-5"],
+        ["f-vector", str(empty), "--max-faces", "0"],
+        ["verify", str(path), "--max-faces", "0"],
+        ["gen", "cross-polytope-boundary", "3", "--max-faces", "-1"],
+        ["gen", "cylinder", "--max-faces", "0"],
+        ["gen", "barycentric-subdivision", str(path), "--max-faces", "0"],
+        ["batch", str(tmp_path / "none"), "--max-faces", "0"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "face-count cap must be at least 1" in err, argv
+    assert run_cli(capsys, ["f-vector", str(empty), "--max-faces", "1"])[:2] == (0, "1\n")
+    monkeypatch.setenv("DSKIT_MAX_FACES", "0")
+    for argv in (["f-vector", str(path)], ["gen", "cylinder"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "") and "at least 1, got 0" in err, argv
+
+
 def test_multiplicities_json_schema(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys,

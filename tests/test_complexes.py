@@ -89,6 +89,29 @@ def test_from_facets_face_cap():
     assert Complex.from_facets([[1, 2, 3], [3, 4, 5]], max_faces=14).num_faces == 14
 
 
+def test_face_cap_below_one_is_a_validation_error(monkeypatch):
+    # every complex has the empty face, so no cap below 1 can hold one; the
+    # argument and the environment variable are checked alike
+    for cap in (0, -1, -5):
+        with pytest.raises(ValidationError, match=f"at least 1, got {cap}$"):
+            Complex.from_facets([], max_faces=cap)
+        with pytest.raises(ValidationError, match="at least 1"):
+            parse_cplx("1 2\n", max_faces=cap)
+        with pytest.raises(ValidationError, match="at least 1"):
+            cross_polytope_boundary(3, max_faces=cap)
+        monkeypatch.setenv("DSKIT_MAX_FACES", str(cap))
+        with pytest.raises(ValidationError, match="at least 1"):
+            Complex.from_facets([[1, 2]])
+        with pytest.raises(ValidationError, match="at least 1"):
+            cylinder()
+    monkeypatch.setenv("DSKIT_MAX_FACES", "1")
+    assert Complex.from_facets([]).num_faces == 1
+    with pytest.raises(ResourceLimitError):
+        Complex.from_facets([[1]])
+    monkeypatch.delenv("DSKIT_MAX_FACES")
+    assert Complex.from_facets([], max_faces=1).num_faces == 1
+
+
 def test_closure_matches_oracle():
     rng = random.Random(5)
     for _ in range(25):

@@ -299,6 +299,9 @@ def test_memo_keeps_rows_so_a_dropped_complex_is_freed():
     table = multiplicities(cx)
     relations.verify_all(cx)
     relations.classify(cx, FieldSpec(2))
+    # link() keeps the facet stars in the same memo, as ints only
+    assert cx.link([1]).num_faces == 27  # an octahedron
+    assert cx._derived["facet stars"] and not hasattr(cx, "_stars")
     assert cx._derived["multiplicities"] is table.rows
     assert not any(isinstance(v, MultiplicityTable) for v in cx._derived.values())
     gone = weakref.ref(cx)

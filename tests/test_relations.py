@@ -2,6 +2,7 @@
 
 import pytest
 
+from dskit.balanced import _mvar_report
 from dskit.complexes import Complex
 from dskit.enumeration import f_vector, h_vector, multiplicities
 from dskit.errors import PreconditionError
@@ -17,6 +18,8 @@ from dskit.generators import (
 )
 from dskit.relations import (
     RelationReport,
+    _poly_report,
+    _report,
     classify,
     ds_f_inverse_residuals,
     ds_f_residuals,
@@ -300,3 +303,22 @@ def test_report_json_round_trip():
     assert back.labels == rep.labels
     assert back.residuals == rep.residuals
     assert all(isinstance(x, str) for x in data["residuals"])
+
+
+def test_reporters_reject_sides_of_unequal_length():
+    # sides, labels and residuals are paired strictly: a short list raises
+    # ValueError, under python -O too, instead of being cut to fit
+    cx = cross_polytope_boundary(2).complex  # d = 2
+    assert _poly_report("p", cx, [1, 4, 4], [1, 4, 4]).holds
+    for lhs, rhs in (([1, 4, 4], [1, 4]), ([1, 4], [1, 4, 4]), ([1, 4, 4, 0], [1, 4, 4, 0])):
+        with pytest.raises(ValueError):
+            _poly_report("p", cx, lhs, rhs)
+    with pytest.raises(ValueError):
+        _poly_report("p", cx, [1, 4, 4], [1, 4, 4], ["i=0"], [0, 0])
+    a = (1, 1)
+    assert _mvar_report("m", cx, a, [1, 2, 2, 4], [1, 2, 2, 4]).holds
+    for lhs, rhs in (([1, 2, 2, 4], [1, 2, 2]), ([1, 2, 2], [1, 2, 2, 4]), ([1] * 5, [1] * 5)):
+        with pytest.raises(ValueError):
+            _mvar_report("m", cx, a, lhs, rhs)
+    with pytest.raises(ValueError):
+        _report("r", ["x^0", "x^1"], [0], {})
