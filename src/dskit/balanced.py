@@ -144,7 +144,8 @@ def _face_walk(cx: Complex, colors: tuple[int, ...], a: ExponentVec, rows) -> tu
     b is walked as its place in exponents_below(a), digits b_i in radix
     a_i + 1: the place of F is that of F minus its lowest vertex v, from
     the previous group, plus the place value of v's color. A facet with
-    more vertices of a color than a allows would carry, and is rejected.
+    more vertices of a color than a allows would carry, and is rejected,
+    and so is a type a whose sum is not d.
     """
     color_masks, place = [0] * len(a), [1] * len(a)
     for i in range(len(a) - 1, 0, -1):
@@ -161,6 +162,9 @@ def _face_walk(cx: Complex, colors: tuple[int, ...], a: ExponentVec, rows) -> tu
             raise ValidationError(
                 f"facet {cx.mask_vertices(g)} has color counts {bf}, above type {a}"
             )
+    if sum(a) != cx.d:
+        # flag reciprocity needs |a| = d mod 2; |a| < d leaves a facet above the type
+        raise ValidationError(f"type {a} sums to {sum(a)}, not to d={cx.d}")
     f = [0] * prod(x + 1 for x in a)
     msum = None if rows is None else list(f)
     at, previous = [0], ()

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .complexes import Complex, FaceTuple
 from .errors import PreconditionError, ValidationError
-from .poly import DeltaCoeffs, IntPoly, _binomial_transform, _sign, delta_expand
+from .poly import IntPoly, _binomial_transform, _sign
 
 FVector = tuple[int, ...]
 HVector = tuple[int, ...]
@@ -50,7 +50,10 @@ def h_vector(f: Iterable[int]) -> HVector:
 
 def h_to_f(h: Iterable[int]) -> FVector:
     """Inverse transform: sum_i f_{i-1} x^i = sum_i h_i x^i (x+1)^(d-i)."""
-    return delta_expand(DeltaCoeffs(reversed(tuple(h)))).coeffs
+    h = tuple(int(x) for x in h)
+    if not h:
+        raise ValidationError("delta coefficients need degree bound >= 0")
+    return tuple(_binomial_transform(h, (len(h) - 1,)))
 
 
 def euler_from_f(f: Iterable[int]) -> int:
@@ -207,22 +210,23 @@ def epsilon(cx: Complex, face: Iterable[int], method: str = "link-euler") -> int
     raise ValidationError(f"unknown method {method!r}")
 
 
+def _reciprocal_table(cx: Complex) -> MultiplicityTable:
+    """multiplicities(cx), once every non-empty m_F is in {0, 1}."""
+    table = multiplicities(cx)
+    witness = table.reciprocity_witness()
+    if witness is not None:
+        raise PreconditionError("complex is not reciprocal", witness)
+    return table
+
+
 def interior_f_vector(cx: Complex) -> tuple[int, ...]:
     """(f^int_0, ..., f^int_{d-1}): counts of non-empty faces with m_F = 1.
 
     Requires a reciprocal complex (every non-empty m_F in {0,1}).
     """
-    table = multiplicities(cx)
-    witness = table.reciprocity_witness()
-    if witness is not None:
-        raise PreconditionError("complex is not reciprocal", witness)
-    return tuple(row.count(1) for row in table.rows[1:])
+    return tuple(row.count(1) for row in _reciprocal_table(cx).rows[1:])
 
 
 def boundary_f_vector(cx: Complex) -> tuple[int, ...]:
     """(f^bd_-1, f^bd_0, ..., f^bd_{d-1}) with f^bd_-1 = 1 (empty face)."""
-    table = multiplicities(cx)
-    witness = table.reciprocity_witness()
-    if witness is not None:
-        raise PreconditionError("complex is not reciprocal", witness)
-    return (1,) + tuple(row.count(0) for row in table.rows[1:])
+    return (1,) + tuple(row.count(0) for row in _reciprocal_table(cx).rows[1:])

@@ -99,9 +99,6 @@ class IntPoly:
     def __neg__(self) -> IntPoly:
         return IntPoly([-c for c in self.coeffs])
 
-    def scaled(self, c: int) -> IntPoly:
-        return IntPoly([c * ck for ck in self.coeffs])
-
     def __mul__(self, other: IntPoly) -> IntPoly:
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -116,20 +113,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def reflected(self) -> IntPoly:
-        """p(-x)."""
-        return IntPoly([_sign(k) * c for k, c in enumerate(self.coeffs)])
-
-    def shifted(self, c: int) -> IntPoly:
-        """p(x+c), expanded by the binomial theorem."""
-        n = len(self.coeffs)
-        out = [0] * n
-        for j, pj in enumerate(self.coeffs):
-            if pj:
-                for k in range(j + 1):
-                    out[k] += pj * comb(j, k) * c ** (j - k)
-        return IntPoly(out, self.degree_bound)
 
     @staticmethod
     def monomial(k: int, c: int = 1, degree_bound: int | None = None) -> IntPoly:

@@ -18,16 +18,23 @@ one. Vector-level residual functions are exposed separately so identities
 can be checked on bare (f, f_int) data. Each identity has one kernel,
 shared by the plain, flag and Stanley-Reisner verifiers, on int lists over
 exponents_below(a): a plain complex is balanced of type (d,) under one color.
+
+The two evaluations above are T(h) and T(h reversed), T the forward
+binomial transform. Their composite S = T o R o T^-1 takes f to the
+multiplicity counts, and S(v)(x) = (-1)^d v(-1-x) is an involution. On a
+reciprocal complex the multiplicity counts are the interior counts, so
+ds-f, ds-f-inverse and Macdonald (on 2f - f_bd) are each one application
+of S, in _ds_f_kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 from typing import Sequence
 
 from .complexes import Complex, FaceTuple
 from .enumeration import (
+    _reciprocal_table,
     boundary_f_vector,
     check_f_vector,
     euler_from_f,
@@ -271,6 +278,27 @@ def verify_ds_h(cx: Complex) -> RelationReport:
 # -- f-version identities (reciprocal complexes) -------------------------
 
 
+def _ds_f_kernel(a, v) -> list:
+    """S(v) = T(R(T^-1 v)), T the fh-tilde transform and R the reversal of reciprocity.
+
+    On v = f, T^-1 v is h, and S(v) is the multiplicity count sum_b msum_b x^b.
+    In closed form S(v)(x) = (-1)^|a| v(-1-x), so S is an involution, and
+    S(v)_e = sum_{b>=e} (-1)^(|a|-|b|) C(b, e) v_b. On a reciprocal complex
+    msum counts the interior faces, which makes every f-version identity
+    (ds-f, ds-f-inverse, Macdonald) one application of S.
+    """
+    return _binomial_transform(_binomial_transform(v, a, inverse=True)[::-1], a)
+
+
+def _checked_f_int(f: Sequence[int], f_int: Sequence[int]) -> tuple:
+    """(f as ints, d), once f is an f-vector and f_int has length d."""
+    f = check_f_vector(f)
+    d = len(f) - 1
+    if len(f_int) != d:
+        raise ValidationError(f"interior vector must have length d={d}")
+    return f, d
+
+
 def ds_f_residuals(
     f: Sequence[int], f_int: Sequence[int], m_empty: int
 ) -> tuple[tuple[str, ...], tuple[int, ...]]:
@@ -279,39 +307,24 @@ def ds_f_residuals(
     Index k=0 uses the extra (-1)^d m_empty term, and 'chi' is the
     Euler-characteristic form chi = (-1)^(d-1) chi(interior).
     """
-    f = check_f_vector(f)
-    d = len(f) - 1
-    if len(f_int) != d:
-        raise ValidationError(f"interior vector must have length d={d}")
-    labels = []
-    residuals = []
-    for k in range(d + 1):
-        rhs = sum(_sign(d - i) * comb(i, k) * f_int[i - 1] for i in range(max(k, 1), d + 1))
-        if k == 0:
-            rhs += _sign(d) * m_empty
-        labels.append(f"k={k}")
-        residuals.append(f[k] - rhs)
+    f, d = _checked_f_int(f, f_int)
+    # m_empty is the interior count of the empty face
+    rhs = _ds_f_kernel((d,), [m_empty, *f_int])
     chi_int = sum(_sign(i - 1) * f_int[i - 1] for i in range(1, d + 1))
-    labels.append("chi")
+    labels = tuple(f"k={k}" for k in range(d + 1)) + ("chi",)
+    residuals = [fk - r for fk, r in zip(f, rhs)]
     residuals.append(euler_from_f(f) - _sign(d - 1) * chi_int)
-    return tuple(labels), tuple(residuals)
+    return labels, tuple(residuals)
 
 
 def ds_f_inverse_residuals(
     f: Sequence[int], f_int: Sequence[int]
 ) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """Residuals of f^int_{k-1} = sum_{i>=k} (-1)^(d-i) C(i,k) f_{i-1}, k >= 1."""
-    f = check_f_vector(f)
-    d = len(f) - 1
-    if len(f_int) != d:
-        raise ValidationError(f"interior vector must have length d={d}")
-    labels = []
-    residuals = []
-    for k in range(1, d + 1):
-        rhs = sum(_sign(d - i) * comb(i, k) * f[i] for i in range(k, d + 1))
-        labels.append(f"k={k}")
-        residuals.append(f_int[k - 1] - rhs)
-    return tuple(labels), tuple(residuals)
+    f, d = _checked_f_int(f, f_int)
+    rhs = _ds_f_kernel((d,), f)[1:]
+    labels = tuple(f"k={k}" for k in range(1, d + 1))
+    return labels, tuple(fi - r for fi, r in zip(f_int, rhs))
 
 
 def verify_ds_f(cx: Complex) -> RelationReport:
@@ -363,13 +376,11 @@ def macdonald_residuals(
     """
     q2 = macdonald_two_q(f, f_boundary)
     d = q2.degree_bound
-    lhs = q2.reflected().scaled(_sign(d))
-    rhs = q2.shifted(1)
-    cte2 = 0 if (d - 1) % 2 else 2 * chi_reduced
-    labels = tuple(f"x^{k}" for k in range(d + 1))
-    residuals = [lhs.coeff(k) - rhs.coeff(k) for k in range(d + 1)]
-    residuals[0] -= cte2
-    return labels, tuple(residuals)
+    # P alternates, so v = 2f - f_bd, and (-1)^d Q(-x) - Q(1+x) is (-1)^d (v - S(v))
+    v = [_sign(k) * c for k, c in enumerate(q2.coeffs)]
+    residuals = [_sign(d) * (vk - sk) for vk, sk in zip(v, _ds_f_kernel((d,), v))]
+    residuals[0] -= 0 if (d - 1) % 2 else 2 * chi_reduced
+    return tuple(f"x^{k}" for k in range(d + 1)), tuple(residuals)
 
 
 def macdonald_q(cx: Complex) -> IntPoly:
@@ -390,10 +401,7 @@ def verify_macdonald(cx: Complex, boundary_f: Sequence[int] | None = None) -> Re
     for the implied interior counts; the polynomial relation is strictly
     weaker, so ds-f holding forces this relation to hold as well.
     """
-    table = multiplicities(cx)
-    witness = table.reciprocity_witness()
-    if witness is not None:
-        raise PreconditionError("complex is not reciprocal", witness)
+    table = _reciprocal_table(cx)
     f = f_vector(cx)
     fb = tuple(boundary_f) if boundary_f is not None else boundary_f_vector(cx)
     chi_r = reduced_euler_from_f(f)

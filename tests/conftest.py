@@ -286,6 +286,16 @@ def purify(cx: Complex) -> Complex:
     return Complex.from_facets([f for f in cx.facets if len(f) == top])
 
 
+# the 6-vertex real projective plane: every link is a 5-cycle, and its
+# homology has 2-torsion, so its Betti numbers over Q and GF(2) differ
+RP2_FACETS = [
+    [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
+    [2, 3, 5], [3, 4, 6], [2, 4, 5], [3, 5, 6], [2, 4, 6],
+]
+# Moebius' 7-vertex torus: {i, i+1, i+3} and {i, i+2, i+3} mod 7, ids 1..7
+TORUS7_FACETS = [[1 + (i + s) % 7 for s in step] for step in ((0, 1, 3), (0, 2, 3)) for i in range(7)]
+
+
 def named_suite():
     """Every generator family at desk scale: (name, Generated) pairs."""
     out = [

@@ -217,13 +217,27 @@ def test_flag_counts_validate_each_vertex():
 
 def test_flag_counts_reject_a_type_below_a_facet():
     # a hand-built Coloring whose type is too small for some facet: the
-    # walk must not let one color's count spill into another's
+    # walk must not let one color's count spill into another's. A type
+    # that fits every facet but sums past d is rejected too: flag
+    # reciprocity holds only when |a| = d mod 2, and (3,) on this path
+    # made it fail
     path = Complex.from_facets([[1, 2], [2, 3]])
     for kappa, a in (({1: 2, 2: 2, 3: 1}, (2, 1)), ({1: 1, 2: 1, 3: 1}, (1,))):
         with pytest.raises(ValidationError, match=r"^facet \(1, 2\) has color counts \(.*above type"):
             flag_f(path, Coloring(kappa=kappa, a=a))
         with pytest.raises(ValidationError, match="above type"):
             verify_balanced_ds(path, Coloring(kappa=kappa, a=a))
+    for kappa, a in (({1: 1, 2: 1, 3: 1}, (3,)), ({1: 1, 2: 2, 3: 3}, (1, 1, 1))):
+        with pytest.raises(ValidationError, match=rf"^type \({a[0]},.*\) sums to 3, not to d=2$"):
+            flag_f(path, Coloring(kappa=kappa, a=a))
+        for verify in (verify_flag_reciprocity, verify_balanced_ds):
+            with pytest.raises(ValidationError, match="sums to 3"):
+                verify(path, Coloring(kappa=kappa, a=a))
+    # a non-pure complex under a type with |a| = d is accepted, and holds
+    edge_and_point = Complex.from_facets([[1, 2], [3]])
+    coloring = Coloring(kappa={1: 1, 2: 2, 3: 1}, a=(1, 1))
+    for verify in (verify_flag_fh_tilde, verify_flag_reciprocity, verify_balanced_ds):
+        assert verify(edge_and_point, coloring).holds
 
 
 def _refuse_sweeps(monkeypatch):

@@ -26,7 +26,7 @@ from dskit.enumeration import (
     multiplicity,
     reduced_euler,
 )
-from dskit.errors import DomainError, PreconditionError
+from dskit.errors import DomainError, PreconditionError, ValidationError
 from dskit.homology import FieldSpec
 from dskit.generators import (
     cross_polytope_boundary,
@@ -79,6 +79,8 @@ def test_h_f_round_trips():
         h = h_vector(f)
         assert h_to_f(h) == f
         assert h_vector(h_to_f(h)) == h
+    with pytest.raises(ValidationError, match="degree bound >= 0"):
+        h_to_f(())
 
 
 def test_h_sum_is_top_count(suite):

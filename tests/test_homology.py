@@ -26,18 +26,10 @@ from dskit.homology import (
     reduced_betti,
 )
 
-from conftest import obetti, ocolumns, ofaces_of, opivot_rows, orank, orank_mod
+from conftest import RP2_FACETS, obetti, ocolumns, ofaces_of, opivot_rows, orank, orank_mod
 
 FUZZ_PRIMES = (2, 3, 2**61 - 1)
 FIELDS = (FieldSpec(0), FieldSpec(2), FieldSpec(3))
-# the 6-vertex real projective plane: every link is a 5-cycle, and its
-# homology has 2-torsion, so its Betti numbers over Q and GF(2) differ
-RP2_FACETS = [
-    [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
-    [2, 3, 5], [3, 4, 6], [2, 4, 5], [3, 5, 6], [2, 4, 6],
-]
-
-
 def betti_dict(cx, field=FieldSpec(0)):
     return dict(reduced_betti(cx, field).items())
 

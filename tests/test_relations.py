@@ -1,12 +1,16 @@
 """Relation verifiers: universal identities, f-versions, Macdonald, classify."""
 
+import random
+from math import comb
+
 import pytest
 
-from dskit.balanced import _mvar_report
+from dskit.balanced import _flag_counts, _mvar_report, verify_balanced_semi_eulerian
 from dskit.complexes import Complex
 from dskit.enumeration import f_vector, h_vector, multiplicities
-from dskit.errors import PreconditionError
+from dskit.errors import PreconditionError, ValidationError
 from dskit.generators import (
+    barycentric_subdivision,
     cross_polytope_boundary,
     cylinder,
     double_banana,
@@ -16,8 +20,10 @@ from dskit.generators import (
     simplex_boundary,
     subdivided_triangle,
 )
+from dskit.poly import exponents_below, mcomb
 from dskit.relations import (
     RelationReport,
+    _ds_f_kernel,
     _poly_report,
     _report,
     classify,
@@ -35,6 +41,8 @@ from dskit.relations import (
     verify_reciprocity,
     verify_semi_eulerian_h,
 )
+
+from conftest import RP2_FACETS, TORUS7_FACETS, opoly_add, opoly_pow, opoly_scale
 
 PAPER_CYLINDER_F = (1, 4, 8, 4)
 PAPER_CYLINDER_F_INT = (0, 4, 4)
@@ -322,3 +330,130 @@ def test_reporters_reject_sides_of_unequal_length():
             _mvar_report("m", cx, a, lhs, rhs)
     with pytest.raises(ValueError):
         _report("r", ["x^0", "x^1"], [0], {})
+
+
+# -- the f-versions as one involution, against the per-index sums ----------
+
+
+def ref_ds_f_residuals(f, f_int, m_empty):
+    """ds-f by its per-index loop: one sum over i for each k, then chi."""
+    d = len(f) - 1
+    residuals = []
+    for k in range(d + 1):
+        rhs = sum((-1) ** (d - i) * comb(i, k) * f_int[i - 1] for i in range(max(k, 1), d + 1))
+        if k == 0:
+            rhs += (-1) ** d * m_empty
+        residuals.append(f[k] - rhs)
+    chi = sum((-1) ** (i - 1) * f[i] for i in range(1, d + 1))
+    chi_int = sum((-1) ** (i - 1) * f_int[i - 1] for i in range(1, d + 1))
+    return residuals + [chi - (-1) ** (d - 1) * chi_int]
+
+
+def ref_ds_f_inverse_residuals(f, f_int):
+    """ds-f-inverse by its per-index loop, k >= 1."""
+    d = len(f) - 1
+    return [
+        f_int[k - 1] - sum((-1) ** (d - i) * comb(i, k) * f[i] for i in range(k, d + 1))
+        for k in range(1, d + 1)
+    ]
+
+
+def ref_involution(v, a):
+    """(-1)^|a| v(-1-x), coefficientwise: sum over b >= e of (-1)^(|a|-|b|) C(b, e) v_b."""
+    lattice = list(exponents_below(a))
+    return [
+        sum((-1) ** (sum(a) - sum(b)) * mcomb(b, e) * vb for b, vb in zip(lattice, v))
+        for e in lattice
+    ]
+
+
+def ref_macdonald_residuals(f, fb, chi_reduced):
+    """(-1)^d Q(-x) - Q(1+x) - cte, doubled: Q(1+x) by powers of (1+x), Q(-x) by signs."""
+    d = len(f) - 1
+    q = [(-1) ** k * (2 * f[k] - fb[k]) for k in range(d + 1)]
+    shifted = [0]
+    for j, qj in enumerate(q):
+        shifted = opoly_add(shifted, opoly_scale(opoly_pow([1, 1], j), qj))
+    shifted += [0] * (d + 1 - len(shifted))
+    residuals = [(-1) ** d * (-1) ** k * q[k] - shifted[k] for k in range(d + 1)]
+    if (d - 1) % 2 == 0:
+        residuals[0] -= 2 * chi_reduced
+    return residuals
+
+
+def _sparse(rng, n):
+    return [rng.choice((0, rng.randrange(-(10**6), 10**6))) for _ in range(n)]
+
+
+def test_ds_f_kernel_is_the_involution_of_the_per_index_sums():
+    rng = random.Random(1313)
+    bounds = [(d,) for d in range(13)] + [(), (0, 2), (2, 0, 1), (3, 2), (1, 1, 1, 1)]
+    bounds += [tuple(rng.randrange(0, 4) for _ in range(rng.randrange(1, 4))) for _ in range(30)]
+    for a in bounds:
+        size = len(list(exponents_below(a)))
+        for v in ([0] * size, [1] * size, _sparse(rng, size)):
+            got = _ds_f_kernel(a, v)
+            assert got == ref_involution(v, a)
+            assert _ds_f_kernel(a, got) == v  # S o S = id
+
+
+def test_ds_f_kernel_turns_face_counts_into_multiplicity_counts(suite, randoms, balanced_pairs):
+    # S(f) = sum_F m_F x^b(F) for every complex; at a = (d,) it is the
+    # multiplicity polynomial, at a coloring's type the flag m_F sums
+    for cx in [made.complex for _, made in suite] + randoms[:40]:
+        assert _ds_f_kernel((cx.d,), list(f_vector(cx))) == list(multiplicities(cx).poly().coeffs)
+    for _, cx, coloring in balanced_pairs:
+        f, _, msum = _flag_counts(cx, coloring, sums=True)
+        assert _ds_f_kernel(coloring.a, f) == msum
+
+
+def test_f_version_residuals_match_the_per_index_sums():
+    rng = random.Random(1314)
+    for trial in range(120):
+        d = trial % 13
+        f = [1] + [rng.randrange(1, 10**4) for _ in range(d)]
+        f_int = [rng.randrange(-50, 10**4) for _ in range(d)]
+        fb = [1] + [rng.randrange(-50, 10**4) for _ in range(d)]
+        m_empty, chi = rng.randrange(-3, 4), rng.randrange(-3, 4)
+        labels, residuals = ds_f_residuals(f, f_int, m_empty)
+        assert labels == tuple(f"k={k}" for k in range(d + 1)) + ("chi",)
+        assert list(residuals) == ref_ds_f_residuals(f, f_int, m_empty)
+        labels, residuals = ds_f_inverse_residuals(f, f_int)
+        assert labels == tuple(f"k={k}" for k in range(1, d + 1))
+        assert list(residuals) == ref_ds_f_inverse_residuals(f, f_int)
+        labels, residuals = macdonald_residuals(f, fb, chi)
+        assert labels == tuple(f"x^{k}" for k in range(d + 1))
+        assert list(residuals) == ref_macdonald_residuals(f, fb, chi)
+
+
+def test_f_version_residuals_reject_bad_vectors():
+    with pytest.raises(ValidationError, match="^f-vector must start with f_-1 = 1$"):
+        ds_f_residuals((2, 1), (1,), 0)
+    with pytest.raises(ValidationError, match="^top face count must be >= 1$"):
+        ds_f_inverse_residuals((1, 3, 0), (1, 2))
+    for f_int in ((), (1, 2, 3)):
+        with pytest.raises(ValidationError, match=r"^interior vector must have length d=2$"):
+            ds_f_residuals((1, 3, 3), f_int, 0)
+        with pytest.raises(ValidationError, match=r"^interior vector must have length d=2$"):
+            ds_f_inverse_residuals((1, 3, 3), f_int)
+    with pytest.raises(ValidationError, match=r"^boundary f-vector must be"):
+        macdonald_residuals((1, 3, 3), (2, 3, 3), 0)
+
+
+def test_semi_eulerian_relations_with_a_nonzero_gap():
+    # closed manifolds that are not spheres: the gap chi_reduced - (-1)^(d-1)
+    # is -2 on the 7-vertex torus and -1 on RP^2, so h is no palindrome
+    for facets, h, gap in ((TORUS7_FACETS, (1, 4, 10, -1), -2), (RP2_FACETS, (1, 3, 6, 0), -1)):
+        cx = Complex.from_facets(facets)
+        rep = verify_semi_eulerian_h(cx)
+        assert rep.holds and rep.context["h"] == h
+        assert rep.context["palindrome"] is False and rep.context["eulerian"] is False
+        assert h[3] - h[0] == gap
+        reports = verify_all(cx)
+        assert [r.relation for r in reports if r.skipped] == []
+        assert all(r.holds for r in reports)
+    torus = Complex.from_facets(TORUS7_FACETS)
+    assert multiplicities(torus).m_empty == -1  # reaches the k=0 term of ds-f
+    sd = barycentric_subdivision(torus)
+    rep = verify_balanced_semi_eulerian(sd.complex, sd.coloring)
+    assert rep.holds and rep.context["palindrome"] is False
