@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import balanced, complexes, generators, relations, stanley_reisner
@@ -83,8 +83,44 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """obj in json.dumps(obj, indent=2)'s layout, byte for byte.
+
+    pad is the newline and indent of obj's own line. Keys must be str;
+    values are dicts, lists, tuples, str, int, bool or None (no floats).
+    """
+    kind = type(obj)
+    text = _SCALAR_TEXT.get(kind)
+    if text is not None:
+        return text(obj)
+    if not (kind is dict or kind is list or kind is tuple):
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not obj:
+        return "{}" if kind is dict else "[]"
+    inner = pad + "  "
+    sep = "," + inner
+    if kind is dict:
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        body = sep.join(
+            f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items()
+        )
+        return "{" + inner + body + pad + "}"
+    kinds = set(map(type, obj))
+    text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    body = sep.join(map(text, obj) if text else (_json_text(v, inner) for v in obj))
+    return "[" + inner + body + pad + "]"
+
+
 def _print_json(data, out: str | None) -> None:
-    _emit(json.dumps(data, indent=2) + "\n", out)
+    _emit(_json_text(data) + "\n", out)
 
 
 def _face_text(face) -> str:

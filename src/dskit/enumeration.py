@@ -115,12 +115,21 @@ class MultiplicityTable:
         return self.rows[mask.bit_count()][self.complex._position(mask)]
 
     def items(self) -> list[tuple[FaceTuple, int]]:
-        """(face, m) pairs ordered by cardinality then mask."""
-        vertices = self.complex.mask_vertices
-        out = []
-        for group, row in zip(self.complex.masks_by_card, self.rows):
+        """(face, m) pairs ordered by cardinality then mask.
+
+        A face's tuple is the tuple of the face minus its top vertex, one
+        cardinality down, plus that vertex's label.
+        """
+        labels = self.complex.labels
+        out = [((), self.m_empty)]
+        below = {0: ()}
+        for group, row in zip(self.complex.masks_by_card[1:], self.rows[1:]):
+            faces = {}
             for mask, m in zip(group, row):
-                out.append((vertices(mask), m))
+                top = mask.bit_length() - 1
+                face = faces[mask] = below[mask ^ (1 << top)] + (labels[top],)
+                out.append((face, m))
+            below = faces
         return out
 
     def poly(self) -> IntPoly:

@@ -25,6 +25,7 @@ exact at any size.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -173,13 +174,11 @@ def _binomial_transform(
     values and the result are listed in exponents_below(a) order. Each axis
     is transformed along every lattice line parallel to it; zeros are skipped.
     """
-    sign = -1 if inverse else 1
     out = list(values)
     stride = len(out)
     for ai in a:
         block, stride = stride, stride // (ai + 1)
-        # rows[b][k]: weight of v_b in out_{b+k} along this axis
-        rows = [[sign**k * comb(ai - b, k) for k in range(ai + 1 - b)] for b in range(ai + 1)]
+        rows = _binomial_rows(ai, inverse)
         for start in range(0, len(out), block):
             for first in range(start, start + stride):
                 line = out[first : first + block : stride]
@@ -194,6 +193,15 @@ def _binomial_transform(
     return out
 
 
+@cache
+def _binomial_rows(ai: int, inverse: bool) -> tuple[tuple[int, ...], ...]:
+    """rows[b][k]: weight of v_b in out_{b+k} along an axis of length ai + 1."""
+    sign = -1 if inverse else 1
+    return tuple(
+        tuple(sign**k * comb(ai - b, k) for k in range(ai + 1 - b)) for b in range(ai + 1)
+    )
+
+
 def delta_expand(c: DeltaCoeffs) -> IntPoly:
     """Expand sum_i c_i (x+1)^i x^(d-i) into the monomial basis."""
     d = c.degree_bound
@@ -205,16 +213,6 @@ def monomial_to_delta(p: IntPoly) -> DeltaCoeffs:
     """Write p on the delta basis: x^k = sum_i (-1)^(d-k-i) C(d-k,i) (x+1)^i x^(d-i)."""
     d = p.degree_bound
     return DeltaCoeffs(_binomial_transform(p.coeffs, (d,), inverse=True)[::-1])
-
-
-def mcomb(u: ExponentVec, v: ExponentVec) -> int:
-    """Multi-binomial prod_i C(u_i, v_i); zero when some v_i > u_i or v_i < 0."""
-    acc = 1
-    for ui, vi in zip(u, v):
-        if vi < 0 or vi > ui:
-            return 0
-        acc *= comb(ui, vi)
-    return acc
 
 
 def exponents_below(a: ExponentVec) -> Iterator[ExponentVec]:

@@ -47,7 +47,7 @@ from .enumeration import (
 )
 from .errors import PreconditionError, ValidationError
 from .homology import FieldSpec, is_homology_manifold
-from .poly import IntPoly, _binomial_transform, _sign, exponents_below, mcomb
+from .poly import IntPoly, _binomial_transform, _sign, exponents_below
 
 
 def _jsonify(v):
@@ -206,10 +206,14 @@ def _ds_kernel(a, d, f, h, msum) -> tuple:
 
 
 def _semi_eulerian_kernel(a, h, gap) -> list:
-    """Residuals of h_{a-b} - h_b = (-1)^|b| C(a,b) gap, for every b <= a."""
+    """Residuals of h_{a-b} - h_b = (-1)^|b| C(a,b) gap, for every b <= a.
+
+    C(a,b) gap is the transform of gap at b = 0, zero elsewhere.
+    """
+    terms = _binomial_transform([gap] + [0] * (len(h) - 1), a)
     return [
-        (hr - hb) - _sign(sum(b)) * mcomb(a, b) * gap
-        for b, hb, hr in zip(exponents_below(a), h, reversed(h))
+        (hr - hb) - _sign(sum(b)) * term
+        for b, hb, hr, term in zip(exponents_below(a), h, reversed(h), terms)
     ]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -111,6 +112,16 @@ def omdelta_element(b, a):
         acc = ompoly_mul(acc, ompoly_pow(omvar(i, m), b[i], m))
         xp1 = ompoly_add(omvar(i, m), {(0,) * m: 1})
         acc = ompoly_mul(acc, ompoly_pow(xp1, a[i] - b[i], m))
+    return acc
+
+
+def mcomb(u, v):
+    """Multi-binomial prod_i C(u_i, v_i); zero when some v_i > u_i or v_i < 0."""
+    acc = 1
+    for ui, vi in zip(u, v):
+        if vi < 0 or vi > ui:
+            return 0
+        acc *= comb(ui, vi)
     return acc
 
 

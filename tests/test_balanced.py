@@ -28,7 +28,7 @@ from dskit.generators import (
     glued_triangles,
     simplex_boundary,
 )
-from dskit.poly import IntPoly, MPoly, exponents_below, mcomb
+from dskit.poly import IntPoly, MPoly, exponents_below
 from dskit.relations import (
     verify_ds_h,
     verify_fh_tilde,
@@ -41,7 +41,7 @@ from dskit.stanley_reisner import (
     verify_sr_reciprocity_colored,
 )
 
-from conftest import flag_f_mpoly, multiplicity_mpoly, padded, specialized
+from conftest import flag_f_mpoly, mcomb, multiplicity_mpoly, padded, specialized
 
 
 def flag_h_from_expansion(cx, coloring):

@@ -5,7 +5,11 @@ import json
 import subprocess
 import sys
 
-from dskit.cli import main
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dskit.cli import _json_text, main
 from dskit.relations import RelationReport
 
 
@@ -455,3 +459,89 @@ def test_id_past_the_int_digit_limit_is_a_parse_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["flag", str(cplx), "--colors", str(colors)])
     assert (code, out) == (3, "")
     assert err.startswith("dskit: parse error: line 3: ")
+
+
+# -- the JSON writer: json.dumps(obj, indent=2) is its oracle --------------
+
+_json_chars = st.one_of(
+    st.characters(exclude_categories=()),
+    # quotes, backslash, control characters, non-ASCII and lone surrogates
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\xe9\u2028\U0001f600\ud800\udbff\udc00\udfff'),
+)
+_json_strs = st.text(_json_chars, max_size=12)
+_json_ints = st.one_of(
+    st.integers(),
+    st.integers(10**399, 10**400 - 1),  # 400 digits
+    st.integers(-(10**400) + 1, -(10**399)),
+)
+_json_scalars = st.one_of(st.none(), st.booleans(), _json_ints, _json_strs)
+_json_trees = st.recursive(
+    st.one_of(
+        _json_scalars,
+        st.lists(_json_ints),  # one scalar type: the joined fast path
+        st.lists(_json_strs).map(tuple),
+        st.lists(st.one_of(st.booleans(), _json_ints)),
+        st.lists(st.one_of(_json_ints, _json_strs)),
+    ),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_json_strs, kids, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_trees)
+def test_json_writer_matches_stdlib_indent_layout(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{1: "x"}, {None: 1}, {(1, 2): 3}, [{"a": {True: 1}}]],
+)
+def test_json_writer_rejects_non_str_keys(obj):
+    with pytest.raises(TypeError):
+        _json_text(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [1.5, [1, 2.0], [0.5, 1.5], {"x": float("nan")}, {1, 2}, b"ab", object(), ("a", [2, 1j])],
+)
+def test_json_writer_rejects_floats_and_non_json_values(obj):
+    with pytest.raises(TypeError):
+        _json_text(obj)
+
+
+def test_every_json_command_keeps_the_stdlib_layout(capsys, tmp_path):
+    # each --json output, read back and re-rendered by the stdlib, gives the
+    # same bytes: cross-polytope with its coloring, and an edge with a wide id
+    cp3 = tmp_path / "cp3.cplx"
+    colors = tmp_path / "cp3.colors"
+    assert main(["gen", "cross-polytope-boundary", "3", "-o", str(cp3), "--colors-out", str(colors)]) == 0
+    wide = tmp_path / "wide.cplx"
+    wide.write_text(f"1 {10**400}\n")
+    runs = [
+        ["f-vector", str(wide)],
+        ["h-vector", str(wide)],
+        ["multiplicities", str(cp3)],
+        ["multiplicities", str(wide)],
+        ["interior", str(cp3)],
+        ["classify", str(cp3), "--field", "2"],
+        ["classify", str(wide)],
+        ["betti", str(wide), "--field", "2"],
+        ["verify", str(cp3)],
+        ["verify", str(wide)],
+        ["flag", str(cp3), "--colors", str(colors)],
+        ["hilbert", str(cp3), "--colors", str(colors)],
+        ["hilbert", str(wide)],
+        ["batch", str(tmp_path)],
+    ]
+    for argv in runs:
+        capsys.readouterr()
+        main(argv + ["--json"])
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv

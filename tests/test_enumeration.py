@@ -200,6 +200,23 @@ def test_multiplicities_commute_with_relabelling(facets, ids):
         assert moved.m(relabel[v] for v in face) == m
 
 
+def test_items_face_tuples_match_mask_vertices():
+    # items() builds each face's tuple from the face one cardinality down;
+    # it must equal the per-face bit walk, on a link (which keeps its
+    # parent's labels, so its bits are sparse), on wide ids and on {emptyset}
+    base = Complex.from_facets([[1, 2, 3], [2, 3, 4], [1, 4, 5], [3, 5]])
+    wide = Complex.from_facets([[1, 10**400, 7], [7, 10**20], [2, 10**400]])
+    for cx in (base.link((2,)), base.link((3,)), wide, Complex.from_facets([])):
+        table = multiplicities(cx)
+        expected = [
+            (cx.mask_vertices(mask), m)
+            for group, row in zip(cx.masks_by_card, table.rows)
+            for mask, m in zip(group, row)
+        ]
+        assert table.items() == expected
+    assert multiplicities(Complex.from_facets([])).items() == [((), 1)]
+
+
 def test_m_empty_is_signed_reduced_euler(randoms):
     for cx in randoms:
         table = multiplicities(cx)

@@ -17,13 +17,13 @@ from dskit.poly import (
     _binomial_transform,
     delta_expand,
     exponents_below,
-    mcomb,
     mdelta_expand,
     mmonomial_to_delta,
     monomial_to_delta,
 )
 
 from conftest import (
+    mcomb,
     odelta_expand,
     omdelta_element,
     ompoly_add,

@@ -20,7 +20,7 @@ from dskit.generators import (
     simplex_boundary,
     subdivided_triangle,
 )
-from dskit.poly import exponents_below, mcomb
+from dskit.poly import exponents_below
 from dskit.relations import (
     RelationReport,
     _ds_f_kernel,
@@ -42,7 +42,7 @@ from dskit.relations import (
     verify_semi_eulerian_h,
 )
 
-from conftest import RP2_FACETS, TORUS7_FACETS, opoly_add, opoly_pow, opoly_scale
+from conftest import RP2_FACETS, TORUS7_FACETS, mcomb, opoly_add, opoly_pow, opoly_scale
 
 PAPER_CYLINDER_F = (1, 4, 8, 4)
 PAPER_CYLINDER_F_INT = (0, 4, 4)
