@@ -83,7 +83,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+class _Fragment(str):
+    """JSON text already rendered in _json_text's layout at the indent of
+    the place it goes; the writer emits it as is."""
+
+
 _SCALAR_TEXT = {
+    _Fragment: lambda text: text,
     str: encode_basestring_ascii,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
@@ -95,7 +101,9 @@ def _json_text(obj, pad: str = "\n") -> str:
     """obj in json.dumps(obj, indent=2)'s layout, byte for byte.
 
     pad is the newline and indent of obj's own line. Keys must be str;
-    values are dicts, lists, tuples, str, int, bool or None (no floats).
+    values are dicts, lists, tuples, str, int, bool or None (no floats),
+    or a _Fragment, a str of JSON text already rendered for its place,
+    which is emitted unchanged.
     """
     kind = type(obj)
     text = _SCALAR_TEXT.get(kind)
@@ -203,21 +211,31 @@ def _cmd_vectors(args) -> int:
 
 def _cmd_multiplicities(args) -> int:
     cx = _read_complex(args.file, args.max_faces)
-    table = multiplicities(cx)
-    f = f_vector(cx)
+    rows = multiplicities(cx).rows
+    # one text per face from the face index, in table.items() order: the
+    # bytes that _json_text of per-face dicts, or _face_text lines, give
     if args.json:
+        labels = ["\n        " + repr(v) for v in cx.labels]
+        entries = [f'{{\n      "face": [],\n      "m": "{rows[0][0]}"\n    }}']
+        for texts, row in zip(complexes._prefix_walk(cx, labels, ","), rows[1:]):
+            entries += [
+                f'{{\n      "face": [{text}\n      ],\n      "m": "{m}"\n    }}'
+                for text, m in zip(texts, row)
+            ]
+        f = f_vector(cx)
         data = {
             "f": [str(x) for x in f],
             "h": [str(x) for x in h_vector(f)],
-            "m": [
-                {"face": list(face), "m": str(m)} for face, m in table.items()
-            ],
+            "m": _Fragment("[\n    " + ",\n    ".join(entries) + "\n  ]"),
             "chi": str(euler_from_f(f)),
             "chi_reduced": str(reduced_euler_from_f(f)),
         }
         _print_json(data, args.out)
     else:
-        lines = [f"{_face_text(face)} : {m}" for face, m in table.items()]
+        labels = [str(v) for v in cx.labels]
+        lines = [f"- : {rows[0][0]}"]
+        for texts, row in zip(complexes._prefix_walk(cx, labels, " "), rows[1:]):
+            lines += [f"{text} : {m}" for text, m in zip(texts, row)]
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

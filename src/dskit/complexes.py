@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ParseError, ResourceLimitError, ValidationError
 
@@ -110,9 +110,14 @@ class Complex:
                     "empty facet line not allowed; an empty facet list means {emptyset}"
                 )
             checked.append(vs)
-        labels = tuple(sorted({v for vs in checked for v in vs}))
+        return cls._from_checked_facets(checked, cap)
+
+    @classmethod
+    def _from_checked_facets(cls, facets: list[list[int]], cap: int) -> Complex:
+        """Downward closure of non-empty facets of positive, distinct int ids."""
+        labels = tuple(sorted({v for vs in facets for v in vs}))
         bit = {v: 1 << i for i, v in enumerate(labels)}
-        masks = {sum(map(bit.__getitem__, vs)) for vs in checked}
+        masks = {sum(map(bit.__getitem__, vs)) for vs in facets}
         return cls._from_facet_masks(sorted(masks, key=int.bit_count, reverse=True), cap, labels)
 
     @classmethod
@@ -280,6 +285,28 @@ def _facet_stars(cx: Complex) -> dict[int, list[int]]:
     return stars
 
 
+def _prefix_walk(cx: Complex, labels: Sequence, sep) -> Iterator[list]:
+    """One value per non-empty face, a list per cardinality from 1 up,
+    aligned with cx.masks_by_card[1:].
+
+    A vertex's value is labels[i], i its bit; a larger face's value is the
+    value of the face minus its top vertex, one cardinality down, then
+    sep, then labels[top]. With 1-tuples and () the values are the face
+    tuples; with strs they are the faces' texts.
+    """
+    ext = [sep + x for x in labels]
+    step = labels
+    below = {0: sep[:0]}  # the empty face: an empty value of sep's type
+    for group in cx.masks_by_card[1:]:
+        values = {}
+        for mask in group:
+            top = mask.bit_length() - 1
+            values[mask] = below[mask ^ (1 << top)] + step[top]
+        yield list(values.values())
+        below = values
+        step = ext
+
+
 def from_facets(facets: Iterable[Iterable[int]], max_faces: int | None = None) -> Complex:
     """Module-level alias of Complex.from_facets."""
     return Complex.from_facets(facets, max_faces=max_faces)
@@ -307,7 +334,8 @@ def parse_cplx(text: str, max_faces: int | None = None) -> Complex:
         if len(set(facet)) != len(facet):
             raise ParseError("duplicate vertex in facet", lineno)
         facets.append(facet)
-    return Complex.from_facets(facets, max_faces=max_faces)
+    # every facet is checked above: positive, distinct ints, never empty
+    return Complex._from_checked_facets(facets, _effective_max_faces(max_faces))
 
 
 def _decode_utf8(data: bytes) -> str:

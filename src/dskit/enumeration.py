@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .complexes import Complex, FaceTuple
+from .complexes import Complex, FaceTuple, _prefix_walk
 from .errors import PreconditionError, ValidationError
 from .poly import IntPoly, _binomial_transform, _sign
 
@@ -120,16 +120,10 @@ class MultiplicityTable:
         A face's tuple is the tuple of the face minus its top vertex, one
         cardinality down, plus that vertex's label.
         """
-        labels = self.complex.labels
         out = [((), self.m_empty)]
-        below = {0: ()}
-        for group, row in zip(self.complex.masks_by_card[1:], self.rows[1:]):
-            faces = {}
-            for mask, m in zip(group, row):
-                top = mask.bit_length() - 1
-                face = faces[mask] = below[mask ^ (1 << top)] + (labels[top],)
-                out.append((face, m))
-            below = faces
+        singles = [(v,) for v in self.complex.labels]
+        for faces, row in zip(_prefix_walk(self.complex, singles, ()), self.rows[1:]):
+            out += zip(faces, row)
         return out
 
     def poly(self) -> IntPoly:

@@ -356,15 +356,14 @@ def boundary_faces_homological(
     homology in dimension d-1-|F|. Raises PreconditionError at the first
     face whose link fails, the witness is_homology_manifold reports.
     """
+    verdict = is_homology_manifold(cx, field)
+    if not verdict.is_manifold:
+        raise PreconditionError("complex is not a homology manifold", verdict.witness)
     out: list[FaceTuple] = [()]
     d = cx.d
+    # every link passed, so beta at sphere_dim is 0 (ball) or 1 (sphere)
     for fmask, betti in _link_scan(cx, field).items():
-        sphere_dim = d - 1 - fmask.bit_count()
-        if not _link_betti_ok(betti, sphere_dim):
-            raise PreconditionError(
-                "complex is not a homology manifold", cx.mask_vertices(fmask)
-            )
-        if betti.b(sphere_dim) == 0:
+        if betti.b(d - 1 - fmask.bit_count()) == 0:
             out.append(cx.mask_vertices(fmask))
     return tuple(out)
 

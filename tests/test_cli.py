@@ -10,6 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dskit.cli import _json_text, main
+from dskit.complexes import parse_cplx, write_cplx
+from dskit.enumeration import (
+    euler_from_f,
+    f_vector,
+    h_vector,
+    multiplicities,
+    reduced_euler_from_f,
+)
+from dskit.generators import (
+    cross_polytope_boundary,
+    double_banana,
+    glued_triangles,
+    random_complex,
+)
 from dskit.relations import RelationReport
 
 
@@ -545,3 +559,50 @@ def test_every_json_command_keeps_the_stdlib_layout(capsys, tmp_path):
         main(argv + ["--json"])
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+def _reference_multiplicities(cx, as_json):
+    # the output as it was built before rendering from the face index: one
+    # dict per face through json.dumps, or one _face_text line per face
+    table = multiplicities(cx)
+    if not as_json:
+        faces = [(" ".join(map(str, face)) if face else "-", m) for face, m in table.items()]
+        return "".join(f"{text} : {m}\n" for text, m in faces)
+    f = f_vector(cx)
+    data = {
+        "f": [str(x) for x in f],
+        "h": [str(x) for x in h_vector(f)],
+        "m": [{"face": list(face), "m": str(m)} for face, m in table.items()],
+        "chi": str(euler_from_f(f)),
+        "chi_reduced": str(reduced_euler_from_f(f)),
+    }
+    return json.dumps(data, indent=2) + "\n"
+
+
+def test_multiplicities_render_matches_the_per_face_reference(capsys, tmp_path):
+    # {emptyset}, one vertex, wide ids of mixed width, the double banana,
+    # m_F outside {0, 1} (three triangles on one edge), a non-pure complex
+    # and cp3; stdout and -o alike
+    rand = random_complex(7, 9, 0.5).complex
+    assert not rand.is_pure()
+    glued = glued_triangles(3).complex
+    assert 2 in multiplicities(glued).rows[2]
+    inputs = {
+        "empty": "",
+        "vertex": "5\n",
+        "wide": f"1 {10**400}\n3 22 1000 {10**25} 1\n",
+        "banana": write_cplx(double_banana().complex),
+        "glued": write_cplx(glued),
+        "random": write_cplx(rand),
+        "cp3": write_cplx(cross_polytope_boundary(3).complex),
+    }
+    for name, text in inputs.items():
+        path = tmp_path / f"{name}.cplx"
+        path.write_text(text)
+        cx = parse_cplx(text)
+        for flags in ([], ["--json"]):
+            expected = _reference_multiplicities(cx, bool(flags))
+            assert run_cli(capsys, ["multiplicities", str(path), *flags]) == (0, expected, ""), (name, flags)
+            out = tmp_path / "out.txt"
+            assert run_cli(capsys, ["multiplicities", str(path), *flags, "-o", str(out)]) == (0, "", "")
+            assert out.read_bytes() == expected.encode(), (name, flags)

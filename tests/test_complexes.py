@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dskit import complexes
 from dskit.complexes import (
     Complex,
     parse_colors,
@@ -240,6 +241,32 @@ def test_cplx_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_cplx("1 1 2\n")
     assert err.value.line == 1
+
+
+def test_parse_checks_each_facet_once(monkeypatch):
+    # parse_cplx checks every id itself and builds the complex from facets
+    # it has checked; from_facets' per-facet check does not run again
+    calls = []
+    checked_vertices = complexes._checked_vertices
+
+    def counting(face):
+        calls.append(face)
+        return checked_vertices(face)
+
+    monkeypatch.setattr(complexes, "_checked_vertices", counting)
+    text = "1 2 3\n# comment\n\n2 3 4\n3\n5 1\n"
+    cx = parse_cplx(text)
+    assert calls == []
+    assert cx == Complex.from_facets([[1, 2, 3], [2, 3, 4], [3], [5, 1]])
+    assert len(calls) == 4
+    # parse errors come before the cap, and the cap is still enforced
+    with pytest.raises(ParseError):
+        parse_cplx("1 2 3 4 5\n0 1\n", max_faces=2)
+    with pytest.raises(ParseError):
+        parse_cplx("1 2\nx\n", max_faces=0)
+    with pytest.raises(ResourceLimitError):
+        parse_cplx("1 2 3 4 5\n", max_faces=31)
+    assert parse_cplx("1 2 3 4 5\n", max_faces=32).num_faces == 32
 
 
 def test_colors_round_trip():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dskit import balanced, enumeration, relations, stanley_reisner
-from dskit.complexes import Complex
+from dskit.complexes import Complex, _prefix_walk
 from dskit.enumeration import (
     MultiplicityTable,
     boundary_f_vector,
@@ -203,7 +203,8 @@ def test_multiplicities_commute_with_relabelling(facets, ids):
 def test_items_face_tuples_match_mask_vertices():
     # items() builds each face's tuple from the face one cardinality down;
     # it must equal the per-face bit walk, on a link (which keeps its
-    # parent's labels, so its bits are sparse), on wide ids and on {emptyset}
+    # parent's labels, so its bits are sparse), on wide ids and on {emptyset}.
+    # The same walk over label texts gives the faces' texts
     base = Complex.from_facets([[1, 2, 3], [2, 3, 4], [1, 4, 5], [3, 5]])
     wide = Complex.from_facets([[1, 10**400, 7], [7, 10**20], [2, 10**400]])
     for cx in (base.link((2,)), base.link((3,)), wide, Complex.from_facets([])):
@@ -214,6 +215,8 @@ def test_items_face_tuples_match_mask_vertices():
             for mask, m in zip(group, row)
         ]
         assert table.items() == expected
+        texts = [text for row in _prefix_walk(cx, list(map(str, cx.labels)), " ") for text in row]
+        assert texts == [" ".join(map(str, face)) for face, _ in expected[1:]]
     assert multiplicities(Complex.from_facets([])).items() == [((), 1)]
 
 
