@@ -5,12 +5,16 @@ chain complex (the empty face spans the (-1)-dimensional chain group, so
 the map from vertices is the augmentation). Signs follow
 del [v_0..v_k] = sum_j (-1)^j [v_0..v_hat_j..v_k] with vertex ids
 increasing. Boundary matrices are sparse columns built from the face
-masks: int bitsets over GF(2), {row: +-1} dicts otherwise. Each rank is
-one exact column reduction against a table of pivots keyed by pivot row,
-as in Ripser, and the maps are reduced top-down with clearing (Chen and
-Kerber, "Persistent homology computation with a twist", 2011; Bauer,
-Kerber and Reininghaus, "Clear and compress", 2014). The dense reference
-ranks live in tests/conftest.py.
+masks: int bitsets over GF(2), {row: +-1} dicts otherwise. Each rank from
+cardinality 3 up is one exact column reduction against a table of pivots
+keyed by pivot row, as in Ripser, and the maps are reduced top-down with
+clearing (Chen and Kerber, "Persistent homology computation with a twist",
+2011; Bauer, Kerber and Reininghaus, "Clear and compress", 2014). The two
+lowest ranks take no matrix, over every field: the augmentation has rank 1
+when there is a vertex, and the map from edges to vertices is the
+incidence matrix of a graph, whose rank is the size of a spanning forest
+of the uncleared edges, found by union-find. The dense reference ranks
+live in tests/conftest.py.
 
 The homology-manifold scan builds no link complex. It walks the faces in
 (cardinality, mask) order and reads the faces of lk(F) off those of
@@ -19,7 +23,11 @@ earlier. The definitional route, each link closed from the complex, is
 the reference in tests/test_homology.py. Each field's scan is kept on
 the complex itself, so classify and then the boundary split of one object
 scan once; an equal complex built apart, possibly under other labels,
-scans for itself.
+scans for itself. Over Q the scan computes each link over GF(2) first and
+keeps those numbers when they are nonzero in at most one degree. That is
+exact by universal coefficients (Hatcher, Algebraic Topology, Thm 3A.3):
+beta_i over Q is at most beta_i over GF(2) for every i, and both sum to
+the same reduced Euler characteristic.
 """
 
 from __future__ import annotations
@@ -236,21 +244,51 @@ class BettiTable:
         return [(i - 1, b) for i, b in enumerate(self.betti)]
 
 
+def _forest_size(vertices: Sequence[int], edges: Sequence[int], cleared: Container[int]) -> int:
+    """Number of edges in a spanning forest of the graph on the vertices,
+    the edges at the positions in cleared left out: union-find with path
+    halving. It is the rank of that graph's incidence matrix over every field."""
+    root = {v: v for v in vertices}
+    kept = 0
+    for j, e in enumerate(edges):
+        if j in cleared:
+            continue
+        a = e & -e
+        b = e ^ a
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a != b:
+            root[a] = b
+            kept += 1
+    return kept
+
+
 def _betti_numbers(masks_by_card: Sequence[Sequence[int]], p: int) -> tuple[int, ...]:
     """Reduced Betti numbers over GF(p), or Q for p = 0, from dimension -1 up,
     of the complex whose c-faces are masks_by_card[c].
 
     Top-down with clearing: a pivot row of del_{c+1} is a c-face whose
     column in del_c reduces to zero, so that column is skipped. The rank of
-    del_c is still the number of its pivots.
+    del_c is still the number of its pivots. Only del_c for c >= 3 is
+    column-reduced. del_2 is the incidence matrix of the graph of the
+    uncleared edges, whose rank over every field is the number of edges a
+    spanning forest keeps (V minus the number of components). del_1, the
+    augmentation, has rank 1 when there is a vertex. So a complex of
+    dimension 1 or less builds no matrix.
     """
     top = len(masks_by_card) - 1
     ranks = [0] * (top + 2)  # ranks[c] = rank of del: card c -> card c-1
     pivots: set[int] = set()
-    for c in range(top, 0, -1):
+    for c in range(top, 2, -1):
         cols = boundary_matrix(masks_by_card, c, p, pivots)
         pivots = rank_mod(cols, p) if p else rank_rational(cols)
         ranks[c] = len(pivots)
+    if top >= 2:
+        ranks[2] = _forest_size(masks_by_card[1], masks_by_card[2], pivots)
+    if top >= 1 and masks_by_card[1]:
+        ranks[1] = 1
     return tuple(len(masks_by_card[c]) - ranks[c] - ranks[c + 1] for c in range(top + 1))
 
 
@@ -293,14 +331,20 @@ def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
     order, so lk(P) is kept only if P can have children, only its faces
     with a vertex below P's lowest (the ones a child reads), and only
     until its children have passed.
+
+    Over Q a link's numbers come from GF(2) unless those are nonzero in
+    more than one degree: GF(2) numbers bound the Q numbers from above
+    degree by degree and have the same alternating sum, so when they are
+    nonzero in one degree only they are the Q numbers.
     """
     scan: dict[int, BettiTable] = {}
-    tables: dict[tuple[int, ...], BettiTable] = {}  # most links share a few tables
     p = field.characteristic
     d = cx.d
     parents: dict[int, Sequence[Sequence[int]]] = {0: cx.masks_by_card}
     for card in range(1, len(cx.masks_by_card)):
         sphere_dim = d - 1 - card
+        # most links of one cardinality share a few tables: each is judged once
+        tables: dict[tuple[int, ...], tuple[BettiTable, bool]] = {}
         children: dict[int, list[list[int]]] = {}
         parent = None
         for fmask in cx.masks_by_card[card]:
@@ -311,12 +355,16 @@ def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
             link = [[g ^ v for g in faces if g & v] for faces in parent_link[1:]]
             while not link[-1]:  # link[0] is [0]: the empty face
                 link.pop()
-            numbers = _betti_numbers(link, p)
-            betti = tables.get(numbers)
-            if betti is None:
-                betti = tables[numbers] = BettiTable(numbers, field)
+            numbers = _betti_numbers(link, p or 2)
+            if not p and len(numbers) - numbers.count(0) > 1:
+                numbers = _betti_numbers(link, 0)
+            known = tables.get(numbers)
+            if known is None:
+                betti = BettiTable(numbers, field)
+                known = tables[numbers] = (betti, _link_betti_ok(betti, sphere_dim))
+            betti, ok = known
             scan[fmask] = betti
-            if not _link_betti_ok(betti, sphere_dim):
+            if not ok:
                 return scan
             if v > 1:
                 below = v - 1

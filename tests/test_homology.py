@@ -148,6 +148,8 @@ def test_boundary_matrix_columns():
 def test_cleared_ranks_equal_full_ranks(suite, randoms, balanced_pairs):
     # skipping the columns of del_c whose faces are pivot rows of del_{c+1}
     # changes neither the rank nor the pivot rows of del_c
+    from dskit import homology
+
     complexes = [made.complex for _, made in suite] + randoms
     complexes += [cx for _, cx, _ in balanced_pairs]
     for cx in complexes:
@@ -156,9 +158,63 @@ def test_cleared_ranks_equal_full_ranks(suite, randoms, balanced_pairs):
             rank = (lambda cols: rank_mod(cols, p)) if p else rank_rational
             pivots = set()
             for c in range(cx.d, 0, -1):
+                if c == 2:
+                    # a spanning forest of the uncleared edges has as many
+                    # edges as the full del_2 has rank
+                    forest = homology._forest_size(by_card[1], by_card[2], pivots)
+                    assert forest == len(rank(boundary_matrix(by_card, 2, p)))
                 cleared = rank(boundary_matrix(by_card, c, p, pivots))
                 assert cleared == rank(boundary_matrix(by_card, c, p))
                 pivots = cleared
+
+
+def _shifted(facets, by):
+    return [[v + by for v in f] for f in facets]
+
+
+LOW_RANK_CASES = {
+    "empty face only": [],
+    "one vertex": [[1]],
+    "isolated vertices": [[1], [2], [5], [9]],
+    "a tree": [[1, 2], [2, 3], [2, 4], [4, 5]],
+    "a forest": [[1, 2], [2, 3], [2, 4], [5, 6], [7], [8, 9], [9, 10]],
+    "disjoint cycles": [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [6, 7], [4, 7], [8, 9]],
+    "2-complexes in several components": (
+        [[1, 2, 3], [4, 5], [5, 6], [4, 6], [7]]
+        + _shifted(RP2_FACETS, 10)
+        + _shifted(cross_polytope_boundary(3).complex.facets, 20)
+        + [[30, 31, 32], [31, 32, 33], [30, 33]]
+    ),
+}
+
+
+@pytest.mark.parametrize("facets", list(LOW_RANK_CASES.values()), ids=list(LOW_RANK_CASES))
+def test_low_ranks_by_union_find_match_the_oracle(facets, monkeypatch):
+    # del_1 and del_2 take no matrix: only del_c for c >= 3 is built
+    from dskit import homology
+
+    cards = []
+    inner = homology.boundary_matrix
+    monkeypatch.setattr(
+        homology,
+        "boundary_matrix",
+        lambda by_card, card, *rest: cards.append(card) or inner(by_card, card, *rest),
+    )
+    cx = Complex.from_facets(facets)
+    for p in (0, 2, 3):
+        want = obetti(ofaces_of(cx), p)
+        assert homology._betti_numbers(cx.masks_by_card, p) == tuple(want[i] for i in range(-1, cx.d))
+    assert all(card >= 3 for card in cards)
+    assert bool(cards) == (cx.d >= 3)
+
+
+def test_betti_numbers_match_the_oracle_on_the_random_corpus(randoms):
+    from dskit import homology
+
+    for cx in randoms:
+        for p in (0, 2, 3):
+            want = obetti(ofaces_of(cx), p)
+            assert homology._betti_numbers(cx.masks_by_card, p) == tuple(want[i] for i in range(-1, cx.d))
 
 
 @pytest.mark.parametrize("d, field", [(8, FieldSpec(0)), (10, FieldSpec(2))])
@@ -285,8 +341,10 @@ def test_boundary_faces_witness_is_the_manifold_witness(field):
 
 
 def test_boundary_faces_looks_up_each_link_once(monkeypatch):
-    # each link's Betti numbers are computed once per field, and the
-    # boundary split reads the ones classify computed
+    # over GF(2) each link's Betti numbers are computed once; over Q each
+    # link is computed once over GF(2), and over Q only when its GF(2)
+    # numbers are nonzero in more than one degree, which no link of the
+    # cylinder is. The boundary split reads the numbers classify computed
     from dskit import homology
     from dskit.relations import classify
 
@@ -300,13 +358,58 @@ def test_boundary_faces_looks_up_each_link_once(monkeypatch):
     monkeypatch.setattr(homology, "_betti_numbers", counting)
     cx = cylinder().complex  # a fresh object starts with an empty memo
     links = sorted(cx.link_mask(m).masks_by_card for group in cx.masks_by_card[1:] for m in group)
+    spread = [by_card for by_card in links if len([b for b in inner(by_card, 2) if b]) > 1]
+    assert spread == []
     for field in (FieldSpec(0), FieldSpec(2)):
-        p = field.characteristic
+        start = len(computed)
         assert classify(cx, field).homology_manifold
-        assert sorted(by_card for by_card, q in computed if q == p) == links
-        before = len(computed)
+        run = computed[start:]
+        assert sorted(by_card for by_card, q in run if q == 2) == links
+        assert sorted(by_card for by_card, q in run if q != 2) == []
         boundary_faces_homological(cx, field)
-        assert len(computed) == before
+        assert len(computed) == start + len(run)
+
+
+def _rp2_cone():
+    return Complex.from_facets([f + [100] for f in RP2_FACETS])
+
+
+def test_q_scan_is_certified_over_gf2(monkeypatch):
+    # the cone over RP^2 is a homology manifold over Q and GF(3), where its
+    # apex link RP^2 is acyclic, but not over GF(2), where that link has
+    # beta_1 = beta_2 = 1; its boundary is RP^2, the apex and the empty face
+    from dskit import homology
+
+    for field in (FieldSpec(0), FieldSpec(3)):
+        cx = _rp2_cone()
+        assert is_homology_manifold(cx, field).is_manifold
+        bd = boundary_faces_homological(cx, field)
+        assert len(bd) == 33 and () in bd and (100,) in bd
+        assert set(bd) == {(), (100,)} | set(Complex.from_facets(RP2_FACETS).faces())
+    verdict = is_homology_manifold(_rp2_cone(), FieldSpec(2))
+    assert not verdict.is_manifold
+    assert verdict.witness == (100,)
+    assert verdict.witness_betti.betti == (0, 0, 1, 1)
+
+    # over Q only the apex link has GF(2) numbers in more than one degree,
+    # so it is the one link computed over Q as well; a GF(3) scan never
+    # computes over GF(2)
+    computed = []
+    inner = homology._betti_numbers
+    monkeypatch.setattr(
+        homology,
+        "_betti_numbers",
+        lambda by_card, p: computed.append((tuple(map(tuple, by_card)), p)) or inner(by_card, p),
+    )
+    cx = _rp2_cone()
+    apex_link = cx.link([100]).masks_by_card
+    homology._link_scan(cx, FieldSpec(0))
+    assert [by_card for by_card, p in computed if p == 0] == [apex_link]
+    assert apex_link in [by_card for by_card, p in computed if p == 2]
+    assert {p for _, p in computed} == {0, 2}
+    computed.clear()
+    homology._link_scan(_rp2_cone(), FieldSpec(3))
+    assert computed and {p for _, p in computed} == {3}
 
 
 def test_homological_split_equals_multiplicity_split(suite):
@@ -408,7 +511,7 @@ def test_link_scan_matches_the_definition(suite, randoms, balanced_pairs):
     from dskit import homology
 
     complexes = [made.complex for _, made in suite] + randoms
-    complexes += [cx for _, cx, _ in balanced_pairs] + [Complex.from_facets(RP2_FACETS)]
+    complexes += [cx for _, cx, _ in balanced_pairs] + [Complex.from_facets(RP2_FACETS), _rp2_cone()]
     failed = 0
     for cx in complexes:
         cx = Complex.from_facets(cx.facets)  # no memo from earlier scans
