@@ -59,16 +59,7 @@ from .homology import (
     is_homology_manifold,
     reduced_betti,
 )
-from .poly import (
-    DeltaCoeffs,
-    IntPoly,
-    MDeltaCoeffs,
-    MPoly,
-    delta_expand,
-    mdelta_expand,
-    mmonomial_to_delta,
-    monomial_to_delta,
-)
+from .poly import IntPoly, MPoly
 from .relations import (
     Classification,
     RelationReport,

@@ -15,8 +15,8 @@ relations that also check the plain identities, the one-color case.
 The flag h-numbers have a single runtime route, the inclusion-exclusion
 closed form h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c (flag_h),
 which is also the colored Hilbert numerator. It is the inverse binomial
-transform of f on the lattice b <= a, the same change of basis as
-poly.mmonomial_to_delta, run one color at a time. The coefficient-extraction
+transform of f on the lattice b <= a, poly._binomial_transform with its
+signed kernel, run one color at a time. The coefficient-extraction
 route from sum_F x^b(F) (1-x)^(a-b(F)), flag_h_from_expansion, lives in
 tests/test_balanced.py as its independent reference
 (test_flag_h_closed_form_equals_expansion).

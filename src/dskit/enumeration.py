@@ -52,7 +52,7 @@ def h_to_f(h: Iterable[int]) -> FVector:
     """Inverse transform: sum_i f_{i-1} x^i = sum_i h_i x^i (x+1)^(d-i)."""
     h = tuple(int(x) for x in h)
     if not h:
-        raise ValidationError("delta coefficients need degree bound >= 0")
+        raise ValidationError("h-vector needs at least one entry, h_0")
     return tuple(_binomial_transform(h, (len(h) - 1,)))
 
 

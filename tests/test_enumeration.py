@@ -35,9 +35,17 @@ from dskit.generators import (
     glued_triangles,
     subdivided_triangle,
 )
-from dskit.poly import DeltaCoeffs, delta_expand
 
-from conftest import ofaces_of, om_f, opoly_add, opoly_mul, opoly_pow, opoly_scale
+from conftest import (
+    odelta_expand,
+    ofaces_of,
+    om_f,
+    opoly_add,
+    opoly_eq,
+    opoly_mul,
+    opoly_pow,
+    opoly_scale,
+)
 
 
 def oracle_h_vector(f):
@@ -79,7 +87,7 @@ def test_h_f_round_trips():
         h = h_vector(f)
         assert h_to_f(h) == f
         assert h_vector(h_to_f(h)) == h
-    with pytest.raises(ValidationError, match="degree bound >= 0"):
+    with pytest.raises(ValidationError, match="h-vector needs at least one entry"):
         h_to_f(())
 
 
@@ -230,7 +238,7 @@ def test_central_invariant_m_poly_is_h_delta_expansion(randoms):
     # sum_F m_F x^|F| == sum_i h_i (x+1)^i x^(d-i), for every complex
     for cx in randoms:
         h = h_vector(f_vector(cx))
-        assert multiplicities(cx).poly() == delta_expand(DeltaCoeffs(h))
+        assert opoly_eq(multiplicities(cx).poly().coeffs, odelta_expand(h))
 
 
 def test_epsilon_values():

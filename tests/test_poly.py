@@ -1,4 +1,12 @@
-"""Delta-basis transforms against brute-force expansion oracles."""
+"""The binomial transform against brute-force expansion oracles.
+
+poly._binomial_transform is the library's one change of basis. On the
+lattice b <= a its forward kernel expands coefficients on the delta basis
+x^b (x+1)^(a-b) into monomial ones, and its signed kernel goes back. At
+a = (d,) the lattice index is the power of x, so coefficients c_i of
+(x+1)^i x^(d-i), as odelta_expand reads them, go in reversed; there the
+forward transform is h_to_f and the inverse one is h_vector.
+"""
 
 import random
 from math import comb
@@ -7,20 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dskit.enumeration import h_vector
+from dskit.enumeration import h_to_f, h_vector
 from dskit.errors import DomainError
-from dskit.poly import (
-    DeltaCoeffs,
-    IntPoly,
-    MDeltaCoeffs,
-    MPoly,
-    _binomial_transform,
-    delta_expand,
-    exponents_below,
-    mdelta_expand,
-    mmonomial_to_delta,
-    monomial_to_delta,
-)
+from dskit.poly import IntPoly, MPoly, _binomial_transform, exponents_below
 
 from conftest import (
     mcomb,
@@ -32,44 +29,60 @@ from conftest import (
 )
 
 
+def _listed(coeffs, a):
+    """A sparse {b: c_b} as the list over exponents_below(a) the transform takes."""
+    return [coeffs.get(b, 0) for b in exponents_below(a)]
+
+
+def _nonzero(values, a):
+    """The nonzero entries of a list over exponents_below(a), keyed by b."""
+    return {b: v for b, v in zip(exponents_below(a), values) if v}
+
+
 def test_delta_expand_degree_zero():
-    assert delta_expand(DeltaCoeffs([5])) == IntPoly([5])
+    assert _binomial_transform([5], (0,)) == [5]
+    assert h_to_f([5]) == (5,)
 
 
 def test_delta_expand_single_element():
-    # (x+1)x at d=2
-    assert delta_expand(DeltaCoeffs([0, 1, 0])) == IntPoly([0, 1, 1])
+    # (x+1)x at d=2 is the lattice element x^1 (x+1)^1
+    assert _binomial_transform([0, 1, 0], (2,)) == [0, 1, 1]
 
 
 def test_delta_expand_cylinder_h():
-    # h-vector of the (1,4,8,4) cylinder: yields the interior count poly + m_empty
-    got = delta_expand(DeltaCoeffs([1, 1, 3, -1]))
-    assert got == IntPoly([-1, 0, 4, 4])
-    assert opoly_eq(got.coeffs, odelta_expand([1, 1, 3, -1]))
+    # the h-vector of the (1,4,8,4) cylinder on the basis (x+1)^i x^(d-i)
+    # yields the interior count poly + m_empty
+    h = [1, 1, 3, -1]
+    got = h_to_f(h[::-1])
+    assert got == (-1, 0, 4, 4)
+    assert opoly_eq(got, odelta_expand(h))
+    # and on the basis x^i (x+1)^(d-i) it yields the f-vector
+    assert h_to_f(h) == (1, 4, 8, 4)
 
 
 def test_monomial_to_delta_x_at_d2():
-    assert monomial_to_delta(IntPoly([0, 1], 2)) == DeltaCoeffs([-1, 1, 0])
+    # x = x (x+1) - x^2
+    assert _binomial_transform([0, 1, 0], (2,), inverse=True) == [0, 1, -1]
 
 
 def test_monomial_to_delta_one_at_d1():
-    # 1 = (x+1) - x on the basis (x, x+1)
-    assert monomial_to_delta(IntPoly([1], 1)) == DeltaCoeffs([-1, 1])
+    # 1 = (x+1) - x on the basis (x+1, x)
+    assert _binomial_transform([1, 0], (1,), inverse=True) == [1, -1]
 
 
 def test_monomial_to_delta_x2_at_d3():
-    got = monomial_to_delta(IntPoly([0, 0, 1], 3))
+    got = _binomial_transform([0, 0, 1, 0], (3,), inverse=True)
     # verified by expanding back rather than trusting the formula
-    assert opoly_eq(odelta_expand(got.coeffs), [0, 0, 1])
-    assert got == DeltaCoeffs([-1, 1, 0, 0])
+    assert opoly_eq(odelta_expand(got[::-1]), [0, 0, 1])
+    assert got == [0, 0, 1, -1]
 
 
 def test_change_basis_matches_symbolic_expansion():
-    # the formula's coefficients re-expand to exactly x^k, for every k <= d
+    # the signed kernel's coefficients re-expand to exactly x^k, for every k <= d
     for d in range(7):
         for k in range(d + 1):
-            c = monomial_to_delta(IntPoly.monomial(k, 1, d))
-            assert opoly_eq(odelta_expand(c.coeffs), [0] * k + [1])
+            c = _binomial_transform([0] * k + [1] + [0] * (d - k), (d,), inverse=True)
+            assert opoly_eq(odelta_expand(c[::-1]), [0] * k + [1])
 
 
 @settings(max_examples=150, deadline=None)
@@ -83,8 +96,8 @@ def test_change_basis_matches_symbolic_expansion():
     )
 )
 def test_univariate_round_trip(coeffs):
-    p = IntPoly(coeffs)
-    assert delta_expand(monomial_to_delta(p)) == p
+    d = len(coeffs) - 1
+    assert h_to_f(_binomial_transform(coeffs, (d,), inverse=True)) == tuple(coeffs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -95,50 +108,54 @@ def test_univariate_round_trip(coeffs):
     st.integers(min_value=-5, max_value=5),
 )
 def test_transform_linearity(a, b, s, t):
-    pa, pb = IntPoly(a), IntPoly(b)
-    combo = IntPoly([s * x + t * y for x, y in zip(a, b)])
-    ca = monomial_to_delta(pa).coeffs
-    cb = monomial_to_delta(pb).coeffs
+    combo = [s * x + t * y for x, y in zip(a, b)]
+    ca = _binomial_transform(a, (3,), inverse=True)
+    cb = _binomial_transform(b, (3,), inverse=True)
     expected = [s * x + t * y for x, y in zip(ca, cb)]
-    assert list(monomial_to_delta(combo).coeffs) == expected
+    assert _binomial_transform(combo, (3,), inverse=True) == expected
 
 
 def test_mdelta_expand_trivial_cases():
-    assert mdelta_expand(MDeltaCoeffs({(0,): 1}, (1,))) == MPoly({(0,): 1, (1,): 1}, (1,))
-    got = mdelta_expand(MDeltaCoeffs({(0, 0): 1}, (1, 1)))
-    assert got == MPoly({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}, (1, 1))
+    # x + 1 at a = (1,), and (x1+1)(x2+1) at a = (1, 1)
+    assert _binomial_transform([1, 0], (1,)) == [1, 1]
+    assert _binomial_transform([1, 0, 0, 0], (1, 1)) == [1, 1, 1, 1]
 
 
 def test_mdelta_expand_difference():
     # x1x2 - (x1+1)(x2+1)
-    got = mdelta_expand(MDeltaCoeffs({(1, 1): 1, (0, 0): -1}, (1, 1)))
+    a = (1, 1)
+    got = _binomial_transform(_listed({(1, 1): 1, (0, 0): -1}, a), a)
     oracle = ompoly_add(
-        omdelta_element((1, 1), (1, 1)), ompoly_scale(omdelta_element((0, 0), (1, 1)), -1)
+        omdelta_element((1, 1), a), ompoly_scale(omdelta_element((0, 0), a), -1)
     )
-    assert got.coeffs == oracle
+    assert _nonzero(got, a) == oracle
 
 
 def test_mmonomial_to_delta_trivial():
-    assert mmonomial_to_delta(MPoly({(1,): 1}, (1,))).coeffs == {(1,): 1}
-    assert mmonomial_to_delta(MPoly({(0,): 1}, (1,))).coeffs == {(0,): 1, (1,): -1}
+    assert _binomial_transform([0, 1], (1,), inverse=True) == [0, 1]
+    assert _binomial_transform([1, 0], (1,), inverse=True) == [1, -1]
 
 
 def test_mmonomial_to_delta_x1x2_round_trip():
-    p = MPoly({(1, 1): 1}, (2, 1))
-    c = mmonomial_to_delta(p)
-    assert mdelta_expand(c) == p
+    a = (2, 1)
+    p = _listed({(1, 1): 1}, a)
+    c = _binomial_transform(p, a, inverse=True)
+    assert _binomial_transform(c, a) == p
     # and expanding the delta coefficients against the oracle elements
     acc: dict = {}
-    for b, cb in c.coeffs.items():
-        acc = ompoly_add(acc, ompoly_scale(omdelta_element(b, (2, 1)), cb))
-    assert acc == p.coeffs
+    for b, cb in _nonzero(c, a).items():
+        acc = ompoly_add(acc, ompoly_scale(omdelta_element(b, a), cb))
+    assert acc == {(1, 1): 1}
 
 
 def test_mpoly_key_out_of_bound_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"exponent \(2,\) outside bound \(1,\)"):
         MPoly({(2,): 1}, (1,))
-    with pytest.raises(DomainError):
-        MDeltaCoeffs({(0, 2): 1}, (1, 1))
+    # a negative exponent, or a key with the wrong number of variables
+    for key in ((0, 2), (-1, 0), (0,), (0, 0, 0)):
+        with pytest.raises(DomainError, match="outside bound"):
+            MPoly({key: 1}, (1, 1))
+    assert MPoly({(1, 0): 0, (0, 1): 2}, (1, 1)).coeffs == {(0, 1): 2}
 
 
 def _random_bound(rng, total_max=8, m_max=4):
@@ -161,8 +178,8 @@ def test_multivariate_round_trip_seeded():
             for e in exponents_below(a)
             if rng.random() < 0.7
         }
-        p = MPoly(coeffs, a)
-        assert mdelta_expand(mmonomial_to_delta(p)) == p
+        p = _listed(coeffs, a)
+        assert _binomial_transform(_binomial_transform(p, a, inverse=True), a) == p
 
 
 def test_multivariate_delta_elements_match_oracle():
@@ -170,8 +187,8 @@ def test_multivariate_delta_elements_match_oracle():
     for _ in range(40):
         a = _random_bound(rng, total_max=6, m_max=3)
         for b in exponents_below(a):
-            got = mdelta_expand(MDeltaCoeffs({b: 1}, a))
-            assert got.coeffs == omdelta_element(b, a)
+            got = _binomial_transform(_listed({b: 1}, a), a)
+            assert _nonzero(got, a) == omdelta_element(b, a)
 
 
 def test_intpoly_equality_ignores_padding():
@@ -225,11 +242,9 @@ def test_lattice_transform_matches_the_per_b_sums():
         lattice = list(exponents_below(a))
         for v in (dict.fromkeys(lattice, 0), _sparse_values(rng, lattice)):
             h = ref_flag_h(v, a)
-            assert mmonomial_to_delta(MPoly(v, a)) == MDeltaCoeffs(h, a)
             listed = [v[b] for b in lattice]
             assert _binomial_transform(listed, a, inverse=True) == [h[b] for b in lattice]
             scalar = ref_balanced_ds_scalar(v, a)
-            assert mdelta_expand(MDeltaCoeffs(v, a)) == MPoly(scalar, a)
             assert _binomial_transform(listed, a) == [scalar[b] for b in lattice]
 
 
@@ -237,11 +252,10 @@ def test_univariate_transforms_match_the_per_index_sums():
     rng = random.Random(516)
     for d in range(9):
         eps = [rng.choice((0, rng.randrange(-1000, 1000))) for _ in range(d + 1)]
-        # the forward transform of eps at x^(d-i); delta_expand reads its
-        # input by the power of (x+1), so eps goes in reversed
-        got = delta_expand(DeltaCoeffs(eps[::-1]))
-        assert [got.coeff(d - i) for i in range(d + 1)] == ref_ds_h_scalar(eps, d)
+        # the forward transform of eps, read at x^(d-i)
+        got = h_to_f(eps)
+        assert [got[d - i] for i in range(d + 1)] == ref_ds_h_scalar(eps, d)
         f = [1] + [rng.randrange(0, 1000) for _ in range(d)]
         h = ref_flag_h({(i,): fi for i, fi in enumerate(f)}, (d,))
         assert h_vector(f) == tuple(h[(k,)] for k in range(d + 1))
-        assert monomial_to_delta(IntPoly(f, d)).coeffs == h_vector(f)[::-1]
+        assert _binomial_transform(f, (d,), inverse=True) == list(h_vector(f))
