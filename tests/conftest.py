@@ -137,6 +137,12 @@ def oclosure(facets):
     return faces
 
 
+def omaximal(facets):
+    """The facets no other facet strictly contains, as sorted tuples."""
+    sets = {frozenset(f) for f in facets}
+    return tuple(sorted(tuple(sorted(f)) for f in sets if not any(f < g for g in sets)))
+
+
 def olink(faces, f):
     f = frozenset(f)
     return {g for g in faces if not (g & f) and (g | f) in faces}

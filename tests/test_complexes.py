@@ -19,13 +19,23 @@ from dskit.complexes import (
 )
 from dskit.errors import DomainError, ParseError, ResourceLimitError, ValidationError
 from dskit.generators import (
+    barycentric_subdivision,
     cross_polytope_boundary,
     cylinder,
     glued_triangles,
     random_complex,
+    simplex_boundary,
 )
 
-from conftest import faces_by_dim, has_face, oclosure, ofaces_of, olink, ochi_reduced
+from conftest import (
+    faces_by_dim,
+    has_face,
+    oclosure,
+    ofaces_of,
+    olink,
+    omaximal,
+    ochi_reduced,
+)
 
 
 def test_from_facets_path():
@@ -88,6 +98,25 @@ def test_from_facets_face_cap():
     with pytest.raises(ResourceLimitError):
         Complex.from_facets([[1, 2, 3], [3, 4, 5]], max_faces=13)
     assert Complex.from_facets([[1, 2, 3], [3, 4, 5]], max_faces=14).num_faces == 14
+    # overlapping facets: the cap counts faces, not the submasks walked
+    assert cross_polytope_boundary(5, max_faces=243).complex.num_faces == 3**5
+    with pytest.raises(ResourceLimitError, match="^face count exceeds cap 242; "):
+        cross_polytope_boundary(5, max_faces=242)
+    # two 7-vertex facets sharing 5 vertices have 2^7 faces after the first
+    # and 2^7 + 2^7 - 2^5 = 224 after both; a cap from 128 to 223 passes the
+    # first and fails at the second, 127 fails at the first, before its
+    # subsets are listed
+    first, second = range(1, 8), range(3, 10)
+    for cap in (127, 128, 223, 224):
+        message = (
+            f"face count exceeds cap {cap}; raise --max-faces/DSKIT_MAX_FACES if intended"
+        )
+        for facets, faces in (([first], 128), ([first, second], 224)):
+            if cap >= faces:
+                assert Complex.from_facets(facets, max_faces=cap).num_faces == faces
+            else:
+                with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}$"):
+                    Complex.from_facets(facets, max_faces=cap)
 
 
 def test_face_cap_below_one_is_a_validation_error(monkeypatch):
@@ -113,6 +142,21 @@ def test_face_cap_below_one_is_a_validation_error(monkeypatch):
     assert Complex.from_facets([], max_faces=1).num_faces == 1
 
 
+def _closure_in_order(facets, rng):
+    """The closure of facets taken shuffled within each size, largest first."""
+    labels = tuple(sorted({v for f in facets for v in f}))
+    bit = {v: 1 << i for i, v in enumerate(labels)}
+    masks = list({sum(bit[v] for v in f) for f in facets})
+    rng.shuffle(masks)
+    masks.sort(key=int.bit_count, reverse=True)  # stable: sizes stay shuffled
+    return Complex._from_facet_masks(masks, 1 << 24, labels)
+
+
+def _assert_closure(cx, facets):
+    assert ofaces_of(cx) == oclosure(facets)
+    assert cx.facets == omaximal(facets)
+
+
 def test_closure_matches_oracle():
     rng = random.Random(5)
     for _ in range(25):
@@ -121,8 +165,40 @@ def test_closure_matches_oracle():
             sorted(rng.sample(range(1, n + 1), rng.randrange(1, n + 1)))
             for _ in range(rng.randrange(1, 6))
         ]
-        cx = Complex.from_facets(facets)
-        assert ofaces_of(cx) == oclosure(facets)
+        _assert_closure(Complex.from_facets(facets), facets)
+    # dense overlaps make the walk meet faces an earlier facet closed and
+    # skip their runs: cp6 has 729 faces, its 64 facets 64 * 2^6 subsets
+    spheres = [cross_polytope_boundary(d).complex for d in range(1, 7)]
+    spheres.append(barycentric_subdivision(simplex_boundary(3).complex).complex)
+    for cx in spheres:
+        facets = list(cx.facets)
+        for _ in range(3):
+            _assert_closure(_closure_in_order(facets, rng), facets)
+        rng.shuffle(facets)
+        _assert_closure(Complex.from_facets(facets), facets)
+    for _ in range(40):
+        n = rng.randrange(9, 13)
+        facets = [
+            rng.sample(range(1, n + 1), rng.randrange(4, 10))
+            for _ in range(rng.randrange(10, 41))
+        ]
+        # duplicates in another vertex order, and facets inside others
+        for f in rng.sample(facets, 3):
+            facets.append(f[::-1])
+            facets.append(f[: rng.randrange(1, len(f))])
+        rng.shuffle(facets)
+        _assert_closure(Complex.from_facets(facets), facets)
+        _assert_closure(_closure_in_order(facets, rng), facets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sets(st.integers(1, 12), min_size=1, max_size=9), min_size=1, max_size=30),
+    st.randoms(use_true_random=False),
+)
+def test_closure_property(facets, rng):
+    _assert_closure(Complex.from_facets(facets), facets)
+    _assert_closure(_closure_in_order(facets, rng), facets)
 
 
 def test_link_of_empty_face_is_identity():
@@ -177,9 +253,17 @@ def definitional_link(cx, fmask):
 
 
 def test_link_from_star_equals_definition(suite, randoms):
+    rng = random.Random(19)
     for cx in [made.complex for _, made in suite] + randoms:
         for fmask in (g for group in cx.masks_by_card for g in group):
             link = cx.link_mask(fmask)
+            # a star is an antichain, so its closure may take it in any
+            # order, sizes rising as well as falling
+            star = [g ^ fmask for g in cx.facet_masks if g & fmask == fmask]
+            rng.shuffle(star)
+            shuffled = Complex._from_facet_masks(star, 1 << 24, cx.labels)
+            assert shuffled.masks_by_card == link.masks_by_card
+            assert shuffled.facet_masks == link.facet_masks
             faces = definitional_link(cx, fmask)
             top = max(g.bit_count() for g in faces)
             assert link.masks_by_card == tuple(
