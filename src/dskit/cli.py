@@ -5,15 +5,19 @@ composes with everything: `dskit gen cylinder | dskit f-vector`.
 
 Exit codes: 0 all good, 1 a verified relation failed, 2 usage or
 parameter validation, 3 file parse error (message carries the line
-number), 4 precondition/domain failure (message carries a witness face),
-the face-count cap, or running out of memory.
+number) or a file that cannot be read or written (the OS message; output
+is written in chunks, so a write error can come after some of it), 4
+precondition/domain failure (message carries a witness face), the
+face-count cap, or running out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
+from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -76,20 +80,17 @@ def _read_coloring(cx: Complex, path: str) -> balanced.Coloring:
         raise PreconditionError(str(exc))
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the str chunks in order to stdout, or to the file out.
 
-
-class _Fragment(str):
-    """JSON text already rendered in _json_text's layout at the indent of
-    the place it goes; the writer emits it as is."""
+    The file is created before the first chunk is drawn: a caller finishes
+    what can fail before it calls _emit.
+    """
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as stream:
+        stream.writelines(chunks)
 
 
 _SCALAR_TEXT = {
-    _Fragment: lambda text: text,
     str: encode_basestring_ascii,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
@@ -101,9 +102,7 @@ def _json_text(obj, pad: str = "\n") -> str:
     """obj in json.dumps(obj, indent=2)'s layout, byte for byte.
 
     pad is the newline and indent of obj's own line. Keys must be str;
-    values are dicts, lists, tuples, str, int, bool or None (no floats),
-    or a _Fragment, a str of JSON text already rendered for its place,
-    which is emitted unchanged.
+    values are dicts, lists, tuples, str, int, bool or None (no floats).
     """
     kind = type(obj)
     text = _SCALAR_TEXT.get(kind)
@@ -128,7 +127,7 @@ def _json_text(obj, pad: str = "\n") -> str:
 
 
 def _print_json(data, out: str | None) -> None:
-    _emit(_json_text(data) + "\n", out)
+    _emit((_json_text(data), "\n"), out)
 
 
 def _face_text(face) -> str:
@@ -198,7 +197,7 @@ def _emit_vector(args, key: str, vec) -> int:
     if args.json:
         _print_json({key: [str(x) for x in vec]}, args.out)
     else:
-        _emit(" ".join(str(x) for x in vec) + "\n", args.out)
+        _emit((" ".join(str(x) for x in vec), "\n"), args.out)
     return EXIT_OK
 
 
@@ -209,35 +208,49 @@ def _cmd_vectors(args) -> int:
     return _emit_vector(args, "h", h_vector(f))
 
 
+_SLICE = 4096  # faces per chunk of multiplicities output
+
+
 def _cmd_multiplicities(args) -> int:
     cx = _read_complex(args.file, args.max_faces)
     rows = multiplicities(cx).rows
-    # one text per face from the face index, in table.items() order: the
-    # bytes that _json_text of per-face dicts, or _face_text lines, give
+    # parse, sweep, f and h are done before _emit writes the first byte, so
+    # a failure writes nothing
     if args.json:
-        labels = ["\n        " + repr(v) for v in cx.labels]
-        entries = [f'{{\n      "face": [],\n      "m": "{rows[0][0]}"\n    }}']
-        for texts, row in zip(complexes._prefix_walk(cx, labels, ","), rows[1:]):
-            entries += [
-                f'{{\n      "face": [{text}\n      ],\n      "m": "{m}"\n    }}'
-                for text, m in zip(texts, row)
-            ]
         f = f_vector(cx)
-        data = {
-            "f": [str(x) for x in f],
-            "h": [str(x) for x in h_vector(f)],
-            "m": _Fragment("[\n    " + ",\n    ".join(entries) + "\n  ]"),
-            "chi": str(euler_from_f(f)),
-            "chi_reduced": str(reduced_euler_from_f(f)),
-        }
-        _print_json(data, args.out)
+        f_text, h_text = (_json_text([str(x) for x in v], "\n  ") for v in (f, h_vector(f)))
+        head = (
+            f'{{\n  "f": {f_text},\n  "h": {h_text},\n  "m": [\n'
+            f'    {{\n      "face": [],\n      "m": "{rows[0][0]}"\n    }}'
+        )
+        chi, chi_reduced = euler_from_f(f), reduced_euler_from_f(f)
+        tail = f'\n  ],\n  "chi": "{chi}",\n  "chi_reduced": "{chi_reduced}"\n}}\n'
+        labels, sep = ["\n        " + repr(v) for v in cx.labels], ","
     else:
-        labels = [str(v) for v in cx.labels]
-        lines = [f"- : {rows[0][0]}"]
-        for texts, row in zip(complexes._prefix_walk(cx, labels, " "), rows[1:]):
-            lines += [f"{text} : {m}" for text, m in zip(texts, row)]
-        _emit("\n".join(lines) + "\n", args.out)
+        head, tail = f"- : {rows[0][0]}\n", ""
+        labels, sep = [str(v) for v in cx.labels], " "
+    walk = complexes._prefix_walk(cx, labels, sep)
+    _emit(_multiplicity_chunks(head, walk, rows[1:], tail, args.json), args.out)
     return EXIT_OK
+
+
+def _multiplicity_chunks(head: str, walk, rows, tail: str, as_json: bool) -> Iterator[str]:
+    """head, each row's entries _SLICE faces to a chunk, then tail.
+
+    One text per face from the face index, in table.items() order: the
+    bytes that _json_text of per-face dicts, or _face_text lines, give.
+    """
+    yield head
+    for texts, row in zip(walk, rows):
+        for i in range(0, len(row), _SLICE):
+            pairs = zip(texts[i : i + _SLICE], row[i : i + _SLICE])
+            if as_json:
+                yield "".join(
+                    [f',\n    {{\n      "face": [{t}\n      ],\n      "m": "{m}"\n    }}' for t, m in pairs]
+                )
+            else:
+                yield "".join([f"{t} : {m}\n" for t, m in pairs])
+    yield tail
 
 
 def _cmd_interior(args) -> int:
@@ -273,7 +286,7 @@ def _cmd_classify(args) -> int:
             if not val and flag in cls.witnesses:
                 suffix = f"  (witness: {_face_text(cls.witnesses[flag])})"
             lines.append(f"{flag}: {str(val).lower()}{suffix}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(("\n".join(lines), "\n"), args.out)
     return EXIT_OK
 
 
@@ -288,9 +301,7 @@ def _cmd_betti(args) -> int:
         }
         _print_json(data, args.out)
     else:
-        _emit(
-            " ".join(f"b[{i}]={b}" for i, b in table.items()) + "\n", args.out
-        )
+        _emit((" ".join(f"b[{i}]={b}" for i, b in table.items()), "\n"), args.out)
     return EXIT_OK
 
 
@@ -314,7 +325,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         _print_json([rep.to_json_dict() for rep in reports], args.out)
     else:
-        _emit("\n".join(_report_line(r) for r in reports) + "\n", args.out)
+        _emit(("\n".join(_report_line(r) for r in reports), "\n"), args.out)
     return EXIT_OK if all(r.holds for r in reports) else EXIT_FAILED
 
 
@@ -337,7 +348,7 @@ def _cmd_flag(args) -> int:
             )
             for e in entries
         ]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(("\n".join(lines), "\n"), args.out)
     return EXIT_OK
 
 
@@ -360,7 +371,7 @@ def _cmd_hilbert(args) -> int:
                 f"({','.join(str(x) for x in e)}):{c}" for e, c in numer.items_sorted()
             )
             exps = ",".join(str(x) for x in series.denominator_exponent)
-            _emit(f"numerator: {terms}\ndenominator: prod (1-w_i)^({exps})\n", args.out)
+            _emit([f"numerator: {terms}\ndenominator: prod (1-w_i)^({exps})\n"], args.out)
     else:
         series = stanley_reisner.hilbert_series(cx)
         if args.json:
@@ -372,7 +383,7 @@ def _cmd_hilbert(args) -> int:
         else:
             coeffs = " ".join(str(c) for c in series.numerator.coeffs)
             _emit(
-                f"numerator: {coeffs}\ndenominator: (1-x)^{series.denominator_exponent}\n",
+                [f"numerator: {coeffs}\ndenominator: (1-x)^{series.denominator_exponent}\n"],
                 args.out,
             )
     return EXIT_OK
@@ -387,7 +398,7 @@ def _cmd_gen(args) -> int:
         base = _read_complex(params[0], args.max_faces)
         params = []
     made = generators.gen(args.family, params, base=base, max_faces=args.max_faces)
-    _emit(write_cplx(made.complex), args.out)
+    _emit([write_cplx(made.complex)], args.out)
     if args.colors_out:
         if made.coloring is None:
             raise ValidationError(
@@ -428,7 +439,7 @@ def _cmd_batch(args) -> int:
         checked = sum(1 for reps in results.values() for r in reps if not r.skipped)
         failed = sum(1 for reps in results.values() for r in reps if not r.holds)
         lines.append(f"# {len(results)} files, {checked} relations checked, {failed} failed")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(("\n".join(lines), "\n"), args.out)
     return EXIT_OK if all_ok else EXIT_FAILED
 
 

@@ -1,9 +1,11 @@
 """CLI subcommands, exit codes, JSON schemas and composition."""
 
+import errno
 import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -581,8 +583,9 @@ def _reference_multiplicities(cx, as_json):
 
 def test_multiplicities_render_matches_the_per_face_reference(capsys, tmp_path):
     # {emptyset}, one vertex, wide ids of mixed width, the double banana,
-    # m_F outside {0, 1} (three triangles on one edge), a non-pure complex
-    # and cp3; stdout and -o alike
+    # m_F outside {0, 1} (three triangles on one edge), a non-pure complex,
+    # cp3, and cp9, whose rows of 4032, 5376 and 4608 faces are each longer
+    # than one written slice; stdout and -o alike
     rand = random_complex(7, 9, 0.5).complex
     assert not rand.is_pure()
     glued = glued_triangles(3).complex
@@ -595,6 +598,7 @@ def test_multiplicities_render_matches_the_per_face_reference(capsys, tmp_path):
         "glued": write_cplx(glued),
         "random": write_cplx(rand),
         "cp3": write_cplx(cross_polytope_boundary(3).complex),
+        "cp9": write_cplx(cross_polytope_boundary(9).complex),
     }
     for name, text in inputs.items():
         path = tmp_path / f"{name}.cplx"
@@ -606,3 +610,71 @@ def test_multiplicities_render_matches_the_per_face_reference(capsys, tmp_path):
             out = tmp_path / "out.txt"
             assert run_cli(capsys, ["multiplicities", str(path), *flags, "-o", str(out)]) == (0, "", "")
             assert out.read_bytes() == expected.encode(), (name, flags)
+
+
+def test_multiplicities_failures_write_nothing(capsys, tmp_path):
+    # parse, sweep, f and h finish before the first byte is written: a run
+    # stopped by the cap (exit 4) or by a parse error (exit 3) leaves stdout
+    # empty and creates no -o file, and -o into a missing directory is exit
+    # 3 with the OS message
+    cp3 = tmp_path / "cp3.cplx"
+    cp3.write_text(write_cplx(cross_polytope_boundary(3).complex))
+    bad = tmp_path / "bad.cplx"
+    bad.write_text("1 2 3\n1 two\n")
+    out = tmp_path / "out.txt"
+    missing = tmp_path / "no-such-dir" / "out.txt"
+    for flags in ([], ["--json"]):
+        for argv, code, message in (
+            ([str(cp3), "--max-faces", "26"], 4, "cap"),
+            ([str(bad)], 3, "line 2"),
+        ):
+            got, stdout, err = run_cli(capsys, ["multiplicities", *argv, *flags])
+            assert (got, stdout) == (code, ""), (argv, flags)
+            assert message in err
+            got, stdout, err = run_cli(capsys, ["multiplicities", *argv, *flags, "-o", str(out)])
+            assert (got, stdout) == (code, "") and message in err
+            assert not out.exists()
+        got, stdout, err = run_cli(capsys, ["multiplicities", str(cp3), *flags, "-o", str(missing)])
+        assert (got, stdout) == (3, "")
+        assert err == f"dskit: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        assert not missing.parent.exists()
+
+
+def test_a_write_error_after_the_first_chunk_is_exit_3(capsys, monkeypatch, tmp_path):
+    # output is written in chunks, so a full disk can stop it part way: that
+    # is the OSError path, exit 3 with the OS message
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            if self.tell():
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(text)
+
+    cp3 = tmp_path / "cp3.cplx"
+    cp3.write_text(write_cplx(cross_polytope_boundary(3).complex))
+    for flags in ([], ["--json"]):
+        stream = FullDisk()
+        monkeypatch.setattr(sys, "stdout", stream)
+        code = main(["multiplicities", str(cp3), *flags])
+        monkeypatch.undo()
+        assert code == 3
+        assert capsys.readouterr().err == "dskit: [Errno 28] No space left on device\n"
+        assert 0 < len(stream.getvalue()) < len(_reference_multiplicities(parse_cplx(cp3.read_text()), bool(flags)))
+
+
+def test_multiplicities_output_costs_no_memory_beyond_the_sweep(tmp_path):
+    # the JSON of cp9 (2.4 MB) is written a row slice at a time, so its
+    # traced peak stays within twice that of verify on the same file, where
+    # a document held whole, several times over, costs about six times
+    cp9 = tmp_path / "cp9.cplx"
+    cp9.write_text(write_cplx(cross_polytope_boundary(9).complex))
+    out = tmp_path / "out.json"
+    assert main(["f-vector", str(cp9), "-o", str(out)]) == 0  # the parser is built once
+    peaks = {}
+    for command in ("multiplicities", "verify"):
+        tracemalloc.start()
+        try:
+            assert main([command, str(cp9), "--json", "-o", str(out)]) == 0
+            peaks[command] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["multiplicities"] <= 2 * peaks["verify"], peaks
