@@ -25,10 +25,11 @@ tests/test_balanced.py as its independent reference
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import Complex
+from .complexes import Complex, _prefix_walk
 from .enumeration import _kept_rows, multiplicities
 from .errors import ValidationError
 from .poly import ExponentVec, _binomial_transform, exponents_below
@@ -139,22 +140,24 @@ def _flag_counts(cx: Complex, coloring: Coloring, sums: bool = False) -> tuple:
 
 
 def _face_walk(cx: Complex, colors: tuple[int, ...], a: ExponentVec, rows) -> tuple:
-    """The flag counts in one walk over the faces; colors[k] colors vertex bit k.
+    """The flag counts in one walk over the faces; colors[k] colors the
+    vertex of the k-th lowest bit of cx.vertex_mask.
 
     b is walked as its place in exponents_below(a), digits b_i in radix
-    a_i + 1: the place of F is that of F minus its lowest vertex v, from
-    the previous group, plus the place value of v's color. A facet with
-    more vertices of a color than a allows would carry, and is rejected,
-    and so is a type a whose sum is not d.
+    a_i + 1: the place of F is the sum of its vertices' color place values,
+    added up by the prefix walk. A facet with more vertices of a color than
+    a allows would carry, and is rejected, and so is a type a whose sum is
+    not d.
     """
     color_masks, place = [0] * len(a), [1] * len(a)
     for i in range(len(a) - 1, 0, -1):
         place[i - 1] = place[i] * (a[i] + 1)
-    step, rest = {}, cx.vertex_mask
+    # a link keeps its parent's labels, so its vertex bits can have gaps
+    values, rest = [0] * len(cx.labels), cx.vertex_mask
     for color in colors:
         low = rest & -rest
         color_masks[color - 1] |= low
-        step[low] = place[color - 1]
+        values[low.bit_length() - 1] = place[color - 1]
         rest ^= low
     for g in cx.facet_masks:
         bf = tuple((g & cm).bit_count() for cm in color_masks)
@@ -167,12 +170,8 @@ def _face_walk(cx: Complex, colors: tuple[int, ...], a: ExponentVec, rows) -> tu
         raise ValidationError(f"type {a} sums to {sum(a)}, not to d={cx.d}")
     f = [0] * prod(x + 1 for x in a)
     msum = None if rows is None else list(f)
-    at, previous = [0], ()
-    for c, group in enumerate(cx.masks_by_card):
-        if c:
-            index = dict(zip(previous, at))
-            at = [index[g ^ (g & -g)] + step[g & -g] for g in group]
-        previous = group
+    # the empty face is at place 0
+    for c, at in enumerate(chain([[0]], _prefix_walk(cx, values, 0))):
         for i in at:
             f[i] += 1
         if msum is not None:

@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import json
 import sys
 from collections.abc import Iterable, Iterator
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import balanced, complexes, generators, relations, stanley_reisner
@@ -90,44 +90,13 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
         stream.writelines(chunks)
 
 
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _json_text(obj, pad: str = "\n") -> str:
-    """obj in json.dumps(obj, indent=2)'s layout, byte for byte.
-
-    pad is the newline and indent of obj's own line. Keys must be str;
-    values are dicts, lists, tuples, str, int, bool or None (no floats).
-    """
-    kind = type(obj)
-    text = _SCALAR_TEXT.get(kind)
-    if text is not None:
-        return text(obj)
-    if not (kind is dict or kind is list or kind is tuple):
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    if not obj:
-        return "{}" if kind is dict else "[]"
-    inner = pad + "  "
-    sep = "," + inner
-    if kind is dict:
-        # encode_basestring_ascii raises TypeError on a key that is not a str
-        body = sep.join(
-            f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items()
-        )
-        return "{" + inner + body + pad + "}"
-    kinds = set(map(type, obj))
-    text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-    body = sep.join(map(text, obj) if text else (_json_text(v, inner) for v in obj))
-    return "[" + inner + body + pad + "]"
-
-
 def _print_json(data, out: str | None) -> None:
-    _emit((_json_text(data), "\n"), out)
+    """json.dumps(data, indent=2) and a newline, written as two chunks.
+
+    Every --json document is json.dumps output; multiplicities alone
+    writes its face entries itself, see _multiplicity_chunks.
+    """
+    _emit((json.dumps(data, indent=2), "\n"), out)
 
 
 def _face_text(face) -> str:
@@ -218,13 +187,20 @@ def _cmd_multiplicities(args) -> int:
     # a failure writes nothing
     if args.json:
         f = f_vector(cx)
-        f_text, h_text = (_json_text([str(x) for x in v], "\n  ") for v in (f, h_vector(f)))
-        head = (
-            f'{{\n  "f": {f_text},\n  "h": {h_text},\n  "m": [\n'
-            f'    {{\n      "face": [],\n      "m": "{rows[0][0]}"\n    }}'
+        doc = json.dumps(
+            {
+                "f": [str(x) for x in f],
+                "h": [str(x) for x in h_vector(f)],
+                "m": [{"face": [], "m": str(rows[0][0])}],
+                "chi": str(euler_from_f(f)),
+                "chi_reduced": str(reduced_euler_from_f(f)),
+            },
+            indent=2,
         )
-        chi, chi_reduced = euler_from_f(f), reduced_euler_from_f(f)
-        tail = f'\n  ],\n  "chi": "{chi}",\n  "chi_reduced": "{chi_reduced}"\n}}\n'
+        # the other faces' entries go after the empty face's, before the
+        # last list of the document, m's, closes
+        head, close, tail = doc.rpartition("\n  ]")
+        tail = close + tail + "\n"
         labels, sep = ["\n        " + repr(v) for v in cx.labels], ","
     else:
         head, tail = f"- : {rows[0][0]}\n", ""
@@ -238,7 +214,8 @@ def _multiplicity_chunks(head: str, walk, rows, tail: str, as_json: bool) -> Ite
     """head, each row's entries _SLICE faces to a chunk, then tail.
 
     One text per face from the face index, in table.items() order: the
-    bytes that _json_text of per-face dicts, or _face_text lines, give.
+    bytes that json.dumps of per-face dicts, or _face_text lines, give.
+    These entries are the only JSON text not written by json.dumps.
     """
     yield head
     for texts, row in zip(walk, rows):
@@ -398,12 +375,10 @@ def _cmd_gen(args) -> int:
         base = _read_complex(params[0], args.max_faces)
         params = []
     made = generators.gen(args.family, params, base=base, max_faces=args.max_faces)
+    if args.colors_out and made.coloring is None:
+        raise ValidationError(f"family {args.family!r} has no canonical coloring")
     _emit([write_cplx(made.complex)], args.out)
     if args.colors_out:
-        if made.coloring is None:
-            raise ValidationError(
-                f"family {args.family!r} has no canonical coloring"
-            )
         Path(args.colors_out).write_text(
             write_colors(dict(made.coloring.kappa)), encoding="utf-8"
         )

@@ -317,11 +317,12 @@ def _prefix_walk(cx: Complex, labels: Sequence, sep) -> Iterator[list]:
     A vertex's value is labels[i], i its bit; a larger face's value is the
     value of the face minus its top vertex, one cardinality down, then
     sep, then labels[top]. With 1-tuples and () the values are the face
-    tuples; with strs they are the faces' texts.
+    tuples; with strs they are the faces' texts; with ints and 0 they are
+    sums over the faces' vertices.
     """
     ext = [sep + x for x in labels]
     step = labels
-    below = {0: sep[:0]}  # the empty face: an empty value of sep's type
+    below = {0: sep * 0}  # the empty face: "", () or 0, after sep's type
     for group in cx.masks_by_card[1:]:
         values = {}
         for mask in group:

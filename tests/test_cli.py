@@ -7,11 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from dskit.cli import _json_text, main
+from dskit.cli import main
 from dskit.complexes import parse_cplx, write_cplx
 from dskit.enumeration import (
     euler_from_f,
@@ -327,10 +323,13 @@ def test_hilbert_command(capsys, monkeypatch, tmp_path):
 
 
 def test_gen_colors_out_requires_canonical_coloring(capsys, tmp_path):
-    code = main(
-        ["gen", "cylinder", "-o", str(tmp_path / "c.cplx"), "--colors-out", str(tmp_path / "c.colors")]
-    )
-    assert code == 2
+    # the check comes before any output: nothing on stdout, no file made
+    cplx, colors = tmp_path / "c.cplx", tmp_path / "c.colors"
+    for out in ([], ["-o", str(cplx)]):
+        code, stdout, err = run_cli(capsys, ["gen", "cylinder", *out, "--colors-out", str(colors)])
+        assert (code, stdout) == (2, ""), out
+        assert err == "dskit: family 'cylinder' has no canonical coloring\n"
+        assert not cplx.exists() and not colors.exists()
 
 
 def test_batch(capsys, tmp_path):
@@ -475,61 +474,6 @@ def test_id_past_the_int_digit_limit_is_a_parse_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["flag", str(cplx), "--colors", str(colors)])
     assert (code, out) == (3, "")
     assert err.startswith("dskit: parse error: line 3: ")
-
-
-# -- the JSON writer: json.dumps(obj, indent=2) is its oracle --------------
-
-_json_chars = st.one_of(
-    st.characters(exclude_categories=()),
-    # quotes, backslash, control characters, non-ASCII and lone surrogates
-    st.sampled_from('"\\/\x00\x08\x1f\x7f\xe9\u2028\U0001f600\ud800\udbff\udc00\udfff'),
-)
-_json_strs = st.text(_json_chars, max_size=12)
-_json_ints = st.one_of(
-    st.integers(),
-    st.integers(10**399, 10**400 - 1),  # 400 digits
-    st.integers(-(10**400) + 1, -(10**399)),
-)
-_json_scalars = st.one_of(st.none(), st.booleans(), _json_ints, _json_strs)
-_json_trees = st.recursive(
-    st.one_of(
-        _json_scalars,
-        st.lists(_json_ints),  # one scalar type: the joined fast path
-        st.lists(_json_strs).map(tuple),
-        st.lists(st.one_of(st.booleans(), _json_ints)),
-        st.lists(st.one_of(_json_ints, _json_strs)),
-    ),
-    lambda kids: st.one_of(
-        st.lists(kids, max_size=4),
-        st.lists(kids, max_size=4).map(tuple),
-        st.dictionaries(_json_strs, kids, max_size=4),
-    ),
-    max_leaves=20,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_json_trees)
-def test_json_writer_matches_stdlib_indent_layout(obj):
-    assert _json_text(obj) == json.dumps(obj, indent=2)
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [{1: "x"}, {None: 1}, {(1, 2): 3}, [{"a": {True: 1}}]],
-)
-def test_json_writer_rejects_non_str_keys(obj):
-    with pytest.raises(TypeError):
-        _json_text(obj)
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [1.5, [1, 2.0], [0.5, 1.5], {"x": float("nan")}, {1, 2}, b"ab", object(), ("a", [2, 1j])],
-)
-def test_json_writer_rejects_floats_and_non_json_values(obj):
-    with pytest.raises(TypeError):
-        _json_text(obj)
 
 
 def test_every_json_command_keeps_the_stdlib_layout(capsys, tmp_path):
