@@ -64,8 +64,9 @@ def _read_text(path: Path | None) -> str:
 
 
 def _read_complex(path: str, max_faces: int | None) -> Complex:
-    text = _read_text(None if path == "-" else Path(path))
-    return parse_cplx(text, max_faces=max_faces)
+    # a bad cap is a usage error, reported before any input is read
+    cap = complexes._effective_max_faces(max_faces)
+    return parse_cplx(_read_text(None if path == "-" else Path(path)), max_faces=cap)
 
 
 def _read_coloring(cx: Complex, path: str) -> balanced.Coloring:
@@ -236,8 +237,8 @@ def _cmd_interior(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    cx = _read_complex(args.file, args.max_faces)
     fld = FieldSpec.parse(args.field)
+    cx = _read_complex(args.file, args.max_faces)
     cls = relations.classify(cx, fld)
     data = cls.to_json_dict()
     homology = {
@@ -268,8 +269,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_betti(args) -> int:
-    cx = _read_complex(args.file, args.max_faces)
     fld = FieldSpec.parse(args.field)
+    cx = _read_complex(args.file, args.max_faces)
     table = reduced_betti(cx, fld)
     if args.json:
         data = {
@@ -307,9 +308,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_flag(args) -> int:
-    cx = _read_complex(args.file, args.max_faces)
     if not args.colors:
         raise ValidationError("flag requires --colors")
+    cx = _read_complex(args.file, args.max_faces)
     coloring = _read_coloring(cx, args.colors)
     f = balanced.flag_f(cx, coloring)
     h = balanced.flag_h(cx, coloring)

@@ -16,18 +16,19 @@ incidence matrix of a graph, whose rank is the size of a spanning forest
 of the uncleared edges, found by union-find. The dense reference ranks
 live in tests/conftest.py.
 
-The homology-manifold scan builds no link complex. It walks the faces in
-(cardinality, mask) order and reads the faces of lk(F) off those of
-lk(F - v), v the lowest vertex of F, which the walk met one cardinality
-earlier. The definitional route, each link closed from the complex, is
-the reference in tests/test_homology.py. Each field's scan is kept on
-the complex itself, so classify and then the boundary split of one object
-scan once; an equal complex built apart, possibly under other labels,
-scans for itself. Over Q the scan computes each link over GF(2) first and
-keeps those numbers when they are nonzero in at most one degree. That is
-exact by universal coefficients (Hatcher, Algebraic Topology, Thm 3A.3):
-beta_i over Q is at most beta_i over GF(2) for every i, and both sum to
-the same reduced Euler characteristic.
+The homology-manifold scan walks the faces in (cardinality, mask) order
+and reads the facets of lk(F) off those of lk(F - v), v the lowest vertex
+of F. Links equal up to a relabelling share their Betti numbers over
+every field, so each class of them is computed once per cardinality. The
+definitional route, each link closed from the complex, is the reference
+in tests/test_homology.py. Each field's scan is kept on the complex
+itself, so classify and then the boundary split of one object scan once;
+an equal complex built apart, possibly under other labels, scans for
+itself. Over Q the scan computes each link over GF(2) first and keeps
+those numbers when they are nonzero in at most one degree. That is exact
+by universal coefficients (Hatcher, Algebraic Topology, Thm 3A.3): beta_i
+over Q is at most beta_i over GF(2) for every i, and both sum to the same
+reduced Euler characteristic.
 """
 
 from __future__ import annotations
@@ -320,17 +321,44 @@ def _link_betti_ok(betti: BettiTable, sphere_dim: int) -> bool:
     return True
 
 
+def _compressed(facets: Sequence[int]) -> tuple[int, ...]:
+    """The masks moved onto the vertices of their union: its i-th lowest
+    vertex becomes bit i. The map is monotone, so a sorted list stays sorted."""
+    union = 0
+    for g in facets:
+        union |= g
+    bit = {}
+    while union:
+        low = union & -union
+        bit[low] = 1 << len(bit)
+        union ^= low
+    out = []
+    for g in facets:
+        c = 0
+        while g:
+            low = g & -g
+            c |= bit[low]
+            g ^= low
+        out.append(c)
+    return tuple(out)
+
+
 def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
     """Link Betti tables of the non-empty faces in (card, mask) order,
     up to and including the first link without ball or sphere homology.
 
-    No link is closed: with v the lowest vertex of F and P = F - v,
-    lk(F) = {G - v : G in lk(P), v in G}, and P comes one cardinality
-    earlier. Taking G in mask order keeps each list sorted. The children
-    of P (P + u with u below P's lowest vertex) are contiguous in mask
-    order, so lk(P) is kept only if P can have children, only its faces
-    with a vertex below P's lowest (the ones a child reads), and only
-    until its children have passed.
+    A link is carried as its facet list. With v the lowest vertex of F and
+    P = F - v, facets(lk F) = {G - v : G in facets(lk P), v in G}, again an
+    antichain in mask order; the empty face's link is the complex. The
+    children of P (P + u, u below P's lowest vertex) are contiguous in mask
+    order, so P's list is kept only if P can have children, only its facets
+    with a vertex below P's lowest (the ones a child reads), and only until
+    its children have passed.
+
+    A link's key is its facet list moved onto its own vertices, order kept:
+    equal keys mean links equal up to a relabelling, so equal Betti numbers
+    over every field. Only a key new to its cardinality's memo, dropped when
+    the cardinality ends, is closed (Complex._from_facet_masks) and computed.
 
     Over Q a link's numbers come from GF(2) unless those are nonzero in
     more than one degree: GF(2) numbers bound the Q numbers from above
@@ -340,35 +368,36 @@ def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
     scan: dict[int, BettiTable] = {}
     p = field.characteristic
     d = cx.d
-    parents: dict[int, Sequence[Sequence[int]]] = {0: cx.masks_by_card}
+    cap = cx.num_faces  # a link has no more faces than the complex
+    parents: dict[int, Sequence[int]] = {0: cx.facet_masks}
     for card in range(1, len(cx.masks_by_card)):
         sphere_dim = d - 1 - card
-        # most links of one cardinality share a few tables: each is judged once
-        tables: dict[tuple[int, ...], tuple[BettiTable, bool]] = {}
-        children: dict[int, list[list[int]]] = {}
+        memo: dict[tuple[int, ...], tuple[BettiTable, bool]] = {}
+        children: dict[int, list[int]] = {}
         parent = None
         for fmask in cx.masks_by_card[card]:
             v = fmask & -fmask
             if fmask ^ v != parent:
                 parent = fmask ^ v
-                parent_link = parents.pop(parent)
-            link = [[g ^ v for g in faces if g & v] for faces in parent_link[1:]]
-            while not link[-1]:  # link[0] is [0]: the empty face
-                link.pop()
-            numbers = _betti_numbers(link, p or 2)
-            if not p and len(numbers) - numbers.count(0) > 1:
-                numbers = _betti_numbers(link, 0)
-            known = tables.get(numbers)
+                parent_facets = parents.pop(parent)
+            facets = [g ^ v for g in parent_facets if g & v]
+            key = _compressed(facets)
+            known = memo.get(key)
             if known is None:
+                # the relabelled link, on the complex's lowest vertices
+                link = Complex._from_facet_masks(list(key), cap, cx.labels).masks_by_card
+                numbers = _betti_numbers(link, p or 2)
+                if not p and len(numbers) - numbers.count(0) > 1:
+                    numbers = _betti_numbers(link, 0)
                 betti = BettiTable(numbers, field)
-                known = tables[numbers] = (betti, _link_betti_ok(betti, sphere_dim))
+                known = memo[key] = (betti, _link_betti_ok(betti, sphere_dim))
             betti, ok = known
             scan[fmask] = betti
             if not ok:
                 return scan
             if v > 1:
                 below = v - 1
-                children[fmask] = [[g for g in faces if g & below] for faces in link]
+                children[fmask] = [g for g in facets if g & below]
         parents = children
     return scan
 

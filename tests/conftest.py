@@ -9,8 +9,9 @@ bitmasks, binomial closed forms and a sparse pivot-table column reduction).
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -311,6 +312,56 @@ RP2_FACETS = [
 ]
 # Moebius' 7-vertex torus: {i, i+1, i+3} and {i, i+2, i+3} mod 7, ids 1..7
 TORUS7_FACETS = [[1 + (i + s) % 7 for s in step] for step in ((0, 1, 3), (0, 2, 3)) for i in range(7)]
+
+
+def ocross_polytope_facets(d):
+    """Facets of the boundary of the d-cross-polytope: one of 2i-1, 2i for each i."""
+    return [tuple(2 * i + 1 + ((k >> i) & 1) for i in range(d)) for k in range(1 << d)]
+
+
+def osd_simplex_boundary_facets(n):
+    """Facets of the barycentric subdivision of the boundary of the simplex
+    on 1..n: the maximal chains of proper non-empty subsets, each subset a
+    vertex numbered in the order the chains meet it."""
+    ids: dict[frozenset, int] = {}
+    return [
+        tuple(sorted(ids.setdefault(frozenset(perm[:k]), len(ids) + 1) for k in range(1, n)))
+        for perm in permutations(range(1, n + 1))
+    ]
+
+
+def ostellar(facets, moves, seed):
+    """Seeded stellar subdivisions of a facet list: each move picks a face s
+    of at least two vertices in a random facet, and replaces every facet G
+    that contains s by the facets G - {v} + {w}, v in s, w a new vertex with
+    the largest id. A sphere stays a sphere, with links of many shapes."""
+    rng = random.Random(seed)
+    facets = [frozenset(f) for f in facets]
+    new = max(max(f) for f in facets)
+    for _ in range(moves):
+        g = sorted(rng.choice(facets))
+        s = frozenset(rng.sample(g, rng.randint(2, len(g))))
+        new += 1
+        out = []
+        for f in facets:
+            out.extend([(f - {v}) | {new} for v in s] if s <= f else [f])
+        facets = out
+    return sorted(tuple(sorted(f)) for f in facets)
+
+
+def trap_complex():
+    """A cone over the hexagon (apex 7) beside a cone over two disjoint
+    triangles (apex 14). The apex links share the f-vector (1, 6, 6); the
+    first is a circle, the second is not, so 14 is the first failing face."""
+    hexagon = [(i, i % 6 + 1) for i in range(1, 7)]
+    triangles = [(8, 9), (9, 10), (8, 10), (11, 12), (12, 13), (11, 13)]
+    return Complex.from_facets([e + (7,) for e in hexagon] + [e + (14,) for e in triangles])
+
+
+def irregular_spheres():
+    """Seeded stellar subdivisions of cp4 and of sd of the tetrahedron's boundary."""
+    bases = (ocross_polytope_facets(4), osd_simplex_boundary_facets(4))
+    return [Complex.from_facets(ostellar(base, 12, seed)) for base in bases for seed in (1, 2)]
 
 
 def named_suite():

@@ -218,6 +218,29 @@ def test_face_cap_below_one_is_a_usage_error(capsys, monkeypatch, tmp_path):
         assert (code, out) == (2, "") and "at least 1, got 0" in err, argv
 
 
+def test_usage_is_checked_before_any_input(capsys, monkeypatch, tmp_path):
+    # a bad cap or field is exit 2 with its message whatever the input: a
+    # missing file (else exit 3, the OS error) or malformed stdin (else
+    # exit 3, a parse error) is never read
+    missing = str(tmp_path / "no-such.cplx")
+    cap = "dskit: face-count cap must be at least 1, got 0\n"
+    for argv, message in (
+        (["f-vector", "--max-faces", "0"], cap),
+        (["verify", "--max-faces", "0"], cap),
+        (["classify", "--max-faces", "0"], cap),
+        (["betti", "--max-faces", "0"], cap),
+        (["classify", "--field", "4"], "dskit: field characteristic must be 0 or prime, got 4\n"),
+        (["betti", "--field", "x"], "dskit: field must be 'q' or a prime, got 'x'\n"),
+    ):
+        for source in (missing, "-"):
+            got = run_cli(capsys, [*argv, source], stdin_text="1 2\nx\n", monkeypatch=monkeypatch)
+            assert got == (2, "", message), (argv, source)
+    # the same inputs with good options are the errors the options hide
+    for source in (missing, "-"):
+        code, out, err = run_cli(capsys, ["f-vector", source], stdin_text="1 2\nx\n", monkeypatch=monkeypatch)
+        assert (code, out) == (3, "") and err.startswith("dskit: "), source
+
+
 def test_multiplicities_json_schema(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys,

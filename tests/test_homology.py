@@ -5,7 +5,7 @@ import time
 import pytest
 
 from dskit.complexes import Complex, parse_cplx
-from dskit.enumeration import interior_f_vector, multiplicities, reduced_euler
+from dskit.enumeration import f_vector, interior_f_vector, multiplicities, reduced_euler
 from dskit.errors import PreconditionError, ValidationError
 from dskit.generators import (
     cross_polytope_boundary,
@@ -26,7 +26,17 @@ from dskit.homology import (
     reduced_betti,
 )
 
-from conftest import RP2_FACETS, obetti, ocolumns, ofaces_of, opivot_rows, orank, orank_mod
+from conftest import (
+    RP2_FACETS,
+    irregular_spheres,
+    obetti,
+    ocolumns,
+    ofaces_of,
+    opivot_rows,
+    orank,
+    orank_mod,
+    trap_complex,
+)
 
 FUZZ_PRIMES = (2, 3, 2**61 - 1)
 FIELDS = (FieldSpec(0), FieldSpec(2), FieldSpec(3))
@@ -340,11 +350,24 @@ def test_boundary_faces_witness_is_the_manifold_witness(field):
         assert err.value.witness == is_homology_manifold(make(), field).witness
 
 
+def _own_coordinates(link):
+    """A link's faces by cardinality as sorted masks over its own vertices,
+    the i-th smallest id as bit i: ranked from the vertex ids, not moved
+    from the complex's masks."""
+    rank = {v: 1 << i for i, v in enumerate(link.vertices)}
+    by_card = [[] for _ in range(link.d + 1)]
+    for face in link.faces():
+        by_card[len(face)].append(sum(rank[v] for v in face))
+    return tuple(tuple(sorted(group)) for group in by_card)
+
+
 def test_boundary_faces_looks_up_each_link_once(monkeypatch):
-    # over GF(2) each link's Betti numbers are computed once; over Q each
-    # link is computed once over GF(2), and over Q only when its GF(2)
-    # numbers are nonzero in more than one degree, which no link of the
-    # cylinder is. The boundary split reads the numbers classify computed
+    # the scan computes one link per cardinality and class of links equal up
+    # to an order-preserving relabelling, in that link's own coordinates:
+    # over GF(2) once, and over Q once over GF(2), then over Q only when the
+    # GF(2) numbers are nonzero in more than one degree, which no link of
+    # these spheres and this cylinder is. The boundary split reads the
+    # numbers classify computed
     from dskit import homology
     from dskit.relations import classify
 
@@ -356,18 +379,25 @@ def test_boundary_faces_looks_up_each_link_once(monkeypatch):
         return inner(masks_by_card, p)
 
     monkeypatch.setattr(homology, "_betti_numbers", counting)
-    cx = cylinder().complex  # a fresh object starts with an empty memo
-    links = sorted(cx.link_mask(m).masks_by_card for group in cx.masks_by_card[1:] for m in group)
-    spread = [by_card for by_card in links if len([b for b in inner(by_card, 2) if b]) > 1]
-    assert spread == []
-    for field in (FieldSpec(0), FieldSpec(2)):
-        start = len(computed)
-        assert classify(cx, field).homology_manifold
-        run = computed[start:]
-        assert sorted(by_card for by_card, q in run if q == 2) == links
-        assert sorted(by_card for by_card, q in run if q != 2) == []
-        boundary_faces_homological(cx, field)
-        assert len(computed) == start + len(run)
+    for cx in [cylinder().complex] + irregular_spheres():  # fresh objects, empty memos
+        classes = []
+        for group in cx.masks_by_card[1:]:
+            classes += sorted({_own_coordinates(cx.link_mask(m)) for m in group})
+        assert [c for c in classes if len([b for b in inner(c, 2) if b]) > 1] == []
+        assert len(classes) < cx.num_faces - 1
+        for field in (FieldSpec(0), FieldSpec(2)):
+            start = len(computed)
+            assert classify(cx, field).homology_manifold
+            run = computed[start:]
+            assert sorted(by_card for by_card, q in run if q == 2) == sorted(classes)
+            assert [by_card for by_card, q in run if q != 2] == []
+            boundary_faces_homological(cx, field)
+            assert len(computed) == start + len(run)
+    # every link of a c-face of cp_d is cp_(d-c): one computation per cardinality
+    for d in range(1, 8):
+        computed.clear()
+        assert is_homology_manifold(cross_polytope_boundary(d).complex, FieldSpec(2)).is_manifold
+        assert len(computed) == d
 
 
 def _rp2_cone():
@@ -505,13 +535,16 @@ def _definitional_scan(cx, field):
 
 
 def test_link_scan_matches_the_definition(suite, randoms, balanced_pairs):
-    # links read off their parent link against links closed from the
-    # complex: every face's Betti numbers, the first witness and its
-    # table, and the boundary faces
+    # links read off their parent link and looked up by their relabelled
+    # facets, against links closed from the complex: every face's Betti
+    # numbers, the first witness and its table, and the boundary faces. The
+    # irregular spheres have links of many shapes; the trap's two apex links
+    # share their f-vector but not their homology
     from dskit import homology
 
     complexes = [made.complex for _, made in suite] + randoms
     complexes += [cx for _, cx, _ in balanced_pairs] + [Complex.from_facets(RP2_FACETS), _rp2_cone()]
+    complexes += irregular_spheres() + [trap_complex()]
     failed = 0
     for cx in complexes:
         cx = Complex.from_facets(cx.facets)  # no memo from earlier scans
@@ -536,3 +569,8 @@ def test_link_scan_matches_the_definition(suite, randoms, balanced_pairs):
                     cx.mask_vertices(m) for m in ball
                 )
     assert 0 < failed < len(complexes) * len(FIELDS)
+    trap = trap_complex()
+    assert f_vector(trap.link([7])) == f_vector(trap.link([14])) == (1, 6, 6)
+    for field in FIELDS:
+        verdict = is_homology_manifold(trap_complex(), field)
+        assert verdict.witness == (14,) and verdict.witness_betti.betti == (0, 1, 2)

@@ -10,6 +10,7 @@ homology up by one dimension, over every field; coning multiplies f~ by
 
 import contextlib
 import io
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -20,8 +21,16 @@ from hypothesis import strategies as st
 from dskit.cli import main
 from dskit.complexes import Complex
 from dskit.enumeration import f_vector, h_vector
-from dskit.homology import FieldSpec, reduced_betti
+from dskit.homology import (
+    FieldSpec,
+    _link_scan,
+    boundary_faces_homological,
+    is_homology_manifold,
+    reduced_betti,
+)
 from dskit.relations import classify
+
+from conftest import RP2_FACETS, irregular_spheres, trap_complex
 
 VERTICES = range(1, 9)
 # color classes {1,4,7}, {2,5,8}, {3,6}: a facet with one vertex of each
@@ -100,6 +109,41 @@ def test_injective_relabelling_keeps_invariants(facets, ids):
         a, b = classify(cx, field), classify(moved, field)
         for flag in ("reciprocal", "semi_eulerian", "eulerian", "homology_manifold"):
             assert getattr(b, flag) == getattr(a, flag)
+
+
+def test_link_scan_ignores_the_vertex_order(randoms, suite):
+    # the scan looks a link up by its facets moved onto its own vertices in
+    # id order; a relabelling that breaks that order must give every face
+    # scanned on both sides the same link Betti table, and the same verdict.
+    # A manifold is scanned whole on both sides, and its boundary faces map
+    # over; a witness of the relabelled complex, mapped back, fails
+    rng = random.Random(20211024)
+    rp2 = Complex.from_facets(RP2_FACETS)
+    rp2_cone = Complex.from_facets([[*f, 100] for f in RP2_FACETS])
+    complexes = randoms + [made.complex for _, made in suite]
+    complexes += irregular_spheres() + [trap_complex(), rp2, rp2_cone]
+    for cx in complexes:
+        ids = list(cx.vertices)
+        new = rng.sample(range(1, 3 * len(ids) + 1), len(ids))
+        while len(ids) > 1 and new == sorted(new):
+            rng.shuffle(new)
+        perm = dict(zip(ids, new))
+        moved = Complex.from_facets([[perm[v] for v in f] for f in cx.facets])
+        for field in (FieldSpec(0), FieldSpec(2)):
+            scan, moved_scan = _link_scan(cx, field), _link_scan(moved, field)
+            mapped = {moved.face_mask(perm[v] for v in cx.mask_vertices(m)): b for m, b in scan.items()}
+            shared = mapped.keys() & moved_scan.keys()
+            assert all(mapped[m] == moved_scan[m] for m in shared)
+            verdict, moved_verdict = is_homology_manifold(cx, field), is_homology_manifold(moved, field)
+            assert moved_verdict.is_manifold == verdict.is_manifold
+            if verdict.is_manifold:
+                assert len(shared) == len(scan) == cx.num_faces - 1
+                bd = {tuple(sorted(perm[v] for v in f)) for f in boundary_faces_homological(cx, field)}
+                assert set(boundary_faces_homological(moved, field)) == bd
+            else:
+                back = {b: a for a, b in perm.items()}
+                witness = [back[v] for v in moved_verdict.witness]
+                assert reduced_betti(cx.link(witness), field) == moved_verdict.witness_betti
 
 
 FIELDS = (FieldSpec(0), FieldSpec(2), FieldSpec(3))
