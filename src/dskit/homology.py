@@ -17,27 +17,32 @@ of the uncleared edges, found by union-find. The dense reference ranks
 live in tests/conftest.py.
 
 The homology-manifold scan walks the faces in (cardinality, mask) order
-and reads the facets of lk(F) off those of lk(F - v), v the lowest vertex
-of F. Links equal up to a relabelling share their Betti numbers over
-every field, so each class of them is computed once per cardinality. The
-definitional route, each link closed from the complex, is the reference
-in tests/test_homology.py. Each field's scan is kept on the complex
-itself, so classify and then the boundary split of one object scan once;
-an equal complex built apart, possibly under other labels, scans for
-itself. Over Q the scan computes each link over GF(2) first and keeps
-those numbers when they are nonzero in at most one degree. That is exact
-by universal coefficients (Hatcher, Algebraic Topology, Thm 3A.3): beta_i
-over Q is at most beta_i over GF(2) for every i, and both sum to the same
-reduced Euler characteristic.
+and works on link keys: a link's facets moved onto its own vertices, order
+kept. Links with equal keys are equal up to a relabelling and share their
+Betti numbers over every field, so each key is computed once per
+cardinality. The key of lk(F) follows from the key of lk(F - v), v the
+lowest vertex of F, and the position of v among the vertices of
+lk(F - v): the scan compresses a key once per such pair, and a face
+whose pair came before reads no facet. The definitional route, each link
+closed from the complex, is the reference in tests/test_homology.py.
+Each field's scan is kept on the complex itself, so classify and then
+the boundary split of one object scan once; an equal complex built
+apart, possibly under other labels, scans for itself. Over Q the scan
+computes each link over GF(2) first and keeps those numbers when they
+are nonzero in at most one degree. That is exact by universal
+coefficients (Hatcher, Algebraic Topology, Thm 3A.3): beta_i over Q is at
+most beta_i over GF(2) for every i, and both sum to the same reduced
+Euler characteristic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 from typing import Container, Sequence
 
-from .complexes import Complex, FaceTuple
+from .complexes import Complex, FaceTuple, _facet_stars
 from .errors import PreconditionError, ValidationError
 from .poly import _sign
 
@@ -321,9 +326,10 @@ def _link_betti_ok(betti: BettiTable, sphere_dim: int) -> bool:
     return True
 
 
-def _compressed(facets: Sequence[int]) -> tuple[int, ...]:
-    """The masks moved onto the vertices of their union: its i-th lowest
-    vertex becomes bit i. The map is monotone, so a sorted list stays sorted."""
+def _compressed(facets: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
+    """The masks moved onto the vertices of their union, its i-th lowest
+    vertex becoming bit i, and that union's vertex bits in increasing
+    order. The map is monotone, so a sorted list stays sorted."""
     union = 0
     for g in facets:
         union |= g
@@ -340,25 +346,37 @@ def _compressed(facets: Sequence[int]) -> tuple[int, ...]:
             c |= bit[low]
             g ^= low
         out.append(c)
-    return tuple(out)
+    return tuple(out), list(bit)
 
 
 def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
     """Link Betti tables of the non-empty faces in (card, mask) order,
     up to and including the first link without ball or sphere homology.
 
-    A link is carried as its facet list. With v the lowest vertex of F and
-    P = F - v, facets(lk F) = {G - v : G in facets(lk P), v in G}, again an
-    antichain in mask order; the empty face's link is the complex. The
-    children of P (P + u, u below P's lowest vertex) are contiguous in mask
-    order, so P's list is kept only if P can have children, only its facets
-    with a vertex below P's lowest (the ones a child reads), and only until
-    its children have passed.
-
     A link's key is its facet list moved onto its own vertices, order kept:
     equal keys mean links equal up to a relabelling, so equal Betti numbers
-    over every field. Only a key new to its cardinality's memo, dropped when
-    the cardinality ends, is closed (Complex._from_facet_masks) and computed.
+    over every field. Each cardinality numbers its keys in order of first
+    sight; a link travels as its class, that number, and its vertex bits in
+    increasing order. Only a class new to its cardinality is closed
+    (Complex._from_facet_masks) and computed.
+
+    A vertex's key is compressed from the facets at the vertex. The first
+    d vertices (d = cx.d) filter the complex's facets; after them the
+    facets are listed per vertex, once, since filtering d times costs about
+    what listing does, and most complexes that are not manifolds stop at
+    their first vertex.
+
+    With v the lowest vertex of F and P = F - v, facets(lk F) =
+    {G - v : G in facets(lk P), v in G}. So lk F's key depends only on
+    lk P's key and on i, the position of v among lk P's vertices: it is
+    the compression of the key's facets that hold bit i, less that bit,
+    and the positions among lk P's vertices that those facets keep give
+    lk F's vertices. A memo per cardinality maps (class of P, i) to lk F's
+    class and those positions, so a face costs a lookup and a list of at
+    most n vertices, and _compressed runs once per pair: d(d + 1) times on
+    cp_d. The children of P (P + u, u below P's lowest vertex) are
+    contiguous in mask order, so P's pair is kept only if lk P has a vertex
+    below P's lowest, and only until its children have passed.
 
     Over Q a link's numbers come from GF(2) unless those are nonzero in
     more than one degree: GF(2) numbers bound the Q numbers from above
@@ -369,35 +387,54 @@ def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
     p = field.characteristic
     d = cx.d
     cap = cx.num_faces  # a link has no more faces than the complex
-    parents: dict[int, Sequence[int]] = {0: cx.facet_masks}
+    stars: dict[int, list[int]] = {}
+    classes: dict[tuple[int, ...], int] = {}  # key -> class, numbered in order
+    parents: dict[int, tuple[int, list[int]]] = {}
     for card in range(1, len(cx.masks_by_card)):
         sphere_dim = d - 1 - card
-        memo: dict[tuple[int, ...], tuple[BettiTable, bool]] = {}
-        children: dict[int, list[int]] = {}
+        # the keys one cardinality down, listed by class
+        parent_keys, classes = list(classes), {}
+        steps: dict[tuple[int, int], tuple[int, list[int]]] = {}
+        tables: list[tuple[BettiTable, bool]] = []  # class -> (table, ok)
+        children: dict[int, tuple[int, list[int]]] = {}
         parent = None
         for fmask in cx.masks_by_card[card]:
             v = fmask & -fmask
-            if fmask ^ v != parent:
-                parent = fmask ^ v
-                parent_facets = parents.pop(parent)
-            facets = [g ^ v for g in parent_facets if g & v]
-            key = _compressed(facets)
-            known = memo.get(key)
-            if known is None:
-                # the relabelled link, on the complex's lowest vertices
+            if card == 1:
+                if len(scan) == d:  # list the facets per vertex
+                    stars = _facet_stars(cx)
+                star = stars[v] if stars else cx.facet_masks
+                key, bits = _compressed([g ^ v for g in star if g & v])
+                cls = classes.setdefault(key, len(classes))
+            else:
+                if fmask ^ v != parent:
+                    parent = fmask ^ v
+                    parent_cls, parent_bits = parents.pop(parent)
+                i = bisect_left(parent_bits, v)
+                step = steps.get((parent_cls, i))
+                if step is None:
+                    b = 1 << i
+                    key, kept = _compressed([g ^ b for g in parent_keys[parent_cls] if g & b])
+                    cls = classes.setdefault(key, len(classes))
+                    step = steps[parent_cls, i] = (cls, [k.bit_length() - 1 for k in kept])
+                cls, kept = step
+                # only a link with a vertex below v can have children
+                bits = [parent_bits[j] for j in kept] if kept and parent_bits[kept[0]] < v else None
+            if cls == len(tables):
+                # a class new to this cardinality, so key is its key: the
+                # relabelled link, on the complex's lowest vertices
                 link = Complex._from_facet_masks(list(key), cap, cx.labels).masks_by_card
                 numbers = _betti_numbers(link, p or 2)
                 if not p and len(numbers) - numbers.count(0) > 1:
                     numbers = _betti_numbers(link, 0)
                 betti = BettiTable(numbers, field)
-                known = memo[key] = (betti, _link_betti_ok(betti, sphere_dim))
-            betti, ok = known
+                tables.append((betti, _link_betti_ok(betti, sphere_dim)))
+            betti, ok = tables[cls]
             scan[fmask] = betti
             if not ok:
                 return scan
-            if v > 1:
-                below = v - 1
-                children[fmask] = [g for g in facets if g & below]
+            if bits and bits[0] < v:
+                children[fmask] = (cls, bits)
         parents = children
     return scan
 

@@ -15,6 +15,7 @@ from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import strategies as st
 
 from dskit import balanced, generators
 from dskit.balanced import flag_f
@@ -362,6 +363,37 @@ def irregular_spheres():
     """Seeded stellar subdivisions of cp4 and of sd of the tetrahedron's boundary."""
     bases = (ocross_polytope_facets(4), osd_simplex_boundary_facets(4))
     return [Complex.from_facets(ostellar(base, 12, seed)) for base in bases for seed in (1, 2)]
+
+
+# homology manifolds on at most 8 vertices, whose scans run to the end:
+# spheres of dimension 3, 2 and 4, RP^2 and the 7-vertex torus, and the
+# cone over RP^2 (a manifold with boundary over Q, not one over GF(2))
+SMALL_MANIFOLDS = tuple(
+    tuple(map(tuple, facets))
+    for facets in (
+        ocross_polytope_facets(4),
+        ocross_polytope_facets(3),
+        combinations(range(1, 7), 5),
+        RP2_FACETS,
+        TORUS7_FACETS,
+        [(*f, 7) for f in RP2_FACETS],
+    )
+)
+
+
+def small_facet_lists():
+    """Facet lists on the vertices 1..8: arbitrary ones, non-pure allowed,
+    or one of SMALL_MANIFOLDS whole or in part, its vertices permuted. Most
+    arbitrary lists fail at their first vertex; the parts of manifolds give
+    scans that go deep, through links of many shapes."""
+    arbitrary = st.lists(st.sets(st.integers(1, 8), min_size=1, max_size=5), max_size=8)
+    pieces = st.sampled_from(SMALL_MANIFOLDS).flatmap(
+        lambda base: st.just(base) | st.lists(st.sampled_from(base), min_size=1, unique=True)
+    )
+    permuted = st.tuples(pieces, st.permutations(range(1, 9))).map(
+        lambda drawn: [[drawn[1][v - 1] for v in f] for f in drawn[0]]
+    )
+    return arbitrary | permuted
 
 
 def named_suite():

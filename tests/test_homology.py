@@ -3,6 +3,7 @@
 import time
 
 import pytest
+from hypothesis import given, settings
 
 from dskit.complexes import Complex, parse_cplx
 from dskit.enumeration import f_vector, interior_f_vector, multiplicities, reduced_euler
@@ -35,6 +36,7 @@ from conftest import (
     opivot_rows,
     orank,
     orank_mod,
+    small_facet_lists,
     trap_complex,
 )
 
@@ -400,6 +402,23 @@ def test_boundary_faces_looks_up_each_link_once(monkeypatch):
         assert len(computed) == d
 
 
+def test_key_walk_compresses_once_per_class_and_position(monkeypatch):
+    # a link's key follows from its parent's class and the position of its
+    # new vertex among the parent link's vertices, so _compressed runs once
+    # per vertex and once per such pair. On cp_d the 2d vertex links and the
+    # 2(d - c) positions of cp_(d-c), the link of every c-face, make d(d + 1)
+    from dskit import homology
+
+    calls = []
+    inner = homology._compressed
+    monkeypatch.setattr(homology, "_compressed", lambda facets: calls.append(1) or inner(facets))
+    for d in range(4, 9):
+        calls.clear()
+        cx = cross_polytope_boundary(d).complex
+        assert is_homology_manifold(cx, FieldSpec(2)).is_manifold
+        assert len(calls) == d * (d + 1) < cx.num_faces
+
+
 def _rp2_cone():
     return Complex.from_facets([f + [100] for f in RP2_FACETS])
 
@@ -574,3 +593,30 @@ def test_link_scan_matches_the_definition(suite, randoms, balanced_pairs):
     for field in FIELDS:
         verdict = is_homology_manifold(trap_complex(), field)
         assert verdict.witness == (14,) and verdict.witness_betti.betti == (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_facet_lists())
+def test_link_scan_matches_the_definition_on_small_complexes(facets):
+    # links found by their parent's class and one vertex position, against
+    # links closed from the complex, on every drawn complex and field: the
+    # scan, the witness and its table, and the boundary faces
+    from dskit import homology
+
+    for field in FIELDS:
+        cx = Complex.from_facets(facets)
+        want = _definitional_scan(cx, field)
+        assert [(m, b.betti) for m, b in homology._link_scan(cx, field).items()] == list(want.items())
+        verdict = is_homology_manifold(cx, field)
+        last = list(want)[-1] if want else None
+        if want and not _ball_or_sphere(want[last], cx.d - 1 - last.bit_count()):
+            assert verdict.witness == cx.mask_vertices(last)
+            assert verdict.witness_betti.betti == want[last]
+            with pytest.raises(PreconditionError) as err:
+                boundary_faces_homological(cx, field)
+            assert err.value.witness == verdict.witness
+        else:
+            assert verdict.is_manifold and verdict.witness_betti is None
+            ball = [m for m, b in want.items() if cx.d - m.bit_count() >= len(b)
+                    or b[cx.d - m.bit_count()] == 0]
+            assert boundary_faces_homological(cx, field) == ((),) + tuple(map(cx.mask_vertices, ball))

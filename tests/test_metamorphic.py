@@ -10,6 +10,7 @@ homology up by one dimension, over every field; coning multiplies f~ by
 
 import contextlib
 import io
+import json
 import random
 import re
 import tempfile
@@ -30,7 +31,7 @@ from dskit.homology import (
 )
 from dskit.relations import classify
 
-from conftest import RP2_FACETS, irregular_spheres, trap_complex
+from conftest import RP2_FACETS, irregular_spheres, small_facet_lists, trap_complex
 
 VERTICES = range(1, 9)
 # color classes {1,4,7}, {2,5,8}, {3,6}: a facet with one vertex of each
@@ -44,6 +45,7 @@ transversal_facets = st.lists(
     max_size=6,
 )
 facet_lists = any_facets | transversal_facets
+FIELDS = (FieldSpec(0), FieldSpec(2), FieldSpec(3))
 
 COMMANDS = (
     ["verify"],
@@ -94,21 +96,36 @@ def test_order_preserving_relabelling_keeps_cli_output(facets, ids):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    facet_lists,
+    facet_lists | small_facet_lists(),
     st.lists(st.integers(1, 10**30), min_size=8, max_size=8, unique=True),
 )
 def test_injective_relabelling_keeps_invariants(facets, ids):
-    # ids in drawn order: the relabelling is in general not monotone
+    # ids in drawn order: the relabelling is in general not monotone, so a
+    # link's key, which follows the order of its vertices, may change, and
+    # its homology may not. Every verdict stays; a scan that runs to the end
+    # finds the same sorted multiset of link tables, and one that stops
+    # finds a witness whose link, mapped back, has the same table
     relabel = dict(zip(VERTICES, ids))
+    back = {new: old for old, new in relabel.items()}
     cx = Complex.from_facets(facets)
     moved = Complex.from_facets([[relabel[v] for v in f] for f in facets])
     assert f_vector(moved) == f_vector(cx)
     assert h_vector(f_vector(moved)) == h_vector(f_vector(cx))
-    for field in (FieldSpec(0), FieldSpec(2)):
+    for field in FIELDS:
         assert reduced_betti(moved, field).betti == reduced_betti(cx, field).betti
         a, b = classify(cx, field), classify(moved, field)
         for flag in ("reciprocal", "semi_eulerian", "eulerian", "homology_manifold"):
             assert getattr(b, flag) == getattr(a, flag)
+        verdict = is_homology_manifold(moved, field)
+        if verdict.is_manifold:
+            tables = sorted(t.betti for t in _link_scan(cx, field).values())
+            assert sorted(t.betti for t in _link_scan(moved, field).values()) == tables
+            assert len(tables) == cx.num_faces - 1
+            bd = {tuple(sorted(relabel[v] for v in f)) for f in boundary_faces_homological(cx, field)}
+            assert set(boundary_faces_homological(moved, field)) == bd
+        else:
+            witness = [back[v] for v in verdict.witness]
+            assert reduced_betti(cx.link(witness), field) == verdict.witness_betti
 
 
 def test_link_scan_ignores_the_vertex_order(randoms, suite):
@@ -146,7 +163,65 @@ def test_link_scan_ignores_the_vertex_order(randoms, suite):
                 assert reduced_betti(cx.link(witness), field) == moved_verdict.witness_betti
 
 
-FIELDS = (FieldSpec(0), FieldSpec(2), FieldSpec(3))
+def _classify_json(root: Path, facets, field: str) -> str:
+    path = root / "cx.cplx"
+    path.write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
+    code, out, err = _cli(["classify", str(path), "--field", field, "--json"])
+    assert (code, err) == (0, "")
+    return out
+
+
+def _mapped_classify(out: str, back: dict[int, int]) -> str:
+    """A classify --json document with its vertex ids mapped by back."""
+    doc = json.loads(out)
+    hom = doc["homology"]
+    doc["witnesses"] = {k: [back[v] for v in face] for k, face in doc["witnesses"].items()}
+    if hom["witness"] is not None:
+        hom["witness"] = [back[v] for v in hom["witness"]]
+    if hom["boundary_faces"] is not None:
+        hom["boundary_faces"] = [[back[v] for v in face] for face in hom["boundary_faces"]]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _check_classify_under(facets, ids):
+    # ids[i], increasing in i, is the new id of vertex i + 1: classify must
+    # give the same document once the ids its faces name are mapped back
+    relabel = dict(enumerate(ids, start=1))
+    back = {new: old for old, new in relabel.items()}
+    moved = [[relabel[v] for v in f] for f in facets]
+    with tempfile.TemporaryDirectory() as tmp:
+        for field in ("2", "3", "q"):
+            plain = _classify_json(Path(tmp), facets, field)
+            assert _mapped_classify(_classify_json(Path(tmp), moved, field), back) == plain
+
+
+# new ids scattered over 1..10^6, where they mix with the counts and the old
+# ids, or of 20 digits and more
+SCATTERED_IDS = st.lists(st.integers(1, 10**6), min_size=8, max_size=8, unique=True).map(sorted)
+WIDE_IDS = st.lists(st.integers(10**19, 10**40), min_size=8, max_size=8, unique=True).map(sorted)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_facet_lists(), SCATTERED_IDS | WIDE_IDS)
+def test_order_preserving_relabelling_keeps_classify_over_every_field(facets, ids):
+    _check_classify_under(facets, ids)
+
+
+def test_order_preserving_relabelling_keeps_classify_of_deep_scans():
+    # spheres with links of many shapes, the trap and the cone over RP^2:
+    # scans that run to the end or stop late, under both kinds of ids
+    rng = random.Random(22)
+    complexes = irregular_spheres()[:2] + [trap_complex(), Complex.from_facets([[*f, 7] for f in RP2_FACETS])]
+    for cx in complexes:
+        # the vertices renumbered 1..n, order kept
+        facets = [[cx.vertices.index(v) + 1 for v in f] for f in cx.facets]
+        for low, high in ((1, 10**6), (10**19, 10**40)):
+            ids = set()
+            while len(ids) < cx.n:
+                ids.add(rng.randrange(low, high))
+            _check_classify_under(facets, sorted(ids))
+
+
 
 
 def _cone(cx):
