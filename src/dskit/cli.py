@@ -3,6 +3,14 @@
 Compute commands read a .cplx complex from FILE or stdin, so `gen`
 composes with everything: `dskit gen cylinder | dskit f-vector`.
 
+One dispatcher runs every command in this order: argparse checks the
+options, then --field is parsed and the face-count cap checked, then the
+complex is read, then the --colors coloring. The command's body computes
+its JSON document, a text renderer and its exit code; the renderer runs
+only without --json. Only then is -o opened and the output written, so a
+usage error reads no input and a failure writes nothing. multiplicities
+streams its own output the same way; gen and batch read no complex.
+
 Exit codes: 0 all good, 1 a verified relation failed, 2 usage or
 parameter validation, 3 file parse error (message carries the line
 number) or a file that cannot be read or written (the OS message; output
@@ -91,98 +99,26 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
         stream.writelines(chunks)
 
 
-def _print_json(data, out: str | None) -> None:
-    """json.dumps(data, indent=2) and a newline, written as two chunks.
-
-    Every --json document is json.dumps output; multiplicities alone
-    writes its face entries itself, see _multiplicity_chunks.
-    """
-    _emit((json.dumps(data, indent=2), "\n"), out)
-
-
-def _face_text(face) -> str:
-    return " ".join(str(v) for v in face) if face else "-"
-
-
-def _add_common(p: argparse.ArgumentParser, colors: bool = False) -> None:
-    p.add_argument("file", nargs="?", default="-", help=".cplx file or - for stdin")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--max-faces", type=int, default=None, help="face-count cap")
-    p.add_argument("-o", dest="out", default=None, help="write output to a file")
-    if colors:
-        p.add_argument("--colors", default=None, help=".colors sidecar file")
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parsing does not change the parser
-    ap = argparse.ArgumentParser(prog="dskit", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    for name in ("f-vector", "h-vector", "multiplicities", "interior"):
-        _add_common(sub.add_parser(name))
-
-    p = sub.add_parser("classify")
-    _add_common(p)
-    p.add_argument("--field", default="q", help="q or a prime")
-
-    p = sub.add_parser("betti")
-    _add_common(p)
-    p.add_argument("--field", default="q", help="q or a prime")
-
-    p = sub.add_parser("verify")
-    _add_common(p)
-    p.add_argument(
-        "--relation",
-        default="all",
-        choices=list(relations.RELATION_NAMES) + ["all"],
-    )
-
-    p = sub.add_parser("flag")
-    _add_common(p, colors=True)
-
-    p = sub.add_parser("hilbert")
-    _add_common(p, colors=True)
-
-    p = sub.add_parser("gen")
-    p.add_argument("family", help=", ".join(generators.FAMILIES))
-    p.add_argument("params", nargs="*", help="family parameters")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-faces", type=int, default=None)
-    p.add_argument("-o", dest="out", default=None)
-    p.add_argument("--colors-out", default=None, help="write the canonical coloring")
-
-    p = sub.add_parser("batch")
-    p.add_argument("dir", help="directory of .cplx files")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-faces", type=int, default=None)
-    p.add_argument("-o", dest="out", default=None)
-    return ap
-
-
 # -- subcommand bodies ----------------------------------------------------
+#
+# A body takes the parsed arguments, with args.field a FieldSpec and
+# args.colors a Coloring, and the complex. It returns its JSON document, a
+# function that renders its text without the final newline, and its exit
+# code; multiplicities and gen write their own output and return the code.
 
 
-def _emit_vector(args, key: str, vec) -> int:
-    if args.json:
-        _print_json({key: [str(x) for x in vec]}, args.out)
-    else:
-        _emit((" ".join(str(x) for x in vec), "\n"), args.out)
-    return EXIT_OK
+def _vector(key: str, compute):
+    def body(args, cx):
+        doc = {key: [str(x) for x in compute(cx)]}
+        return doc, lambda: " ".join(doc[key]), EXIT_OK
 
-
-def _cmd_vectors(args) -> int:
-    f = f_vector(_read_complex(args.file, args.max_faces))
-    if args.command == "f-vector":
-        return _emit_vector(args, "f", f)
-    return _emit_vector(args, "h", h_vector(f))
+    return body
 
 
 _SLICE = 4096  # faces per chunk of multiplicities output
 
 
-def _cmd_multiplicities(args) -> int:
-    cx = _read_complex(args.file, args.max_faces)
+def _multiplicities(args, cx) -> int:
     rows = multiplicities(cx).rows
     # parse, sweep, f and h are done before _emit writes the first byte, so
     # a failure writes nothing
@@ -215,8 +151,9 @@ def _multiplicity_chunks(head: str, walk, rows, tail: str, as_json: bool) -> Ite
     """head, each row's entries _SLICE faces to a chunk, then tail.
 
     One text per face from the face index, in table.items() order: the
-    bytes that json.dumps of per-face dicts, or _face_text lines, give.
-    These entries are the only JSON text not written by json.dumps.
+    bytes that json.dumps of per-face dicts, or "-" and space-joined vertex
+    lines, give. These entries are the only JSON text not written by
+    json.dumps.
     """
     yield head
     for texts, row in zip(walk, rows):
@@ -231,56 +168,30 @@ def _multiplicity_chunks(head: str, walk, rows, tail: str, as_json: bool) -> Ite
     yield tail
 
 
-def _cmd_interior(args) -> int:
-    cx = _read_complex(args.file, args.max_faces)
-    return _emit_vector(args, "f_int", interior_f_vector(cx))
-
-
-def _cmd_classify(args) -> int:
-    fld = FieldSpec.parse(args.field)
-    cx = _read_complex(args.file, args.max_faces)
-    cls = relations.classify(cx, fld)
-    data = cls.to_json_dict()
-    homology = {
+def _classify(args, cx):
+    cls = relations.classify(cx, args.field)
+    bd = boundary_faces_homological(cx, args.field) if cls.homology_manifold else None
+    doc = cls.to_json_dict()
+    doc["homology"] = {
         "homology_manifold": cls.homology_manifold,
-        "witness": list(cls.witnesses["homology_manifold"])
-        if "homology_manifold" in cls.witnesses
-        else None,
-        "boundary_faces": None,
-        "boundary_is_subcomplex": None,
+        "witness": doc["witnesses"].get("homology_manifold"),
+        "boundary_faces": None if bd is None else [list(face) for face in bd],
+        "boundary_is_subcomplex": None if bd is None else is_downward_closed(bd),
     }
-    if cls.homology_manifold:
-        bd = boundary_faces_homological(cx, fld)
-        homology["boundary_faces"] = [list(face) for face in bd]
-        homology["boundary_is_subcomplex"] = is_downward_closed(bd)
-    data["homology"] = homology
-    if args.json:
-        _print_json(data, args.out)
-    else:
-        lines = []
-        for flag in ("reciprocal", "semi_eulerian", "eulerian", "homology_manifold"):
-            val = getattr(cls, flag)
-            suffix = ""
-            if not val and flag in cls.witnesses:
-                suffix = f"  (witness: {_face_text(cls.witnesses[flag])})"
-            lines.append(f"{flag}: {str(val).lower()}{suffix}")
-        _emit(("\n".join(lines), "\n"), args.out)
-    return EXIT_OK
+
+    def line(flag: str) -> str:
+        val, witness = getattr(cls, flag), cls.witnesses.get(flag)
+        text = f"{flag}: {str(val).lower()}"
+        return text if val or witness is None else f"{text}  (witness: {' '.join(map(str, witness)) or '-'})"
+
+    flags = ("reciprocal", "semi_eulerian", "eulerian", "homology_manifold")
+    return doc, lambda: "\n".join(map(line, flags)), EXIT_OK
 
 
-def _cmd_betti(args) -> int:
-    fld = FieldSpec.parse(args.field)
-    cx = _read_complex(args.file, args.max_faces)
-    table = reduced_betti(cx, fld)
-    if args.json:
-        data = {
-            "field": str(fld),
-            "betti": [{"dim": i, "b": str(b)} for i, b in table.items()],
-        }
-        _print_json(data, args.out)
-    else:
-        _emit((" ".join(f"b[{i}]={b}" for i, b in table.items()), "\n"), args.out)
-    return EXIT_OK
+def _betti(args, cx):
+    table = reduced_betti(cx, args.field)
+    doc = {"field": str(args.field), "betti": [{"dim": i, "b": str(b)} for i, b in table.items()]}
+    return doc, lambda: " ".join(f"b[{e['dim']}]={e['b']}" for e in doc["betti"]), EXIT_OK
 
 
 def _report_line(rep) -> str:
@@ -288,86 +199,51 @@ def _report_line(rep) -> str:
         return f"{rep.relation}: skipped ({rep.skipped})"
     if rep.holds:
         return f"{rep.relation}: ok"
-    bad = [
-        f"{lbl}={res}" for lbl, res in zip(rep.labels, rep.residuals) if res
-    ]
+    bad = [f"{lbl}={res}" for lbl, res in zip(rep.labels, rep.residuals) if res]
     return f"{rep.relation}: FAIL [{', '.join(bad)}]"
 
 
-def _cmd_verify(args) -> int:
-    cx = _read_complex(args.file, args.max_faces)
+def _verify(args, cx):
     if args.relation == "all":
         reports = relations.verify_all(cx)
     else:
         reports = [relations.verify_relation(cx, args.relation)]
-    if args.json:
-        _print_json([rep.to_json_dict() for rep in reports], args.out)
-    else:
-        _emit(("\n".join(_report_line(r) for r in reports), "\n"), args.out)
-    return EXIT_OK if all(r.holds for r in reports) else EXIT_FAILED
+    code = EXIT_OK if all(r.holds for r in reports) else EXIT_FAILED
+    return [rep.to_json_dict() for rep in reports], lambda: "\n".join(map(_report_line, reports)), code
 
 
-def _cmd_flag(args) -> int:
-    if not args.colors:
-        raise ValidationError("flag requires --colors")
-    cx = _read_complex(args.file, args.max_faces)
-    coloring = _read_coloring(cx, args.colors)
-    f = balanced.flag_f(cx, coloring)
-    h = balanced.flag_h(cx, coloring)
-    entries = [
-        {"b": list(b), "f": str(f[b]), "h": str(h[b])} for b in sorted(f)
-    ]
-    if args.json:
-        _print_json({"a": list(coloring.a), "flags": entries}, args.out)
-    else:
-        lines = [
-            "b=({}) f={} h={}".format(
-                ",".join(str(x) for x in e["b"]), e["f"], e["h"]
-            )
-            for e in entries
-        ]
-        _emit(("\n".join(lines), "\n"), args.out)
-    return EXIT_OK
+def _flag(args, cx):
+    f = balanced.flag_f(cx, args.colors)
+    h = balanced.flag_h(cx, args.colors)
+    entries = [{"b": list(b), "f": str(f[b]), "h": str(h[b])} for b in sorted(f)]
+
+    def render() -> str:
+        return "\n".join(f"b=({','.join(map(str, e['b']))}) f={e['f']} h={e['h']}" for e in entries)
+
+    return {"a": list(args.colors.a), "flags": entries}, render, EXIT_OK
 
 
-def _cmd_hilbert(args) -> int:
-    cx = _read_complex(args.file, args.max_faces)
+def _hilbert(args, cx):
     if args.colors:
-        coloring = _read_coloring(cx, args.colors)
-        series = stanley_reisner.hilbert_series_colored(cx, coloring)
-        numer = series.numerator
-        if args.json:
-            data = {
-                "numerator": [
-                    {"e": list(e), "c": str(c)} for e, c in numer.items_sorted()
-                ],
-                "denominator_exponent": list(series.denominator_exponent),
-            }
-            _print_json(data, args.out)
-        else:
-            terms = " ".join(
-                f"({','.join(str(x) for x in e)}):{c}" for e, c in numer.items_sorted()
-            )
-            exps = ",".join(str(x) for x in series.denominator_exponent)
-            _emit([f"numerator: {terms}\ndenominator: prod (1-w_i)^({exps})\n"], args.out)
+        series = stanley_reisner.hilbert_series_colored(cx, args.colors)
+        exps = list(series.denominator_exponent)
+        terms = [{"e": list(e), "c": str(c)} for e, c in series.numerator.items_sorted()]
+
+        def render() -> str:
+            text = " ".join(f"({','.join(map(str, t['e']))}):{t['c']}" for t in terms)
+            return f"numerator: {text}\ndenominator: prod (1-w_i)^({','.join(map(str, exps))})"
     else:
         series = stanley_reisner.hilbert_series(cx)
-        if args.json:
-            data = {
-                "numerator": [str(c) for c in series.numerator.coeffs],
-                "denominator_exponent": series.denominator_exponent,
-            }
-            _print_json(data, args.out)
-        else:
-            coeffs = " ".join(str(c) for c in series.numerator.coeffs)
-            _emit(
-                [f"numerator: {coeffs}\ndenominator: (1-x)^{series.denominator_exponent}\n"],
-                args.out,
-            )
-    return EXIT_OK
+        exps = series.denominator_exponent
+        terms = [str(c) for c in series.numerator.coeffs]
+
+        def render() -> str:
+            return f"numerator: {' '.join(terms)}\ndenominator: (1-x)^{exps}"
+
+    return {"numerator": terms, "denominator_exponent": exps}, render, EXIT_OK
 
 
-def _cmd_gen(args) -> int:
+def _gen(args, _cx) -> int:
     base = None
     params = list(args.params)
     if args.family == "barycentric-subdivision":
@@ -386,52 +262,100 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_batch(args) -> int:
+def _batch(args, _cx):
     root = Path(args.dir)
     if not root.is_dir():
         raise ValidationError(f"not a directory: {args.dir}")
     cap = complexes._effective_max_faces(args.max_faces)  # checked also when no file is read
-    all_ok, results = True, {}
+    results = {}
     for path in sorted(root.glob("*.cplx")):
         try:
             cx = parse_cplx(_read_text(path), max_faces=cap)
         except (ParseError, ResourceLimitError) as exc:
             raise type(exc)(f"{path.name}: {exc}") from exc
-        reports = relations.verify_all(cx)
-        results[path.name] = reports
-        all_ok = all_ok and all(r.holds for r in reports)
-    if args.json:
-        data = {
-            name: [rep.to_json_dict() for rep in reps]
+        results[path.name] = relations.verify_all(cx)
+    reports = [rep for reps in results.values() for rep in reps]
+
+    def text() -> str:
+        lines = [
+            f"{name}\t{rep.relation}\t{'skip' if rep.skipped else 'ok' if rep.holds else 'FAIL'}"
             for name, reps in results.items()
-        }
-        _print_json(data, args.out)
-    else:
-        lines = []
-        for name, reps in results.items():
-            for rep in reps:
-                status = "skip" if rep.skipped else ("ok" if rep.holds else "FAIL")
-                lines.append(f"{name}\t{rep.relation}\t{status}")
-        checked = sum(1 for reps in results.values() for r in reps if not r.skipped)
-        failed = sum(1 for reps in results.values() for r in reps if not r.holds)
-        lines.append(f"# {len(results)} files, {checked} relations checked, {failed} failed")
-        _emit(("\n".join(lines), "\n"), args.out)
-    return EXIT_OK if all_ok else EXIT_FAILED
+            for rep in reps
+        ]
+        checked = sum(1 for r in reports if not r.skipped)
+        failed = sum(1 for r in reports if not r.holds)
+        return "\n".join([*lines, f"# {len(results)} files, {checked} relations checked, {failed} failed"])
+
+    doc = {name: [rep.to_json_dict() for rep in reps] for name, reps in results.items()}
+    return doc, text, EXIT_OK if all(r.holds for r in reports) else EXIT_FAILED
 
 
+# -- the command table ----------------------------------------------------
+
+
+def _arg(*flags: str, **kw) -> tuple:
+    return flags, kw
+
+
+def _nonempty(path: str) -> str:
+    # flag has no uncolored mode: an empty --colors is a usage error
+    if not path:
+        raise argparse.ArgumentTypeError("expected a file name")
+    return path
+
+
+_JSON = _arg("--json", action="store_true", help="machine-readable output")
+_CAP = _arg("--max-faces", type=int, default=None, help="face-count cap")
+_OUT = _arg("-o", dest="out", default=None, help="write output to a file")
+_FIELD = _arg("--field", default="q", help="q or a prime")
+_COMMON = (_arg("file", nargs="?", default="-", help=".cplx file or - for stdin"), _JSON, _CAP, _OUT)
+
+# command -> (body, its options beyond _COMMON); gen and batch read no
+# complex and list all their options
 _COMMANDS = {
-    "f-vector": _cmd_vectors,
-    "h-vector": _cmd_vectors,
-    "multiplicities": _cmd_multiplicities,
-    "interior": _cmd_interior,
-    "classify": _cmd_classify,
-    "betti": _cmd_betti,
-    "verify": _cmd_verify,
-    "flag": _cmd_flag,
-    "hilbert": _cmd_hilbert,
-    "gen": _cmd_gen,
-    "batch": _cmd_batch,
+    "f-vector": (_vector("f", f_vector), ()),
+    "h-vector": (_vector("h", lambda cx: h_vector(f_vector(cx))), ()),
+    "multiplicities": (_multiplicities, ()),
+    "interior": (_vector("f_int", interior_f_vector), ()),
+    "classify": (_classify, (_FIELD,)),
+    "betti": (_betti, (_FIELD,)),
+    "verify": (_verify, (_arg("--relation", default="all", choices=[*relations.RELATION_NAMES, "all"]),)),
+    "flag": (_flag, (_arg("--colors", required=True, type=_nonempty, help=".colors sidecar file"),)),
+    "hilbert": (_hilbert, (_arg("--colors", default=None, help=".colors sidecar file"),)),
+    "gen": (_gen, (
+        _arg("family", help=", ".join(generators.FAMILIES)),
+        _arg("params", nargs="*", help="family parameters"),
+        _CAP, _OUT,
+        _arg("--colors-out", default=None, help="write the canonical coloring"),
+    )),
+    "batch": (_batch, (_arg("dir", help="directory of .cplx files"), _JSON, _CAP, _OUT)),
 }
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing does not change the parser
+    ap = argparse.ArgumentParser(prog="dskit", description=__doc__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (_, options) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        for flags, kw in options if name in ("gen", "batch") else (*_COMMON, *options):
+            p.add_argument(*flags, **kw)
+    return ap
+
+
+def _dispatch(args) -> int:
+    if "field" in args:
+        args.field = FieldSpec.parse(args.field)
+    cx = _read_complex(args.file, args.max_faces) if "file" in args else None
+    if getattr(args, "colors", None):
+        args.colors = _read_coloring(cx, args.colors)
+    result = _COMMANDS[args.command][0](args, cx)
+    if isinstance(result, int):  # the body wrote its own output
+        return result
+    doc, render, code = result
+    _emit((json.dumps(doc, indent=2) if args.json else render(), "\n"), args.out)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -441,16 +365,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        return _COMMANDS[args.command](args)
+        return _dispatch(args)
     except ParseError as exc:
         print(f"dskit: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (PreconditionError, DomainError, ResourceLimitError) as exc:
         print(f"dskit: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except ValidationError as exc:
-        print(f"dskit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DskitError as exc:
         print(f"dskit: {exc}", file=sys.stderr)
         return EXIT_USAGE

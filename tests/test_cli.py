@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, JSON schemas and composition."""
 
+import argparse
 import errno
 import io
 import json
@@ -7,7 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 
-from dskit.cli import main
+from dskit.cli import _build_parser, main
 from dskit.complexes import parse_cplx, write_cplx
 from dskit.enumeration import (
     euler_from_f,
@@ -128,6 +129,13 @@ def test_bad_gen_params_exit_2(capsys):
     assert "fit a float" in err
 
 
+def test_gen_takes_no_json(capsys):
+    # gen writes .cplx text only, so --json is an unknown option
+    code, out, err = run_cli(capsys, ["gen", "cylinder", "--json"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --json" in err
+
+
 def test_max_faces_cap(capsys, monkeypatch, tmp_path):
     path = tmp_path / "big.cplx"
     path.write_text(" ".join(str(v) for v in range(1, 30)) + "\n")
@@ -218,27 +226,71 @@ def test_face_cap_below_one_is_a_usage_error(capsys, monkeypatch, tmp_path):
         assert (code, out) == (2, "") and "at least 1, got 0" in err, argv
 
 
+def _compute_commands() -> dict:
+    """Each subcommand that reads a complex from FILE -> its option strings."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {opt for action in parser._actions for opt in action.option_strings}
+        for name, parser in sub.choices.items()
+        if any(action.dest == "file" for action in parser._actions)
+    }
+
+
 def test_usage_is_checked_before_any_input(capsys, monkeypatch, tmp_path):
     # a bad cap or field is exit 2 with its message whatever the input: a
     # missing file (else exit 3, the OS error) or malformed stdin (else
-    # exit 3, a parse error) is never read
+    # exit 3, a parse error) is never read, nor a --colors file
     missing = str(tmp_path / "no-such.cplx")
+    colors = ["--colors", str(tmp_path / "no-such.colors")]
     cap = "dskit: face-count cap must be at least 1, got 0\n"
-    for argv, message in (
-        (["f-vector", "--max-faces", "0"], cap),
-        (["verify", "--max-faces", "0"], cap),
-        (["classify", "--max-faces", "0"], cap),
-        (["betti", "--max-faces", "0"], cap),
+    commands = _compute_commands()
+    assert set(commands) == {
+        "f-vector", "h-vector", "multiplicities", "interior", "classify", "betti", "verify",
+        "flag", "hilbert",
+    }
+    cases = [
+        ([name, "--max-faces", "0", *(colors if "--colors" in options else [])], cap)
+        for name, options in commands.items()
+    ]
+    cases += [
         (["classify", "--field", "4"], "dskit: field characteristic must be 0 or prime, got 4\n"),
         (["betti", "--field", "x"], "dskit: field must be 'q' or a prime, got 'x'\n"),
-    ):
+    ]
+    for argv, message in cases:
         for source in (missing, "-"):
             got = run_cli(capsys, [*argv, source], stdin_text="1 2\nx\n", monkeypatch=monkeypatch)
             assert got == (2, "", message), (argv, source)
+    # flag has no uncolored mode: without --colors, or with an empty one,
+    # it is a usage error
+    for argv in (["flag"], ["flag", "--colors", ""]):
+        for source in (missing, "-"):
+            code, out, err = run_cli(capsys, [*argv, source], stdin_text="1 2\nx\n", monkeypatch=monkeypatch)
+            assert (code, out) == (2, "") and "--colors" in err, (argv, source)
     # the same inputs with good options are the errors the options hide
     for source in (missing, "-"):
         code, out, err = run_cli(capsys, ["f-vector", source], stdin_text="1 2\nx\n", monkeypatch=monkeypatch)
         assert (code, out) == (3, "") and err.startswith("dskit: "), source
+
+
+def test_precondition_failures_write_nothing(capsys, tmp_path):
+    # the result is computed and rendered before -o is opened: a relation
+    # precondition, a non-reciprocal complex or an unbalanced coloring is
+    # exit 4 with nothing on stdout and no output file
+    fan = tmp_path / "fan.cplx"
+    fan.write_text("1 2 3\n1 2 4\n1 2 5\n")  # three triangles on one edge
+    cp3, unbalanced = tmp_path / "cp3.cplx", tmp_path / "unbalanced.colors"
+    cp3.write_text(write_cplx(cross_polytope_boundary(3).complex))
+    unbalanced.write_text("\n".join(f"{v} 1" for v in range(1, 6)) + "\n6 2\n")
+    out = tmp_path / "out.txt"
+    for argv in (
+        ["verify", str(fan), "--relation", "ds-f"],
+        ["interior", str(fan)],
+        ["flag", str(cp3), "--colors", str(unbalanced)],
+    ):
+        for flags in ([], ["--json"]):
+            code, stdout, err = run_cli(capsys, [*argv, *flags, "-o", str(out)])
+            assert (code, stdout) == (4, ""), (argv, flags)
+            assert err.startswith("dskit: ") and not out.exists(), (argv, flags)
 
 
 def test_multiplicities_json_schema(capsys, monkeypatch):

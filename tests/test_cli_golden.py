@@ -1,10 +1,10 @@
 """CLI output pinned byte for byte on a small corpus.
 
 tests/cli_golden.json holds the sha256 of stdout and the exit code of
-every command below, recorded from a known-good build. The test rebuilds
-the corpus with `gen`, runs each command in-process and compares, so a
-change that alters any output (text or JSON, success or failure) fails
-here. Regenerate only when an output change is intended:
+every command below, and of batch over the whole corpus, recorded from a
+known-good build. The test rebuilds the corpus with `gen`, runs each
+command in-process and compares, so a change that alters any output
+(text or JSON, success or failure) fails here. Regenerate only when an output change is intended:
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/cli_golden.json
 """
@@ -40,7 +40,7 @@ RELATIONS = (
 
 def _commands(colored: bool) -> list[list[str]]:
     """Argv templates over {cplx} and {colors}; each runs as text and --json."""
-    cmds = [["verify", "{cplx}"]]
+    cmds = [["f-vector", "{cplx}"], ["h-vector", "{cplx}"], ["verify", "{cplx}"]]
     cmds += [["verify", "{cplx}", "--relation", r] for r in RELATIONS]
     cmds += [["classify", "{cplx}", "--field", f] for f in ("q", "2")]
     cmds += [["multiplicities", "{cplx}"], ["interior", "{cplx}"]]
@@ -73,6 +73,9 @@ def _record(work: Path) -> dict[str, list]:
         for template in _commands(colored):
             argv = [a.format(cplx=cplx, colors=colors) for a in template]
             runs[f"{name}: {' '.join(template)}"] = list(_run(argv))
+    # the whole corpus, its .colors sidecars beside it, through batch
+    for extra in ([], ["--json"]):
+        runs[" ".join(["corpus: batch {dir}", *extra])] = list(_run(["batch", str(work), *extra]))
     return runs
 
 
