@@ -298,7 +298,8 @@ def _arg(*flags: str, **kw) -> tuple:
 
 
 def _nonempty(path: str) -> str:
-    # flag has no uncolored mode: an empty --colors is a usage error
+    # an empty --colors names no file: a usage error for flag, which has no
+    # uncolored mode, and for hilbert, whose uncolored mode is no --colors
     if not path:
         raise argparse.ArgumentTypeError("expected a file name")
     return path
@@ -321,7 +322,7 @@ _COMMANDS = {
     "betti": (_betti, (_FIELD,)),
     "verify": (_verify, (_arg("--relation", default="all", choices=[*relations.RELATION_NAMES, "all"]),)),
     "flag": (_flag, (_arg("--colors", required=True, type=_nonempty, help=".colors sidecar file"),)),
-    "hilbert": (_hilbert, (_arg("--colors", default=None, help=".colors sidecar file"),)),
+    "hilbert": (_hilbert, (_arg("--colors", default=None, type=_nonempty, help=".colors sidecar file"),)),
     "gen": (_gen, (
         _arg("family", help=", ".join(generators.FAMILIES)),
         _arg("params", nargs="*", help="family parameters"),

@@ -10,10 +10,19 @@ multiplicity of a face F is
 and the error of a face is eps_F = chi_reduced(link(F)) - (-1)^(d-1-|F|)
 = (-1)^(d-1-|F|) (m_F - 1). Both quantities come with two independent
 computation routes, kept deliberately distinct for differential testing.
+
+multiplicities(cx) sweeps every m_F at once with Yates' superset sum Z,
+as m = s*[F is a facet] + Z(s*(1 - c)), where s(G) = (-1)^(d-|G|) and
+c(G) counts the facets that hold G: the seed is zero on every face that
+one facet holds alone. When sum over facets g of 2^|g| < 2f (f faces, the
+empty face counted), only the faces that two or more facets share are
+seeded, at most d steps per pair of a shared face and a facet holding
+it; otherwise every face is, at sum over G of |G| additions.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable
 
 from .complexes import Complex, FaceTuple, _prefix_walk
@@ -162,39 +171,97 @@ def _kept_rows(cx: Complex) -> tuple[tuple[int, ...], ...] | None:
 
 
 def _superset_sweep(cx: Complex) -> tuple[tuple[int, ...], ...]:
-    """Rows of m_F by Yates' superset zeta transform, one vertex at a time.
+    """Rows of m_F by Yates' superset zeta transform Z, one vertex at a time.
 
-    The table starts at m[G] = (-1)^(d-|G|); then, for each vertex v, every
-    face G containing v adds m[G] into m[G - v]. A pass reads only sets
-    that contain v and writes only sets that do not, so its order is free.
-    After the last pass each G >= F has reached F along exactly one path,
-    dropping the vertices of G - F in pass order, so m[F] sums the seed
-    over every G >= F once. This is exact because the face family is
-    closed downward: every set between F and G is a face, so no step
-    leaves the table. The cost is sum over G of |G| additions, and no
-    link is built. The sweep runs on a dict keyed by mask, which is read
-    into rows aligned with cx.masks_by_card and dropped.
+    A table seeded with values on a downward closed family of faces is
+    swept with one pass per vertex v: every G in the family that contains
+    v adds its entry into G - v. A pass reads only sets that contain v and
+    writes only sets that do not, so its order is free. After the last
+    pass each G >= F has reached F along exactly one path, dropping the
+    vertices of G - F in pass order, so F holds the sum of the seed over
+    every G >= F in the family; every set between F and G is in the family
+    too, so no step leaves the table. A pass visits its vertex's star,
+    listed by one walk of each seeded face's bits. No link is built.
+
+    With s(G) = (-1)^(d-|G|) and c(G) the number of facets that hold G,
+    m = Z(s) = s*[F is a facet] + Z(s*(1 - c)). The sum of s over an
+    interval [F, g] is zero unless F = g, so Z(s*c), a sum over the facets
+    g >= F of such intervals, is s(F) when F is a facet and 0 otherwise.
+    The seed s*(1 - c) is zero on every face that one facet holds alone,
+    and the faces that two or more facets hold, the shared faces, are
+    closed downward: a face that one facet holds alone lies in no shared
+    face, so its m is s on a facet and 0 elsewhere.
+
+    Since sum over facets g of 2^|g| is the sum of c over the faces, it is
+    below 2f, f the face count with the empty face, when c is below 2 on
+    average. Then the table seeds the shared faces only (_seed_shared), at
+    most d steps per pair of a shared face and a facet that holds it.
+    Otherwise it seeds s on every face and lists the stars in one loop, at
+    sum over G of |G| additions. The table, keyed by mask, is read into
+    rows aligned with cx.masks_by_card and dropped.
     """
-    table = {}
-    # bit position -> every face containing that vertex, filled by one walk
-    # of each face's set bits
     stars: list[list[int]] = [[] for _ in range(cx.vertex_mask.bit_length())]
-    for card, group in enumerate(cx.masks_by_card):
-        s = _sign(cx.d - card)
-        for g in group:
-            table[g] = s
-            rest = g
-            while rest:
-                i = rest.bit_length() - 1
-                stars[i].append(g)
-                rest ^= 1 << i
+    if sum(1 << g.bit_count() for g in cx.facet_masks) < 2 * cx.num_faces:
+        table = _seed_shared(cx, stars)
+    else:
+        table = {}
+        for card, group in enumerate(cx.masks_by_card):
+            s = _sign(cx.d - card)
+            for g in group:
+                table[g] = s
+                rest = g
+                while rest:
+                    i = rest.bit_length() - 1
+                    stars[i].append(g)
+                    rest ^= 1 << i
     for i, star in enumerate(stars):
         bit = 1 << i
         for g in star:
             table[g ^ bit] += table[g]
     del stars  # before the rows are built, so they do not raise the peak
-    get = table.__getitem__
-    return tuple(tuple(map(get, group)) for group in cx.masks_by_card)
+    get = table.get  # a face the table lacks has m = 0
+    return tuple(tuple(map(get, group, repeat(0))) for group in cx.masks_by_card)
+
+
+def _seed_shared(cx: Complex, stars: list[list[int]]) -> dict[int, int]:
+    """s*(1 - c) on the shared faces, listed in stars, and s on the facets.
+
+    The shared faces are found one cardinality at a time from the empty
+    face, each with the facets that hold it: P + t is shared when two or
+    more of P's facets hold t, t above P's top vertex, so each shared face
+    is found once, from P = itself minus its top vertex. No set over all
+    faces or all facets is built. A facet is never shared, and the sweep
+    writes only below shared faces, so the facets' entries stay s.
+    """
+    d = cx.d
+    facets = cx.facet_masks
+    table = {g: _sign(d - g.bit_count()) for g in facets}
+    level = [(0, facets)] if len(facets) > 1 else []
+    s = _sign(d)  # of the level's cardinality, from the empty face's
+    while level:
+        below = []
+        for p, holders in level:
+            table[p] = s * (1 - len(holders))
+            rest = p
+            while rest:
+                i = rest.bit_length() - 1
+                stars[i].append(p)
+                rest ^= 1 << i
+            # the vertices above p's top that two or more holders share
+            top = p.bit_length()
+            seen = twice = 0
+            for g in holders:
+                g >>= top
+                twice |= seen & g
+                seen |= g
+            twice <<= top
+            while twice:
+                low = twice & -twice
+                below.append((p | low, [g for g in holders if g & low]))
+                twice ^= low
+        level = below
+        s = -s
+    return table
 
 
 def epsilon(cx: Complex, face: Iterable[int], method: str = "link-euler") -> int:

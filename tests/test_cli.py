@@ -261,8 +261,8 @@ def test_usage_is_checked_before_any_input(capsys, monkeypatch, tmp_path):
             got = run_cli(capsys, [*argv, source], stdin_text="1 2\nx\n", monkeypatch=monkeypatch)
             assert got == (2, "", message), (argv, source)
     # flag has no uncolored mode: without --colors, or with an empty one,
-    # it is a usage error
-    for argv in (["flag"], ["flag", "--colors", ""]):
+    # it is a usage error; an empty --colors is one for hilbert too
+    for argv in (["flag"], ["flag", "--colors", ""], ["hilbert", "--colors", ""]):
         for source in (missing, "-"):
             code, out, err = run_cli(capsys, [*argv, source], stdin_text="1 2\nx\n", monkeypatch=monkeypatch)
             assert (code, out) == (2, "") and "--colors" in err, (argv, source)

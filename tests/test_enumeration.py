@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -164,16 +165,35 @@ def test_multiplicities_single_edge():
     assert table.m_empty == 0
 
 
+def _seeds_shared_faces(cx) -> bool:
+    """Whether the sweep seeds only the faces two facets share: sum over
+    facets g of 2^|g| below twice the face count, the empty face counted."""
+    return sum(2 ** len(facet) for facet in cx.facets) < 2 * cx.num_faces
+
+
 def test_multiplicities_sweep_equals_per_face(randoms, suite, balanced_pairs):
+    # a graph has sum 2^|g| - 2f = 2(e - n - 1): a 4-cycle sits just below
+    # the line, K4 minus an edge on it and K4 just above it
+    k4 = [[a, b] for a in range(1, 5) for b in range(a + 1, 5)]
     edge_cases = [
         Complex.from_facets([]),  # {emptyset}
         Complex.from_facets([[5]]),  # a single vertex
         Complex.from_facets([[1, 2, 3], [3, 4], [7], [9, 10]]),  # disconnected, non-pure
+        Complex.from_facets([[1, 2, 3], [4, 5]]),  # the empty face alone is shared
+        Complex.from_facets([[1, v] for v in range(2, 8)]),  # the centre and the empty face
+        Complex.from_facets([range(1, 13)]),  # one facet: nothing is shared
+        Complex.from_facets([[1, 2], [2, 3], [3, 4], [1, 4]]),
+        Complex.from_facets(k4[1:]),
+        Complex.from_facets(k4),
     ]
+    assert [_seeds_shared_faces(cx) for cx in edge_cases[-3:]] == [True, False, False]
     spheres = [cx for name, cx, _ in balanced_pairs
                if name.startswith(("cross-polytope", "sd-simplex", "barycentric-subdivision-oct"))]
     assert len(spheres) == 6
     corpus = randoms + [made.complex for _, made in suite] + edge_cases + spheres
+    # both seedings are checked against the per-face sums
+    sides = [_seeds_shared_faces(cx) for cx in corpus]
+    assert sides.count(True) >= 10 and sides.count(False) >= 10, sides.count(True)
     for cx in corpus:
         table = multiplicities(cx)
         assert len(table.items()) == cx.num_faces
@@ -189,6 +209,21 @@ def test_multiplicities_large_cross_polytope_all_one():
     assert len(table.items()) == 3**10
     assert all(m == 1 for _, m in table.items())
     assert time.perf_counter() - t0 < 30
+
+
+def test_multiplicities_of_one_facet_cost_only_the_rows():
+    # one facet shares no face with another, so the sweep seeds nothing but
+    # the facet: its traced peak is the rows, one 8-byte pointer per face,
+    # where star lists over every face cost about 108 B per face
+    cx = Complex.from_facets([range(1, 17)])
+    tracemalloc.start()
+    try:
+        table = multiplicities(cx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.m_empty == 0 and table.m(range(1, 17)) == 1
+    assert peak < 24 * cx.num_faces, peak / cx.num_faces
 
 
 @settings(max_examples=60, deadline=None)
