@@ -229,8 +229,11 @@ def _seed_shared(cx: Complex, stars: list[list[int]]) -> dict[int, int]:
     The shared faces are found one cardinality at a time from the empty
     face, each with the facets that hold it: P + t is shared when two or
     more of P's facets hold t, t above P's top vertex, so each shared face
-    is found once, from P = itself minus its top vertex. No set over all
-    faces or all facets is built. A facet is never shared, and the sweep
+    is found once, from P = itself minus its top vertex. One pass over P's
+    facets finds those t, a second files each facet under every such t it
+    holds: a shared face costs at most d steps per facet that holds it, not
+    a scan of its facets per child. No set over all faces or all facets is
+    built. A facet is never shared, and the sweep
     writes only below shared faces, so the facets' entries stay s.
     """
     d = cx.d
@@ -254,11 +257,21 @@ def _seed_shared(cx: Complex, stars: list[list[int]]) -> dict[int, int]:
                 g >>= top
                 twice |= seen & g
                 seen |= g
+            if not twice:
+                continue
             twice <<= top
-            while twice:
-                low = twice & -twice
-                below.append((p | low, [g for g in holders if g & low]))
-                twice ^= low
+            # each holder joins the bucket of every shared vertex it holds
+            buckets: dict[int, list[int]] = {}
+            for g in holders:
+                hits = g & twice
+                while hits:
+                    low = hits & -hits
+                    if low in buckets:
+                        buckets[low].append(g)
+                    else:
+                        buckets[low] = [g]
+                    hits ^= low
+            below += [(p | low, held) for low, held in buckets.items()]
         level = below
         s = -s
     return table

@@ -165,13 +165,7 @@ def test_multiplicities_single_edge():
     assert table.m_empty == 0
 
 
-def _seeds_shared_faces(cx) -> bool:
-    """Whether the sweep seeds only the faces two facets share: sum over
-    facets g of 2^|g| below twice the face count, the empty face counted."""
-    return sum(2 ** len(facet) for facet in cx.facets) < 2 * cx.num_faces
-
-
-def test_multiplicities_sweep_equals_per_face(randoms, suite, balanced_pairs):
+def test_multiplicities_sweep_equals_per_face(randoms, suite, balanced_pairs, monkeypatch):
     # a graph has sum 2^|g| - 2f = 2(e - n - 1): a 4-cycle sits just below
     # the line, K4 minus an edge on it and K4 just above it
     k4 = [[a, b] for a in range(1, 5) for b in range(a + 1, 5)]
@@ -186,19 +180,43 @@ def test_multiplicities_sweep_equals_per_face(randoms, suite, balanced_pairs):
         Complex.from_facets(k4[1:]),
         Complex.from_facets(k4),
     ]
-    assert [_seeds_shared_faces(cx) for cx in edge_cases[-3:]] == [True, False, False]
     spheres = [cx for name, cx, _ in balanced_pairs
                if name.startswith(("cross-polytope", "sd-simplex", "barycentric-subdivision-oct"))]
     assert len(spheres) == 6
     corpus = randoms + [made.complex for _, made in suite] + edge_cases + spheres
-    # both seedings are checked against the per-face sums
-    sides = [_seeds_shared_faces(cx) for cx in corpus]
-    assert sides.count(True) >= 10 and sides.count(False) >= 10, sides.count(True)
+    seeded_shared = set()
+    seed_shared = enumeration._seed_shared
+
+    def spy(cx, stars):
+        seeded_shared.add(id(cx))
+        return seed_shared(cx, stars)
+
+    monkeypatch.setattr(enumeration, "_seed_shared", spy)
     for cx in corpus:
-        table = multiplicities(cx)
+        # swept afresh: the session's complexes may hold rows already
+        table = MultiplicityTable(cx, enumeration._superset_sweep(cx))
         assert len(table.items()) == cx.num_faces
         for face, m in table.items():
             assert m == multiplicity(cx, face, "superset-sum")
+    # both seedings are checked against the per-face sums
+    assert [id(cx) in seeded_shared for cx in edge_cases[-3:]] == [True, False, False]
+    assert 10 <= len(seeded_shared) <= len(corpus) - 10, len(seeded_shared)
+
+
+def test_multiplicities_of_a_long_path_in_bounded_time():
+    # a path of n edges is sparse enough to seed its shared faces only: n
+    # edges hold the empty face and n - 1 vertices are shared under it.
+    # Scanning every holder once per child took n^2 steps: 8 s against
+    # 0.15 s on a 2-vCPU machine
+    n = 8000
+    cx = Complex.from_facets([[v, v + 1] for v in range(1, n + 1)])
+    t0 = time.perf_counter()
+    table = multiplicities(cx)
+    assert time.perf_counter() - t0 < 2
+    # an inner vertex links two points, an end one point; the path is contractible
+    assert table.m_empty == 0
+    assert table.rows[1].count(1) == n - 1 and table.rows[1].count(0) == 2
+    assert set(table.rows[2]) == {1}
 
 
 def test_multiplicities_large_cross_polytope_all_one():
