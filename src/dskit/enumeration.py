@@ -141,17 +141,17 @@ class MultiplicityTable:
 
     def reciprocity_witness(self) -> FaceTuple | None:
         """A non-empty face with m_F not in {0,1}, or None if reciprocal."""
-        for group, row in zip(self.complex.masks_by_card[1:], self.rows[1:]):
-            if row.count(0) + row.count(1) != len(row):  # C-speed counts; walk a failing row
-                j = next(j for j, m in enumerate(row) if m not in (0, 1))
-                return self.complex.mask_vertices(group[j])
-        return None
+        return self._first_outside((0, 1))
 
     def semi_eulerian_witness(self) -> FaceTuple | None:
         """A non-empty face with m_F != 1, or None if semi-Eulerian."""
+        return self._first_outside((1,))
+
+    def _first_outside(self, allowed: tuple[int, ...]) -> FaceTuple | None:
+        """The first non-empty face in (card, mask) order whose m_F is not allowed."""
         for group, row in zip(self.complex.masks_by_card[1:], self.rows[1:]):
-            if row.count(1) != len(row):  # C-speed count; walk a failing row
-                j = next(j for j, m in enumerate(row) if m != 1)
+            if sum(map(row.count, allowed)) != len(row):  # C-speed counts; walk a failing row
+                j = next(j for j, m in enumerate(row) if m not in allowed)
                 return self.complex.mask_vertices(group[j])
         return None
 

@@ -16,28 +16,27 @@ incidence matrix of a graph, whose rank is the size of a spanning forest
 of the uncleared edges, found by union-find. The dense reference ranks
 live in tests/conftest.py.
 
-The homology-manifold scan walks the faces in (cardinality, mask) order
-and works on link keys: a link's facets moved onto its own vertices, order
-kept. Links with equal keys are equal up to a relabelling and share their
-Betti numbers over every field, so each key is computed once per
-cardinality. The key of lk(F) follows from the key of lk(F - v), v the
-lowest vertex of F, and the position of v among the vertices of
-lk(F - v): the scan compresses a key once per such pair, and a face
-whose pair came before reads no facet. The definitional route, each link
-closed from the complex, is the reference in tests/test_homology.py.
-Each field's scan is kept on the complex itself, so classify and then
-the boundary split of one object scan once; an equal complex built
-apart, possibly under other labels, scans for itself. Over Q the scan
-computes each link over GF(2) first and keeps those numbers when they
-are nonzero in at most one degree. That is exact by universal
-coefficients (Hatcher, Algebraic Topology, Thm 3A.3): beta_i over Q is at
-most beta_i over GF(2) for every i, and both sum to the same reduced
-Euler characteristic.
+The homology-manifold scan makes each face F from its parent F - v, v
+the lowest vertex of F, in (cardinality, mask) order, and works on link
+keys: a link's facets moved onto its own vertices, order kept. Links
+with equal keys are equal up to a relabelling and share their Betti
+numbers over every field, so each key is computed once per cardinality.
+The key of lk(F) follows from the key of lk(F - v) and the position of v
+among its vertices: the scan compresses a key once per such pair, and a
+face whose pair came before reads no facet. The definitional route, each
+link closed from the complex, is the reference in
+tests/test_homology.py. Each field's scan is kept on the complex itself,
+so classify and then the boundary split of one object scan once; an
+equal complex built apart, possibly under other labels, scans for
+itself. Over Q the scan computes each link over GF(2) first and keeps
+those numbers when they are nonzero in at most one degree. That is exact
+by universal coefficients (Hatcher, Algebraic Topology, Thm 3A.3):
+beta_i over Q is at most beta_i over GF(2) for every i, and both sum to
+the same reduced Euler characteristic.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 from typing import Container, Sequence
@@ -360,23 +359,25 @@ def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
     increasing order. Only a class new to its cardinality is closed
     (Complex._from_facet_masks) and computed.
 
-    A vertex's key is compressed from the facets at the vertex. The first
-    d vertices (d = cx.d) filter the complex's facets; after them the
-    facets are listed per vertex, once, since filtering d times costs about
-    what listing does, and most complexes that are not manifolds stop at
-    their first vertex.
+    Each face F is made from its parent P = F - v, v the lowest vertex of
+    F: v is a vertex of lk P below P's lowest. Taking the parents in mask
+    order, and each one's such link vertices in increasing order, makes
+    the faces in mask order, as masks of one size compare like their bits
+    read from the top; a face with no such link vertex is no parent. The
+    vertices are the children of the empty face, and a vertex's key is
+    compressed from the facets at it: the first d (d = cx.d) filter the
+    complex's facets, the rest read them listed per vertex, once, since
+    filtering d times costs about what listing does, and most complexes
+    that are not manifolds stop at their first vertex.
 
-    With v the lowest vertex of F and P = F - v, facets(lk F) =
-    {G - v : G in facets(lk P), v in G}. So lk F's key depends only on
-    lk P's key and on i, the position of v among lk P's vertices: it is
-    the compression of the key's facets that hold bit i, less that bit,
-    and the positions among lk P's vertices that those facets keep give
-    lk F's vertices. A memo per cardinality maps (class of P, i) to lk F's
-    class and those positions, so a face costs a lookup and a list of at
-    most n vertices, and _compressed runs once per pair: d(d + 1) times on
-    cp_d. The children of P (P + u, u below P's lowest vertex) are
-    contiguous in mask order, so P's pair is kept only if lk P has a vertex
-    below P's lowest, and only until its children have passed.
+    facets(lk F) = {G - v : G in facets(lk P), v in G}, so lk F's key
+    depends only on lk P's key and on i, the position of v among lk P's
+    vertices: it is the compression of the key's facets that hold bit i,
+    less that bit, and the positions among lk P's vertices that those
+    facets keep give lk F's vertices. A memo per cardinality maps (class of
+    P, i) to lk F's class and those positions, so a face costs a lookup
+    and a list of at most n vertices, and _compressed runs once per pair:
+    d(d + 1) times on cp_d.
 
     Over Q a link's numbers come from GF(2) unless those are nonzero in
     more than one degree: GF(2) numbers bound the Q numbers from above
@@ -389,53 +390,51 @@ def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
     cap = cx.num_faces  # a link has no more faces than the complex
     stars: dict[int, list[int]] = {}
     classes: dict[tuple[int, ...], int] = {}  # key -> class, numbered in order
-    parents: dict[int, tuple[int, list[int]]] = {}
+    level = [(0, 0, cx.masks_by_card[1])] if d else []  # parents: (face, class, link bits)
     for card in range(1, len(cx.masks_by_card)):
         sphere_dim = d - 1 - card
         # the keys one cardinality down, listed by class
         parent_keys, classes = list(classes), {}
         steps: dict[tuple[int, int], tuple[int, list[int]]] = {}
         tables: list[tuple[BettiTable, bool]] = []  # class -> (table, ok)
-        children: dict[int, tuple[int, list[int]]] = {}
-        parent = None
-        for fmask in cx.masks_by_card[card]:
-            v = fmask & -fmask
-            if card == 1:
-                if len(scan) == d:  # list the facets per vertex
-                    stars = _facet_stars(cx)
-                star = stars[v] if stars else cx.facet_masks
-                key, bits = _compressed([g ^ v for g in star if g & v])
-                cls = classes.setdefault(key, len(classes))
-            else:
-                if fmask ^ v != parent:
-                    parent = fmask ^ v
-                    parent_cls, parent_bits = parents.pop(parent)
-                i = bisect_left(parent_bits, v)
-                step = steps.get((parent_cls, i))
-                if step is None:
-                    b = 1 << i
-                    key, kept = _compressed([g ^ b for g in parent_keys[parent_cls] if g & b])
+        children: list[tuple[int, int, list[int]]] = []
+        for parent, parent_cls, parent_bits in level:
+            for i, v in enumerate(parent_bits):
+                if parent & (v - 1):  # v is above the parent's lowest vertex
+                    break
+                fmask = parent | v
+                if card == 1:
+                    if len(scan) == d:  # list the facets per vertex
+                        stars = _facet_stars(cx)
+                    star = stars[v] if stars else cx.facet_masks
+                    key, bits = _compressed([g ^ v for g in star if g & v])
                     cls = classes.setdefault(key, len(classes))
-                    step = steps[parent_cls, i] = (cls, [k.bit_length() - 1 for k in kept])
-                cls, kept = step
-                # only a link with a vertex below v can have children
-                bits = [parent_bits[j] for j in kept] if kept and parent_bits[kept[0]] < v else None
-            if cls == len(tables):
-                # a class new to this cardinality, so key is its key: the
-                # relabelled link, on the complex's lowest vertices
-                link = Complex._from_facet_masks(list(key), cap, cx.labels).masks_by_card
-                numbers = _betti_numbers(link, p or 2)
-                if not p and len(numbers) - numbers.count(0) > 1:
-                    numbers = _betti_numbers(link, 0)
-                betti = BettiTable(numbers, field)
-                tables.append((betti, _link_betti_ok(betti, sphere_dim)))
-            betti, ok = tables[cls]
-            scan[fmask] = betti
-            if not ok:
-                return scan
-            if bits and bits[0] < v:
-                children[fmask] = (cls, bits)
-        parents = children
+                else:
+                    step = steps.get((parent_cls, i))
+                    if step is None:
+                        b = 1 << i
+                        key, kept = _compressed([g ^ b for g in parent_keys[parent_cls] if g & b])
+                        cls = classes.setdefault(key, len(classes))
+                        step = steps[parent_cls, i] = (cls, [k.bit_length() - 1 for k in kept])
+                    cls, kept = step
+                    # only a link with a vertex below v can have children
+                    bits = [parent_bits[j] for j in kept] if kept and kept[0] < i else None
+                if cls == len(tables):
+                    # a class new to this cardinality, so key is its key: the
+                    # relabelled link, on the complex's lowest vertices
+                    link = Complex._from_facet_masks(list(key), cap, cx.labels).masks_by_card
+                    numbers = _betti_numbers(link, p or 2)
+                    if not p and len(numbers) - numbers.count(0) > 1:
+                        numbers = _betti_numbers(link, 0)
+                    betti = BettiTable(numbers, field)
+                    tables.append((betti, _link_betti_ok(betti, sphere_dim)))
+                betti, ok = tables[cls]
+                scan[fmask] = betti
+                if not ok:
+                    return scan
+                if bits and bits[0] < v:
+                    children.append((fmask, cls, bits))
+        level = children
     return scan
 
 

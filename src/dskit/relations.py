@@ -396,18 +396,17 @@ def macdonald_q(cx: Complex) -> IntPoly:
     return macdonald_two_q(f_vector(cx), boundary_f_vector(cx))
 
 
-def verify_macdonald(cx: Complex, boundary_f: Sequence[int] | None = None) -> RelationReport:
+def verify_macdonald(cx: Complex) -> RelationReport:
     """Macdonald's polynomial relation on a reciprocal complex.
 
-    boundary_f overrides the multiplicity-derived boundary counts (used to
-    probe alternative solutions of the relation). Residuals are doubled.
-    The context records whether the full f-version Dehn-Sommerville holds
-    for the implied interior counts; the polynomial relation is strictly
-    weaker, so ds-f holding forces this relation to hold as well.
+    Residuals are doubled. The context records whether the full f-version
+    Dehn-Sommerville holds for the implied interior counts; the polynomial
+    relation is strictly weaker, so ds-f holding forces this relation to
+    hold as well.
     """
     table = _reciprocal_table(cx)
     f = f_vector(cx)
-    fb = tuple(boundary_f) if boundary_f is not None else boundary_f_vector(cx)
+    fb = boundary_f_vector(cx)
     chi_r = reduced_euler_from_f(f)
     labels, residuals = macdonald_residuals(f, fb, chi_r)
     implied_int = tuple(f[k] - fb[k] for k in range(1, len(f)))

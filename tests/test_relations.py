@@ -7,7 +7,7 @@ import pytest
 
 from dskit.balanced import _flag_counts, _mvar_report, verify_balanced_semi_eulerian
 from dskit.complexes import Complex
-from dskit.enumeration import f_vector, h_vector, multiplicities
+from dskit.enumeration import f_vector, h_vector, multiplicities, reduced_euler_from_f
 from dskit.errors import PreconditionError, ValidationError
 from dskit.generators import (
     barycentric_subdivision,
@@ -217,13 +217,17 @@ def test_macdonald_fake_boundary_regression():
 
 
 def test_macdonald_fake_boundary_on_complex():
-    # same probe driven through the complex-level op on the honest cylinder:
-    # (1,7,9,2) solves the reduced system (implied interior (-1,3,4)) but
-    # breaks f_2 = f^int_2
+    # same probe on the honest 6-vertex cylinder, its counts read off the
+    # complex: (1,7,9,2) solves the reduced system (implied interior
+    # (-1,3,4)) but breaks f_2 = f^int_2
     cx = cylinder().complex
-    rep = verify_macdonald(cx, boundary_f=(1, 7, 9, 2))
-    assert rep.holds
-    assert rep.context["ds_f_holds"] is False
+    f, fake = f_vector(cx), (1, 7, 9, 2)
+    _, residuals = macdonald_residuals(f, fake, reduced_euler_from_f(f))
+    assert all(r == 0 for r in residuals)
+    implied_int = tuple(f[k] - fake[k] for k in range(1, len(f)))
+    assert implied_int == (-1, 3, 4)
+    _, ds_res = ds_f_residuals(f, implied_int, multiplicities(cx).m_empty)
+    assert any(r != 0 for r in ds_res)
 
 
 def test_macdonald_reduced_relation_d3():
