@@ -8,9 +8,10 @@ vertices per color; flag vectors refine face counts by b(F).
 Every flag object needs only two numbers per color-count vector b: f_b and
 msum_b, the sum of m_F over faces with b(F) = b. One walk over the faces
 (_flag_counts) yields both, as lists in exponents_below(a) order, and is
-kept on the complex, so all flag objects of a complex and coloring share it
-(a second walk adds the m_F sums if an f-only call came before the
-multiplicity sweep). The flag verifiers hand these lists to the kernels in
+kept on the complex, so all flag objects of a complex and coloring share it.
+The walk adds up the m_F only when the complex keeps its multiplicity
+rows, so a verifier that reads the sums sweeps them first, with
+multiplicities(cx). The flag verifiers hand these lists to the kernels in
 relations that also check the plain identities, the one-color case.
 The flag h-numbers have a single runtime route, the inclusion-exclusion
 closed form h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c (flag_h),
@@ -114,29 +115,22 @@ def validate_balanced(
     return Coloring(kappa=dict(kappa), a=a)
 
 
-def _flag_counts(cx: Complex, coloring: Coloring, sums: bool = False) -> tuple:
+def _flag_counts(cx: Complex, coloring: Coloring) -> tuple:
     """(f, h, msum): f_b, h_b and the sum of m_F over faces with b(F) = b.
 
     Lists in exponents_below(a) order. The vertex colors are checked on
     every call. The walk runs once per complex and coloring and is kept on
-    the complex, keyed by a and the colors of the complex's own vertices.
-    It adds up m_F when asked to or when the m_F rows are kept, else msum
-    is None; an entry with the sums serves every later call. Callers must
-    not change the lists.
+    the complex, keyed by a, the colors of the complex's own vertices and
+    whether the m_F rows are kept: it adds up m_F when they are, else msum
+    is None, so a caller that needs the sums calls multiplicities(cx)
+    first. Callers must not change the lists.
     """
     vertices = cx.vertices
     b_of(vertices, coloring.kappa, coloring.m)  # the checks and messages of b_of
     colors, a = tuple(map(coloring.kappa.__getitem__, vertices)), coloring.a
-    key = ("flag counts", colors, a)
-    kept = cx._derive(key + (True,))
-    if kept is None:
-        rows = _kept_rows(cx)
-        if rows is None and sums:
-            rows = multiplicities(cx).rows
-        kept = cx._derive(
-            key + (rows is not None,), lambda cx: _face_walk(cx, colors, a, rows)
-        )
-    return kept
+    rows = _kept_rows(cx)
+    key = ("flag counts", colors, a, rows is not None)
+    return cx._derive(key, lambda cx: _face_walk(cx, colors, a, rows))
 
 
 def _face_walk(cx: Complex, colors: tuple[int, ...], a: ExponentVec, rows) -> tuple:
@@ -235,7 +229,8 @@ def verify_flag_fh_tilde(cx: Complex, coloring: Coloring) -> RelationReport:
 def verify_flag_reciprocity(cx: Complex, coloring: Coloring) -> RelationReport:
     """sum_b h_b (x+1)^b x^(a-b) counts faces with multiplicity (always holds)."""
     a = coloring.a
-    _, h, msum = _flag_counts(cx, coloring, sums=True)
+    multiplicities(cx)  # kept, so the face walk adds up the m_F
+    _, h, msum = _flag_counts(cx, coloring)
     return _mvar_report("flag-reciprocity", cx, a, *_reciprocity_kernel(a, h, msum))
 
 
@@ -246,7 +241,8 @@ def verify_balanced_ds(cx: Complex, coloring: Coloring) -> RelationReport:
     the scalar forms are in relations._ds_kernel.
     """
     a = coloring.a
-    f, h, msum = _flag_counts(cx, coloring, sums=True)
+    multiplicities(cx)  # kept, so the face walk adds up the m_F
+    f, h, msum = _flag_counts(cx, coloring)
     lhs, rhs, scalar = _ds_kernel(a, cx.d, f, h, msum)
     return _mvar_report("balanced-ds", cx, a, lhs, rhs, _mvar_labels(a, "b="), scalar)
 

@@ -194,37 +194,38 @@ def _superset_sweep(cx: Complex) -> tuple[tuple[int, ...], ...]:
 
     Since sum over facets g of 2^|g| is the sum of c over the faces, it is
     below 2f, f the face count with the empty face, when c is below 2 on
-    average. Then the table seeds the shared faces only (_seed_shared), at
-    most d steps per pair of a shared face and a facet that holds it.
-    Otherwise it seeds s on every face and lists the stars in one loop, at
-    sum over G of |G| additions. The table, keyed by mask, is read into
-    rows aligned with cx.masks_by_card and dropped.
+    average. Then the family is the shared faces (_seed_shared), found at
+    most d steps per pair of a shared face and a facet that holds it, and
+    the facets' entries s are never swept. Otherwise the family is every
+    face, seeded with s. Either way the stars are listed in one loop over
+    the family, at sum over its faces G of |G| additions. The table, keyed
+    by mask, is read into rows aligned with cx.masks_by_card and dropped.
     """
-    stars: list[list[int]] = [[] for _ in range(cx.vertex_mask.bit_length())]
     if sum(1 << g.bit_count() for g in cx.facet_masks) < 2 * cx.num_faces:
-        table = _seed_shared(cx, stars)
+        table, family = _seed_shared(cx)
     else:
-        table = {}
+        table = family = {}
         for card, group in enumerate(cx.masks_by_card):
-            s = _sign(cx.d - card)
-            for g in group:
-                table[g] = s
-                rest = g
-                while rest:
-                    i = rest.bit_length() - 1
-                    stars[i].append(g)
-                    rest ^= 1 << i
+            table.update(zip(group, repeat(_sign(cx.d - card))))
+    stars: list[list[int]] = [[] for _ in range(cx.vertex_mask.bit_length())]
+    for g in family:
+        rest = g
+        while rest:
+            i = rest.bit_length() - 1
+            stars[i].append(g)
+            rest ^= 1 << i
     for i, star in enumerate(stars):
         bit = 1 << i
         for g in star:
             table[g ^ bit] += table[g]
-    del stars  # before the rows are built, so they do not raise the peak
+    del stars, family  # before the rows are built, so they do not raise the peak
     get = table.get  # a face the table lacks has m = 0
     return tuple(tuple(map(get, group, repeat(0))) for group in cx.masks_by_card)
 
 
-def _seed_shared(cx: Complex, stars: list[list[int]]) -> dict[int, int]:
-    """s*(1 - c) on the shared faces, listed in stars, and s on the facets.
+def _seed_shared(cx: Complex) -> tuple[dict[int, int], list[int]]:
+    """(table, shared): s*(1 - c) on the shared faces and s on the facets,
+    and the shared faces as a list.
 
     The shared faces are found one cardinality at a time from the empty
     face, each with the facets that hold it: P + t is shared when two or
@@ -233,23 +234,20 @@ def _seed_shared(cx: Complex, stars: list[list[int]]) -> dict[int, int]:
     facets finds those t, a second files each facet under every such t it
     holds: a shared face costs at most d steps per facet that holds it, not
     a scan of its facets per child. No set over all faces or all facets is
-    built. A facet is never shared, and the sweep
-    writes only below shared faces, so the facets' entries stay s.
+    built. A facet is never shared, and the sweep writes only below shared
+    faces, so the facets' entries stay s.
     """
     d = cx.d
     facets = cx.facet_masks
     table = {g: _sign(d - g.bit_count()) for g in facets}
+    shared: list[int] = []
     level = [(0, facets)] if len(facets) > 1 else []
     s = _sign(d)  # of the level's cardinality, from the empty face's
     while level:
         below = []
         for p, holders in level:
             table[p] = s * (1 - len(holders))
-            rest = p
-            while rest:
-                i = rest.bit_length() - 1
-                stars[i].append(p)
-                rest ^= 1 << i
+            shared.append(p)
             # the vertices above p's top that two or more holders share
             top = p.bit_length()
             seen = twice = 0
@@ -274,7 +272,7 @@ def _seed_shared(cx: Complex, stars: list[list[int]]) -> dict[int, int]:
             below += [(p | low, held) for low, held in buckets.items()]
         level = below
         s = -s
-    return table
+    return table, shared
 
 
 def epsilon(cx: Complex, face: Iterable[int], method: str = "link-euler") -> int:

@@ -21,14 +21,16 @@ random() only consumes Random.random()/randrange(), so a fixed seed gives
 bit-identical output across runs and interpreter versions.
 
 Every family takes the face-count cap max_faces, as Complex.from_facets
-does, and checks its closed-form facet count against it before listing a
-facet (_checked_cap).
+does, and checks its closed-form facet count, and face count where one is
+known, against it before listing a facet (_checked_cap).
 """
 
 from __future__ import annotations
 
 import random
+from itertools import accumulate, permutations
 from math import factorial
+from operator import or_
 from typing import NamedTuple, Sequence
 
 from .balanced import Coloring, validate_balanced
@@ -41,19 +43,25 @@ class Generated(NamedTuple):
     coloring: Coloring | None
 
 
-def _checked_cap(max_faces: int | None, facets: int = 0, facet_size: int = 0) -> int:
+def _checked_cap(
+    max_faces: int | None, facets: int = 0, base: int = 2, exponent: int = 0, less: int = 0
+) -> int:
     """The face-count cap, checked against a family's closed-form counts.
 
-    Every facet is a face, and one facet of s vertices alone has 2^s faces,
-    so a family over either count would exceed the cap anyway and fails
-    here, before it lists a facet. 2^s is compared through the bit length
-    of the cap, so it is never formed.
+    facets counts the facets, and base^exponent - less the faces, the empty
+    face included (base >= 2, less <= 1). A family over either count would
+    exceed the cap anyway and fails here, before it lists a facet. The face
+    count is formed only for an exponent up to the bit length of the cap:
+    past it the count is at least 2^(bits + 1) - 1, above the cap.
     """
     cap = _effective_max_faces(max_faces)
+    bits = cap.bit_length()
     if facets > cap:
         count = f"{facets} facets"
-    elif facet_size >= cap.bit_length():
-        count = f"2^{facet_size} faces of one facet"
+    elif exponent > bits:
+        count = f"{base}^{exponent} - {less} faces" if less else f"{base}^{exponent} faces"
+    elif base**exponent - less > cap:
+        count = f"{base**exponent - less} faces"
     else:
         return cap
     raise ResourceLimitError(
@@ -66,7 +74,7 @@ def simplex_boundary(d: int, max_faces: int | None = None) -> Generated:
     """Boundary of the d-simplex: all d-subsets of {1..d+1}."""
     if d < 1:
         raise ValidationError("simplex-boundary needs d >= 1")
-    cap = _checked_cap(max_faces, d + 1, d)
+    cap = _checked_cap(max_faces, exponent=d + 1, less=1)  # every proper subset of d + 1
     verts = list(range(1, d + 2))
     facets = [verts[:i] + verts[i + 1 :] for i in range(d + 1)]
     return Generated(Complex.from_facets(facets, cap), None)
@@ -80,7 +88,7 @@ def cross_polytope_boundary(d: int, max_faces: int | None = None) -> Generated:
     """
     if d < 1:
         raise ValidationError("cross-polytope-boundary needs d >= 1")
-    cap = _checked_cap(max_faces, facet_size=d)  # also bounds the 2^d facets
+    cap = _checked_cap(max_faces, base=3, exponent=d)  # each pair gives none, one or the other
     facets = []
     for choice in range(1 << d):
         facets.append(
@@ -155,6 +163,15 @@ def double_banana_minus_triangle(max_faces: int | None = None) -> Generated:
     return Generated(cx, validate_balanced(cx, _double_banana_coloring()))
 
 
+def _vertex_bits(g: int) -> list[int]:
+    """The one-bit masks of g, in increasing order."""
+    out = []
+    while g:
+        out.append(g & -g)
+        g &= g - 1
+    return out
+
+
 def barycentric_subdivision(cx: Complex, max_faces: int | None = None) -> Generated:
     """Barycentric subdivision: vertices are old faces, facets are chains.
 
@@ -169,22 +186,13 @@ def barycentric_subdivision(cx: Complex, max_faces: int | None = None) -> Genera
     if not old_faces:
         return Generated(Complex.from_facets([], cap), None)
     vid = {m: i + 1 for i, m in enumerate(old_faces)}
-    facets = []
-
-    def chains(prefix: list[int], current: int, facet_mask: int):
-        if current == facet_mask:
-            facets.append(tuple(prefix))
-            return
-        rest = facet_mask & ~current
-        while rest:
-            bit = rest & -rest
-            nxt = current | bit
-            prefix.append(vid[nxt])
-            chains(prefix, nxt, facet_mask)
-            prefix.pop()
-            rest ^= bit
-    for g in cx.facet_masks:
-        chains([], 0, g)
+    # a maximal chain ending at G adds G's vertices one at a time: the
+    # running unions of an ordering of its bits, taken in lexicographic order
+    facets = [
+        tuple(vid[m] for m in accumulate(order, or_))
+        for g in cx.facet_masks
+        for order in permutations(_vertex_bits(g))
+    ]
     sd = Complex.from_facets(facets, cap)
     if not cx.is_pure():
         return Generated(sd, None)

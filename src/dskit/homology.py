@@ -92,14 +92,6 @@ class FieldSpec:
             )
 
     @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls(0)
-
-    @classmethod
-    def prime(cls, p: int) -> "FieldSpec":
-        return cls(p)
-
-    @classmethod
     def parse(cls, text: str) -> "FieldSpec":
         if text.lower() in ("q", "0", "rationals"):
             return cls(0)
@@ -365,10 +357,8 @@ def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
     the faces in mask order, as masks of one size compare like their bits
     read from the top; a face with no such link vertex is no parent. The
     vertices are the children of the empty face, and a vertex's key is
-    compressed from the facets at it: the first d (d = cx.d) filter the
-    complex's facets, the rest read them listed per vertex, once, since
-    filtering d times costs about what listing does, and most complexes
-    that are not manifolds stop at their first vertex.
+    compressed from its star, the facets at it, listed per vertex once and
+    kept on the complex, where Complex.link_mask reads them too.
 
     facets(lk F) = {G - v : G in facets(lk P), v in G}, so lk F's key
     depends only on lk P's key and on i, the position of v among lk P's
@@ -388,7 +378,7 @@ def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
     p = field.characteristic
     d = cx.d
     cap = cx.num_faces  # a link has no more faces than the complex
-    stars: dict[int, list[int]] = {}
+    stars = cx._derive("facet stars", _facet_stars)
     classes: dict[tuple[int, ...], int] = {}  # key -> class, numbered in order
     level = [(0, 0, cx.masks_by_card[1])] if d else []  # parents: (face, class, link bits)
     for card in range(1, len(cx.masks_by_card)):
@@ -404,10 +394,7 @@ def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
                     break
                 fmask = parent | v
                 if card == 1:
-                    if len(scan) == d:  # list the facets per vertex
-                        stars = _facet_stars(cx)
-                    star = stars[v] if stars else cx.facet_masks
-                    key, bits = _compressed([g ^ v for g in star if g & v])
+                    key, bits = _compressed([g ^ v for g in stars[v]])
                     cls = classes.setdefault(key, len(classes))
                 else:
                     step = steps.get((parent_cls, i))

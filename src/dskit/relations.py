@@ -229,13 +229,6 @@ def _semi_eulerian_gap(cx: Complex) -> tuple[int, bool]:
 # -- universal polynomial identities -------------------------------------
 
 
-def _plain_counts(cx: Complex, sums: bool = False) -> tuple:
-    """(a, f, h, msum) at a = (d,); msum_k sums m_F over the k-faces, None unless sums."""
-    f = f_vector(cx)
-    msum = multiplicities(cx).poly().coeffs if sums else None
-    return (cx.d,), f, h_vector(f), msum
-
-
 def _poly_report(
     relation: str, cx: Complex, lhs: Sequence[int], rhs: Sequence[int],
     labels: Sequence[str] = (), residuals: Sequence[int] = (), **context,
@@ -255,14 +248,16 @@ def verify_fh_tilde(cx: Complex) -> RelationReport:
 
     No multiplicity enters.
     """
-    a, f, h, _ = _plain_counts(cx)
-    return _poly_report("fh-tilde", cx, *_fh_tilde_kernel(a, f, h), h=h)
+    f = f_vector(cx)
+    h = h_vector(f)
+    return _poly_report("fh-tilde", cx, *_fh_tilde_kernel((cx.d,), f, h), h=h)
 
 
 def verify_reciprocity(cx: Complex) -> RelationReport:
     """sum_i h_i (x+1)^i x^(d-i) counts faces with multiplicity (always holds)."""
-    a, _, h, msum = _plain_counts(cx, sums=True)
-    return _poly_report("reciprocity", cx, *_reciprocity_kernel(a, h, msum), h=h)
+    h = h_vector(f_vector(cx))
+    msum = multiplicities(cx).poly().coeffs
+    return _poly_report("reciprocity", cx, *_reciprocity_kernel((cx.d,), h, msum), h=h)
 
 
 def verify_ds_h(cx: Complex) -> RelationReport:
@@ -271,8 +266,10 @@ def verify_ds_h(cx: Complex) -> RelationReport:
     Checks the polynomial identity and all d+1 scalar error-sum relations:
     the ds kernel at a = (d,), negated, with the scalar i=k at b = d-k.
     """
-    a, f, h, msum = _plain_counts(cx, sums=True)
-    lhs, rhs, scalar = _ds_kernel(a, cx.d, f, h, msum)
+    f = f_vector(cx)
+    h = h_vector(f)
+    msum = multiplicities(cx).poly().coeffs
+    lhs, rhs, scalar = _ds_kernel((cx.d,), cx.d, f, h, msum)
     labels = [f"i={i}" for i in range(cx.d + 1)]
     return _poly_report(
         "ds-h", cx, [-v for v in lhs], [-v for v in rhs], labels, scalar[::-1], h=h
@@ -348,10 +345,10 @@ def verify_ds_f_inverse(cx: Complex) -> RelationReport:
 def verify_semi_eulerian_h(cx: Complex) -> RelationReport:
     """h_{d-i} - h_i = (-1)^i C(d,i) (chi_reduced - (-1)^(d-1)) on semi-Eulerian input."""
     gap, eulerian = _semi_eulerian_gap(cx)
-    a, _, h, _ = _plain_counts(cx)
+    h = h_vector(f_vector(cx))
     labels = [f"i={i}" for i in range(cx.d + 1)]
     ctx = {**_base_context(cx), "h": h, "eulerian": eulerian, "palindrome": gap == 0}
-    return _report("semi-eulerian-h", labels, _semi_eulerian_kernel(a, h, gap), ctx)
+    return _report("semi-eulerian-h", labels, _semi_eulerian_kernel((cx.d,), h, gap), ctx)
 
 
 # -- Macdonald's relation (Appendix-style weaker form) --------------------

@@ -80,7 +80,8 @@ def verify_sr_reciprocity_colored(cx: Complex, coloring: Coloring) -> RelationRe
     balanced.verify_flag_reciprocity, reported with the numerator.
     """
     a = coloring.a
-    _, h, msum = _flag_counts(cx, coloring, sums=True)
+    multiplicities(cx)  # kept, so the face walk adds up the m_F
+    _, h, msum = _flag_counts(cx, coloring)
     return _mvar_report(
         "sr-reciprocity-colored", cx, a, *_reciprocity_kernel(a, h, msum),
         numerator=_terms(a, h),

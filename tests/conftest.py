@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from dskit import balanced, generators
 from dskit.balanced import flag_f
 from dskit.complexes import Complex
+from dskit.enumeration import multiplicities
 from dskit.errors import DomainError, ValidationError
 from dskit.poly import IntPoly, MPoly, exponents_below
 
@@ -292,7 +293,8 @@ def flag_f_mpoly(cx: Complex, coloring) -> MPoly:
 
 def multiplicity_mpoly(cx: Complex, coloring) -> MPoly:
     """sum_F m_F x^b(F), from the flag face walk's multiplicity sums."""
-    msum = balanced._flag_counts(cx, coloring, sums=True)[2]
+    multiplicities(cx)  # kept, so the face walk adds up the m_F
+    msum = balanced._flag_counts(cx, coloring)[2]
     return MPoly(dict(zip(exponents_below(coloring.a), msum)), coloring.a)
 
 

@@ -161,12 +161,14 @@ def test_out_of_memory_exit_4(capsys, monkeypatch):
 
 
 def test_gen_honours_max_faces(capsys):
-    # each family compares its closed-form facet count with the cap before it
-    # lists a facet, so 2^40 facets fail at once
+    # each family compares its closed-form facet and face counts with the cap
+    # before it lists a facet, so 2^40 facets fail at once
     for argv, cap in (
         (["cross-polytope-boundary", "12"], "10"),
         (["cross-polytope-boundary", "40"], "1000"),
+        (["cross-polytope-boundary", "8"], "6000"),
         (["simplex-boundary", "10"], "10"),
+        (["simplex-boundary", "12"], "4096"),
         (["glued-triangles", "20"], "19"),
         (["glued-tetrahedra", "20"], "19"),
         (["random", "1", "100000", "1"], "1000"),

@@ -99,9 +99,10 @@ def test_from_facets_face_cap():
         Complex.from_facets([[1, 2, 3], [3, 4, 5]], max_faces=13)
     assert Complex.from_facets([[1, 2, 3], [3, 4, 5]], max_faces=14).num_faces == 14
     # overlapping facets: the cap counts faces, not the submasks walked
-    assert cross_polytope_boundary(5, max_faces=243).complex.num_faces == 3**5
+    cp5 = cross_polytope_boundary(5).complex.facets
+    assert Complex.from_facets(cp5, max_faces=243).num_faces == 3**5
     with pytest.raises(ResourceLimitError, match="^face count exceeds cap 242; "):
-        cross_polytope_boundary(5, max_faces=242)
+        Complex.from_facets(cp5, max_faces=242)
     # two 7-vertex facets sharing 5 vertices have 2^7 faces after the first
     # and 2^7 + 2^7 - 2^5 = 224 after both; a cap from 128 to 223 passes the
     # first and fails at the second, 127 fails at the first, before its

@@ -187,9 +187,9 @@ def test_multiplicities_sweep_equals_per_face(randoms, suite, balanced_pairs, mo
     seeded_shared = set()
     seed_shared = enumeration._seed_shared
 
-    def spy(cx, stars):
+    def spy(cx):
         seeded_shared.add(id(cx))
-        return seed_shared(cx, stars)
+        return seed_shared(cx)
 
     monkeypatch.setattr(enumeration, "_seed_shared", spy)
     for cx in corpus:

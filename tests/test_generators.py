@@ -197,22 +197,31 @@ def test_every_family_honours_the_face_cap(family, params):
 @pytest.mark.parametrize(
     "family, params, count, cap",
     [
-        ("simplex-boundary", ["10"], "11 facets", 10),
+        # every proper subset of 11 vertices; past the cap's bit length the
+        # count is named, not formed
+        ("simplex-boundary", ["10"], "2^11 - 1 faces", 10),
         # d+1 facets fit, but each has 2^d faces; listing the facets of
-        # d = 10^6 would take 10^12 steps
-        ("simplex-boundary", ["1000000"], "2^1000000 faces of one facet", 10**7),
-        # 2^d facets of d vertices each: one facet alone has 2^d faces
-        ("cross-polytope-boundary", ["12"], "2^12 faces of one facet", 4095),
+        # d = 10^6 would take 10^12 steps, and the count is never formed
+        ("simplex-boundary", ["1000000"], "2^1000001 - 1 faces", 10**7),
+        # 3^d faces: each antipodal pair gives none, one or the other
+        ("cross-polytope-boundary", ["12"], "531441 faces", 4095),
         # 2^40 facets: listing them first would never finish
-        ("cross-polytope-boundary", ["40"], "2^40 faces of one facet", 1000),
+        ("cross-polytope-boundary", ["40"], "3^40 faces", 1000),
+        # 2^8 facets and 2^8 faces per facet fit; the 3^8 faces do not
+        ("cross-polytope-boundary", ["8"], "6561 faces", 6000),
+        ("simplex-boundary", ["12"], "8191 faces", 4096),
         ("glued-triangles", ["20"], "20 facets", 19),
         ("glued-tetrahedra", ["20"], "20 facets", 19),
         ("random", ["1", "100000", "1"], "200000 facets", 1000),
     ],
-    ids=["simplex-10", "simplex-10^6", "cp-12", "cp-40", "glued-triangles", "glued-tetrahedra",
-         "random"],
+    ids=["simplex-10", "simplex-10^6", "cp-12", "cp-40", "cp-8", "simplex-12",
+         "glued-triangles", "glued-tetrahedra", "random"],
 )
-def test_closed_form_facet_count_fails_before_listing(family, params, count, cap):
+def test_closed_form_facet_count_fails_before_listing(family, params, count, cap, monkeypatch):
+    def closure(*args, **kwargs):
+        raise AssertionError("a facet list reached the closure")
+
+    monkeypatch.setattr(Complex, "from_facets", closure)
     with pytest.raises(ResourceLimitError, match="^" + re.escape(f"{count} exceed")):
         gen(family, params, max_faces=cap)
 

@@ -242,7 +242,7 @@ def test_field_spec_validation():
     assert FieldSpec.parse("q").characteristic == 0
     assert FieldSpec.parse("7").characteristic == 7
     with pytest.raises(ValidationError):
-        FieldSpec.prime(6)
+        FieldSpec(6)
     with pytest.raises(ValidationError):
         FieldSpec.parse("abc")
 
@@ -419,6 +419,29 @@ def test_key_walk_compresses_once_per_class_and_position(monkeypatch):
         assert len(calls) == d * (d + 1) < cx.num_faces
 
 
+def test_scan_and_link_list_the_facet_stars_once(monkeypatch):
+    # the scan reads each vertex's facets from the star list that
+    # Complex.link_mask keeps on the complex, so a link after classify
+    # lists no facet stars again
+    from dskit import complexes, homology
+    from dskit.relations import classify
+
+    calls = []
+    inner = complexes._facet_stars
+
+    def counting(cx):
+        calls.append(cx)
+        return inner(cx)
+
+    monkeypatch.setattr(complexes, "_facet_stars", counting)
+    monkeypatch.setattr(homology, "_facet_stars", counting)
+    cx = cross_polytope_boundary(5).complex
+    assert classify(cx, FieldSpec(2)).homology_manifold
+    assert calls == [cx]
+    assert cx.link((1,)).num_faces == 3**4  # cp4 on the other eight vertices
+    assert calls == [cx]
+
+
 def _rp2_cone():
     return Complex.from_facets([f + [100] for f in RP2_FACETS])
 
@@ -509,13 +532,13 @@ def test_link_betti_cache_lookups_are_cheap(monkeypatch):
         boundary_faces_homological(cx, field)
     assert built == []
     q, gf2 = ("link scan", FieldSpec(0)), ("link scan", FieldSpec(2))
-    assert cx._derived is memo and set(memo) == {q, gf2}
+    assert cx._derived is memo and set(memo) == {q, gf2, "facet stars"}
     assert scans == [cx, cx]
     # an equal complex built apart computes its own
     again = cross_polytope_boundary(4).complex
     assert again == cx and again._derived is None
     assert is_homology_manifold(again).is_manifold
-    assert len(scans) == 3 and scans[2] is again and set(again._derived) == {q}
+    assert len(scans) == 3 and scans[2] is again and set(again._derived) == {q, "facet stars"}
     assert again._derived[q] is not memo[q]
 
 
