@@ -10,8 +10,8 @@ msum_b, the sum of m_F over faces with b(F) = b. One walk over the faces
 (_flag_counts) yields both, as lists in exponents_below(a) order, and is
 kept on the complex, so all flag objects of a complex and coloring share it.
 The walk adds up the m_F only when the complex keeps its multiplicity
-rows, so a verifier that reads the sums sweeps them first, with
-multiplicities(cx). The flag verifiers hand these lists to the kernels in
+rows; _flag_sums sweeps them first, and every verifier that reads the
+sums calls it. The flag verifiers hand these lists to the kernels in
 relations that also check the plain identities, the one-color case.
 The flag h-numbers have a single runtime route, the inclusion-exclusion
 closed form h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c (flag_h),
@@ -115,22 +115,27 @@ def validate_balanced(
     return Coloring(kappa=dict(kappa), a=a)
 
 
-def _flag_counts(cx: Complex, coloring: Coloring) -> tuple:
+def _flag_counts(cx: Complex, coloring: Coloring, rows=None) -> tuple:
     """(f, h, msum): f_b, h_b and the sum of m_F over faces with b(F) = b.
 
-    Lists in exponents_below(a) order. The vertex colors are checked on
-    every call. The walk runs once per complex and coloring and is kept on
-    the complex, keyed by a, the colors of the complex's own vertices and
-    whether the m_F rows are kept: it adds up m_F when they are, else msum
-    is None, so a caller that needs the sums calls multiplicities(cx)
-    first. Callers must not change the lists.
+    Lists in exponents_below(a) order. The walk adds up the m_F rows given,
+    by default those the complex keeps, if any; without rows msum is None,
+    and _flag_sums always has it. The vertex colors are checked on every
+    call. The walk runs once per complex and coloring and is kept on the
+    complex, keyed by a, the colors of the complex's own vertices and
+    whether it added up rows. Callers must not change the lists.
     """
     vertices = cx.vertices
     b_of(vertices, coloring.kappa, coloring.m)  # the checks and messages of b_of
     colors, a = tuple(map(coloring.kappa.__getitem__, vertices)), coloring.a
-    rows = _kept_rows(cx)
+    rows = rows or _kept_rows(cx)
     key = ("flag counts", colors, a, rows is not None)
     return cx._derive(key, lambda cx: _face_walk(cx, colors, a, rows))
+
+
+def _flag_sums(cx: Complex, coloring: Coloring) -> tuple:
+    """_flag_counts with msum: the m_F rows are swept first."""
+    return _flag_counts(cx, coloring, multiplicities(cx).rows)
 
 
 def _face_walk(cx: Complex, colors: tuple[int, ...], a: ExponentVec, rows) -> tuple:
@@ -229,8 +234,7 @@ def verify_flag_fh_tilde(cx: Complex, coloring: Coloring) -> RelationReport:
 def verify_flag_reciprocity(cx: Complex, coloring: Coloring) -> RelationReport:
     """sum_b h_b (x+1)^b x^(a-b) counts faces with multiplicity (always holds)."""
     a = coloring.a
-    multiplicities(cx)  # kept, so the face walk adds up the m_F
-    _, h, msum = _flag_counts(cx, coloring)
+    _, h, msum = _flag_sums(cx, coloring)
     return _mvar_report("flag-reciprocity", cx, a, *_reciprocity_kernel(a, h, msum))
 
 
@@ -241,8 +245,7 @@ def verify_balanced_ds(cx: Complex, coloring: Coloring) -> RelationReport:
     the scalar forms are in relations._ds_kernel.
     """
     a = coloring.a
-    multiplicities(cx)  # kept, so the face walk adds up the m_F
-    f, h, msum = _flag_counts(cx, coloring)
+    f, h, msum = _flag_sums(cx, coloring)
     lhs, rhs, scalar = _ds_kernel(a, cx.d, f, h, msum)
     return _mvar_report("balanced-ds", cx, a, lhs, rhs, _mvar_labels(a, "b="), scalar)
 

@@ -12,11 +12,13 @@ sorted tuple of the c-face masks. It is the one face index: a face is
 found, and its position j read, by bisection in its group, and per-face
 data elsewhere (the rows of a MultiplicityTable) is aligned with it.
 
-Every complex, links and generated ones included, is built by one
-closure, Complex._from_facet_masks. It walks each facet's submasks and
-skips those an earlier facet closed, so its work is at most d + 1 visits
-per face, however much the facets overlap, and the face-count cap is
-checked after every facet.
+Every face index, of a complex, a link or a link class of the manifold
+scan, is built by one closure, _closure. It walks each facet's submasks
+and skips those an earlier facet closed, so its work is at most d + 1
+visits per face, however much the facets overlap, and the face-count cap
+is checked after every facet. Vertex stars, the masks that hold each
+vertex bit, are listed by one helper, _stars, for the facets of a link
+and for the faces of the multiplicity sweep.
 
 Public APIs accept and return faces as sorted vertex tuples;
 Complex.face_mask and Complex.mask_vertices convert, and the mask layer
@@ -40,6 +42,7 @@ DEFAULT_MAX_FACES = 1 << 24
 MAX_FACES_ENV = "DSKIT_MAX_FACES"
 
 FaceTuple = tuple[int, ...]
+FaceIndex = tuple[tuple[int, ...], ...]  # masks_by_card: the c-face masks, sorted, per c
 
 
 def _checked_vertices(face: Iterable[int]) -> list[int]:
@@ -79,25 +82,18 @@ class Complex:
         "_derived",
     )
 
-    def __init__(
-        self, facet_masks: tuple[int, ...], faces: Iterable[int], labels: FaceTuple
-    ):
-        # internal: inputs are already a reduced facet list and its closure,
-        # over bit positions of labels (labels[i] is the id of bit i)
+    def __init__(self, facet_masks: tuple[int, ...], masks_by_card: FaceIndex, labels: FaceTuple):
+        # internal: inputs are a reduced facet list and its face index, as
+        # _closure returns them, over bit positions of labels (labels[i] is
+        # the id of bit i)
         self.facet_masks = facet_masks
+        self.masks_by_card = masks_by_card
         self.labels = labels
-        max_card = max(m.bit_count() for m in facet_masks)
-        by_card: list[list[int]] = [[] for _ in range(max_card + 1)]
-        for m in faces:
-            by_card[m.bit_count()].append(m)
-        for group in by_card:
-            group.sort()
-        self.masks_by_card = tuple(tuple(g) for g in by_card)
         self.vertex_mask = 0
         for m in facet_masks:
             self.vertex_mask |= m
         self.n = self.vertex_mask.bit_count()
-        self.d = max_card  # d = 1 + dim(complex); dim(emptyset) = -1
+        self.d = len(masks_by_card) - 1  # d = 1 + dim(complex); dim(emptyset) = -1
         self._derived: dict | None = None  # see _derive, lazy
 
     @classmethod
@@ -125,53 +121,7 @@ class Complex:
         labels = tuple(sorted({v for vs in facets for v in vs}))
         bit = {v: 1 << i for i, v in enumerate(labels)}
         masks = {sum(map(bit.__getitem__, vs)) for vs in facets}
-        return cls._from_facet_masks(sorted(masks, key=int.bit_count, reverse=True), cap, labels)
-
-    @classmethod
-    def _from_facet_masks(cls, masks: list[int], cap: int, labels: FaceTuple) -> Complex:
-        """Downward closure of distinct facet masks, in non-increasing size.
-
-        A mask already in the closure lies in a larger facet and is absorbed;
-        an antichain, such as a link's facets, may come in any order.
-
-        faces maps each face to the number k of the facet that first reached
-        it, so one setdefault both tests and marks. Facet k walks its
-        submasks in decreasing order, sub = (sub - 1) & g. The face set is
-        downward closed after every facet, so a submask marked by an earlier
-        facet has all its subsets present, among them the run that follows
-        it in this order: the submasks that keep sub's bits from low up,
-        low being the lowest bit of g ^ sub, the lowest bit of g missing
-        from sub. The walk skips that run: sub &= -(g ^ sub) clears sub's
-        bits below low. Each new face is visited once, and after one the
-        walk meets at most |g| present submasks in a row, since each skip
-        clears one more bit of sub. So the closure makes at most
-        (d + 1) * faces visits, not the sum of 2^|g| over the facets, and
-        the face set after each facet, which the cap checks, is the same as
-        a full walk's.
-        """
-        faces = {0: -1}
-        mark = faces.setdefault
-        maximal = []
-        for k, g in enumerate(masks):
-            if mark(g, k) != k:
-                continue
-            maximal.append(g)
-            # a facet with more subsets than the cap exceeds it alone and is
-            # not listed, so the face set never outgrows twice the cap
-            too_big = g.bit_count() >= cap.bit_length()
-            sub = 0 if too_big else (g - 1) & g
-            while sub:
-                if mark(sub, k) != k:
-                    sub &= -(g ^ sub)
-                    if not sub:
-                        break
-                sub = (sub - 1) & g
-            if too_big or len(faces) > cap:
-                raise ResourceLimitError(
-                    f"face count exceeds cap {cap}; raise --max-faces/"
-                    f"{MAX_FACES_ENV} if intended"
-                )
-        return cls(tuple(sorted(maximal)) or (0,), faces, labels)
+        return cls(*_closure(sorted(masks, key=int.bit_count, reverse=True), cap), labels)
 
     def _derive(self, key, compute=None):
         """compute(self), run once and kept under key; without compute, a lookup.
@@ -273,8 +223,8 @@ class Complex:
         # the facets containing F, minus F, are the link's facets and already
         # an antichain; the link never has more faces than the complex, and
         # it keeps this complex's labels
-        star = [g ^ fmask for g in stars[fmask & -fmask] if g & fmask == fmask]
-        return Complex._from_facet_masks(star, self.num_faces, self.labels)
+        star = [g ^ fmask for g in stars[(fmask & -fmask).bit_length() - 1] if g & fmask == fmask]
+        return Complex(*_closure(star, self.num_faces), self.labels)
 
     def link(self, face: Iterable[int]) -> Complex:
         """Link of a face: {G : G disjoint from F, G union F in the complex}."""
@@ -298,16 +248,73 @@ class Complex:
         return f"Complex(n={self.n}, dim={self.dim}, faces={self.num_faces})"
 
 
-def _facet_stars(cx: Complex) -> dict[int, list[int]]:
-    """Vertex bit -> the facet masks that contain it."""
-    stars: dict[int, list[int]] = {}
-    for g in cx.facet_masks:
+def _closure(masks: Sequence[int], cap: int) -> tuple[tuple[int, ...], FaceIndex]:
+    """(facets, masks_by_card) of the downward closure of distinct facet
+    masks, in non-increasing size: the sorted maximal masks, and the faces
+    grouped by cardinality, each group sorted.
+
+    A mask already in the closure lies in a larger facet and is absorbed;
+    an antichain, such as a link's facets, may come in any order.
+
+    faces maps each face to the number k of the facet that first reached
+    it, so one setdefault both tests and marks. Facet k walks its
+    submasks in decreasing order, sub = (sub - 1) & g. The face set is
+    downward closed after every facet, so a submask marked by an earlier
+    facet has all its subsets present, among them the run that follows
+    it in this order: the submasks that keep sub's bits from low up,
+    low being the lowest bit of g ^ sub, the lowest bit of g missing
+    from sub. The walk skips that run: sub &= -(g ^ sub) clears sub's
+    bits below low. Each new face is visited once, and after one the
+    walk meets at most |g| present submasks in a row, since each skip
+    clears one more bit of sub. So the closure makes at most
+    (d + 1) * faces visits, not the sum of 2^|g| over the facets, and
+    the face set after each facet, which the cap checks, is the same as
+    a full walk's.
+    """
+    faces = {0: -1}
+    mark = faces.setdefault
+    maximal = []
+    for k, g in enumerate(masks):
+        if mark(g, k) != k:
+            continue
+        maximal.append(g)
+        # a facet with more subsets than the cap exceeds it alone and is
+        # not listed, so the face set never outgrows twice the cap
+        too_big = g.bit_count() >= cap.bit_length()
+        sub = 0 if too_big else (g - 1) & g
+        while sub:
+            if mark(sub, k) != k:
+                sub &= -(g ^ sub)
+                if not sub:
+                    break
+            sub = (sub - 1) & g
+        if too_big or len(faces) > cap:
+            raise ResourceLimitError(
+                f"face count exceeds cap {cap}; raise --max-faces/"
+                f"{MAX_FACES_ENV} if intended"
+            )
+    by_card: list[list[int]] = [[] for _ in range(max(map(int.bit_count, maximal), default=0) + 1)]
+    for m in faces:
+        by_card[m.bit_count()].append(m)
+    return tuple(sorted(maximal)) or (0,), tuple(tuple(sorted(g)) for g in by_card)
+
+
+def _stars(masks: Iterable[int], width: int) -> list[list[int]]:
+    """stars[i]: the masks that hold bit i, in the order given, for i below
+    width, which must exceed every mask's top bit."""
+    stars: list[list[int]] = [[] for _ in range(width)]
+    for g in masks:
         rest = g
         while rest:
-            low = rest & -rest
-            stars.setdefault(low, []).append(g)
-            rest ^= low
+            i = rest.bit_length() - 1
+            stars[i].append(g)
+            rest ^= 1 << i
     return stars
+
+
+def _facet_stars(cx: Complex) -> list[list[int]]:
+    """The facet masks that hold each vertex bit, indexed by bit position."""
+    return _stars(cx.facet_masks, cx.vertex_mask.bit_length())
 
 
 def _prefix_walk(cx: Complex, labels: Sequence, sep) -> Iterator[list]:

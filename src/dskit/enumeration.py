@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Iterable
 
-from .complexes import Complex, FaceTuple, _prefix_walk
+from .complexes import Complex, FaceTuple, _prefix_walk, _stars
 from .errors import PreconditionError, ValidationError
 from .poly import IntPoly, _binomial_transform, _sign
 
@@ -197,8 +197,8 @@ def _superset_sweep(cx: Complex) -> tuple[tuple[int, ...], ...]:
     average. Then the family is the shared faces (_seed_shared), found at
     most d steps per pair of a shared face and a facet that holds it, and
     the facets' entries s are never swept. Otherwise the family is every
-    face, seeded with s. Either way the stars are listed in one loop over
-    the family, at sum over its faces G of |G| additions. The table, keyed
+    face, seeded with s. Either way _stars lists the family's stars, at
+    sum over its faces G of |G| additions. The table, keyed
     by mask, is read into rows aligned with cx.masks_by_card and dropped.
     """
     if sum(1 << g.bit_count() for g in cx.facet_masks) < 2 * cx.num_faces:
@@ -207,18 +207,11 @@ def _superset_sweep(cx: Complex) -> tuple[tuple[int, ...], ...]:
         table = family = {}
         for card, group in enumerate(cx.masks_by_card):
             table.update(zip(group, repeat(_sign(cx.d - card))))
-    stars: list[list[int]] = [[] for _ in range(cx.vertex_mask.bit_length())]
-    for g in family:
-        rest = g
-        while rest:
-            i = rest.bit_length() - 1
-            stars[i].append(g)
-            rest ^= 1 << i
-    for i, star in enumerate(stars):
+    for i, star in enumerate(_stars(family, cx.vertex_mask.bit_length())):
         bit = 1 << i
         for g in star:
             table[g ^ bit] += table[g]
-    del stars, family  # before the rows are built, so they do not raise the peak
+    del family  # before the rows are built, so it does not raise the peak
     get = table.get  # a face the table lacks has m = 0
     return tuple(tuple(map(get, group, repeat(0))) for group in cx.masks_by_card)
 

@@ -44,20 +44,24 @@ class Generated(NamedTuple):
 
 
 def _checked_cap(
-    max_faces: int | None, facets: int = 0, base: int = 2, exponent: int = 0, less: int = 0
+    max_faces: int | None, facets: int = 0, faces: int = 0,
+    base: int = 2, exponent: int = 0, less: int = 0,
 ) -> int:
     """The face-count cap, checked against a family's closed-form counts.
 
-    facets counts the facets, and base^exponent - less the faces, the empty
-    face included (base >= 2, less <= 1). A family over either count would
-    exceed the cap anyway and fails here, before it lists a facet. The face
-    count is formed only for an exponent up to the bit length of the cap:
-    past it the count is at least 2^(bits + 1) - 1, above the cap.
+    facets counts the facets, and faces, or base^exponent - less, the
+    faces, the empty face included (base >= 2, less <= 1). A family over
+    any count would exceed the cap anyway and fails here, before it lists
+    a facet. The power is formed only for an exponent up to the bit length
+    of the cap: past it the count is at least 2^(bits + 1) - 1, above the
+    cap.
     """
     cap = _effective_max_faces(max_faces)
     bits = cap.bit_length()
     if facets > cap:
         count = f"{facets} facets"
+    elif faces > cap:
+        count = f"{faces} faces"
     elif exponent > bits:
         count = f"{base}^{exponent} - {less} faces" if less else f"{base}^{exponent} faces"
     elif base**exponent - less > cap:
@@ -117,7 +121,8 @@ def glued_triangles(k: int = 3, max_faces: int | None = None) -> Generated:
     """k triangles glued along the common edge {1,2}."""
     if k < 2:
         raise ValidationError("glued-triangles needs k >= 2")
-    cap = _checked_cap(max_faces, k)
+    # the empty face, k + 2 vertices, 2k + 1 edges and k triangles
+    cap = _checked_cap(max_faces, k, 4 * k + 4)
     facets = [(1, 2, 2 + i) for i in range(1, k + 1)]
     return Generated(Complex.from_facets(facets, cap), None)
 
@@ -126,7 +131,8 @@ def glued_tetrahedra(k: int = 3, max_faces: int | None = None) -> Generated:
     """k tetrahedra glued along the common edge {1,2}."""
     if k < 2:
         raise ValidationError("glued-tetrahedra needs k >= 2")
-    cap = _checked_cap(max_faces, k)
+    # the empty face, 2k + 2 vertices, 5k + 1 edges, 4k triangles, k tetrahedra
+    cap = _checked_cap(max_faces, k, 12 * k + 4)
     facets = [(1, 2, 2 * i + 1, 2 * i + 2) for i in range(1, k + 1)]
     return Generated(Complex.from_facets(facets, cap), None)
 
@@ -172,6 +178,23 @@ def _vertex_bits(g: int) -> list[int]:
     return out
 
 
+def _chain_counts(n: int) -> list[int]:
+    """For m = 0..n, the chains of non-empty sets that end at an m-set.
+
+    Such a chain adds the set's elements block by block, so for m >= 1 it
+    is an ordered partition, counted by the Fubini number: the sum over k
+    of T(m, k), the surjections of an m-set onto a k-set, where
+    T(m, k) = k (T(m-1, k) + T(m-1, k-1)) as the last element joins one of
+    k blocks that the others reach, or is alone in one. The empty set ends
+    no such chain.
+    """
+    out, row = [0], [1]  # row[k] = T(m, k)
+    for m in range(1, n + 1):
+        row = [0] + [k * ((row[k] if k < m else 0) + row[k - 1]) for k in range(1, m + 1)]
+        out.append(sum(row))
+    return out
+
+
 def barycentric_subdivision(cx: Complex, max_faces: int | None = None) -> Generated:
     """Barycentric subdivision: vertices are old faces, facets are chains.
 
@@ -180,8 +203,11 @@ def barycentric_subdivision(cx: Complex, max_faces: int | None = None) -> Genera
     completely balanced of type (1,...,1); for non-pure input the complex
     is returned uncolored.
     """
-    # one facet per maximal chain: |G|! of them end at each facet G
-    cap = _checked_cap(max_faces, sum(factorial(g.bit_count()) for g in cx.facet_masks))
+    # one facet per maximal chain: |G|! of them end at each facet G. The
+    # faces are the empty face and the chains, and each chain ends at one
+    # face F, so there are 1 + the sum over faces F of chains(|F|)
+    faces = 1 + sum(len(group) * n for group, n in zip(cx.masks_by_card, _chain_counts(cx.d)))
+    cap = _checked_cap(max_faces, sum(factorial(g.bit_count()) for g in cx.facet_masks), faces)
     old_faces = [m for group in cx.masks_by_card[1:] for m in group]
     if not old_faces:
         return Generated(Complex.from_facets([], cap), None)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Container, Sequence
 
-from .complexes import Complex, FaceTuple, _facet_stars
+from .complexes import Complex, FaceTuple, _closure, _facet_stars
 from .errors import PreconditionError, ValidationError
 from .poly import _sign
 
@@ -348,8 +348,8 @@ def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
     equal keys mean links equal up to a relabelling, so equal Betti numbers
     over every field. Each cardinality numbers its keys in order of first
     sight; a link travels as its class, that number, and its vertex bits in
-    increasing order. Only a class new to its cardinality is closed
-    (Complex._from_facet_masks) and computed.
+    increasing order. Only a class new to its cardinality is closed, by
+    complexes._closure, which returns the face index alone, and computed.
 
     Each face F is made from its parent P = F - v, v the lowest vertex of
     F: v is a vertex of lk P below P's lowest. Taking the parents in mask
@@ -357,8 +357,9 @@ def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
     the faces in mask order, as masks of one size compare like their bits
     read from the top; a face with no such link vertex is no parent. The
     vertices are the children of the empty face, and a vertex's key is
-    compressed from its star, the facets at it, listed per vertex once and
-    kept on the complex, where Complex.link_mask reads them too.
+    compressed from its star, the facets at it: the list of stars by bit
+    position that complexes._stars makes, kept on the complex, where
+    Complex.link_mask reads it too.
 
     facets(lk F) = {G - v : G in facets(lk P), v in G}, so lk F's key
     depends only on lk P's key and on i, the position of v among lk P's
@@ -377,7 +378,6 @@ def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
     scan: dict[int, BettiTable] = {}
     p = field.characteristic
     d = cx.d
-    cap = cx.num_faces  # a link has no more faces than the complex
     stars = cx._derive("facet stars", _facet_stars)
     classes: dict[tuple[int, ...], int] = {}  # key -> class, numbered in order
     level = [(0, 0, cx.masks_by_card[1])] if d else []  # parents: (face, class, link bits)
@@ -394,7 +394,7 @@ def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
                     break
                 fmask = parent | v
                 if card == 1:
-                    key, bits = _compressed([g ^ v for g in stars[v]])
+                    key, bits = _compressed([g ^ v for g in stars[v.bit_length() - 1]])
                     cls = classes.setdefault(key, len(classes))
                 else:
                     step = steps.get((parent_cls, i))
@@ -409,7 +409,7 @@ def _scan_links(cx: Complex, field: FieldSpec) -> dict[int, BettiTable]:
                 if cls == len(tables):
                     # a class new to this cardinality, so key is its key: the
                     # relabelled link, on the complex's lowest vertices
-                    link = Complex._from_facet_masks(list(key), cap, cx.labels).masks_by_card
+                    link = _closure(key, cx.num_faces)[1]  # no more faces than cx
                     numbers = _betti_numbers(link, p or 2)
                     if not p and len(numbers) - numbers.count(0) > 1:
                         numbers = _betti_numbers(link, 0)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balanced import Coloring, _flag_counts, _mvar_report, _terms, flag_h
+from .balanced import Coloring, _flag_sums, _mvar_report, _terms, flag_h
 from .complexes import Complex
 from .enumeration import f_vector, h_vector, multiplicities
 from .poly import ExponentVec, IntPoly, MPoly
@@ -80,8 +80,7 @@ def verify_sr_reciprocity_colored(cx: Complex, coloring: Coloring) -> RelationRe
     balanced.verify_flag_reciprocity, reported with the numerator.
     """
     a = coloring.a
-    multiplicities(cx)  # kept, so the face walk adds up the m_F
-    _, h, msum = _flag_counts(cx, coloring)
+    _, h, msum = _flag_sums(cx, coloring)
     return _mvar_report(
         "sr-reciprocity-colored", cx, a, *_reciprocity_kernel(a, h, msum),
         numerator=_terms(a, h),

@@ -289,6 +289,21 @@ def test_each_flag_verifier_walks_the_faces_once(monkeypatch, verifier):
     assert walked == [made.complex]
 
 
+@pytest.mark.parametrize(
+    "verifier", [verify_flag_reciprocity, verify_balanced_ds, verify_sr_reciprocity_colored]
+)
+def test_flag_sum_verifiers_sweep_for_themselves(verifier):
+    # a verifier that reads the m_F sums sweeps them itself, so a complex
+    # never swept gives the report it gives after multiplicities(cx)
+    for build in (lambda: cross_polytope_boundary(4), lambda: double_banana(),
+                  lambda: barycentric_subdivision(cylinder().complex)):
+        made = build()
+        fresh = verifier(made.complex, made.coloring).to_json_dict()
+        made = build()
+        multiplicities(made.complex)
+        assert verifier(made.complex, made.coloring).to_json_dict() == fresh
+
+
 def _flag_objects(cx, coloring):
     """Every flag object, then the flag_f + flag_h pair of the CLI flag command."""
     return [

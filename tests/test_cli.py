@@ -160,9 +160,11 @@ def test_out_of_memory_exit_4(capsys, monkeypatch):
     )
 
 
-def test_gen_honours_max_faces(capsys):
+def test_gen_honours_max_faces(capsys, tmp_path):
     # each family compares its closed-form facet and face counts with the cap
     # before it lists a facet, so 2^40 facets fail at once
+    facet4 = tmp_path / "facet4.cplx"
+    facet4.write_text("1 2 3 4\n")
     for argv, cap in (
         (["cross-polytope-boundary", "12"], "10"),
         (["cross-polytope-boundary", "40"], "1000"),
@@ -177,6 +179,16 @@ def test_gen_honours_max_faces(capsys):
         code, out, err = run_cli(capsys, ["gen", *argv, "--max-faces", cap])
         assert (code, out) == (4, ""), argv
         assert f"cap {cap}" in err
+    # the facets fit, and the closed-form face count fails before the
+    # closure would
+    for argv, cap, count in (
+        (["glued-triangles", "10"], "43", "44 faces"),
+        (["glued-tetrahedra", "3"], "39", "40 faces"),
+        (["barycentric-subdivision", str(facet4)], "149", "150 faces"),
+    ):
+        code, out, err = run_cli(capsys, ["gen", *argv, "--max-faces", cap])
+        assert (code, out) == (4, ""), argv
+        assert f"{count} exceed the face-count cap {cap}" in err
     # the octahedron boundary has 27 faces: the cap also bounds the closure
     assert run_cli(capsys, ["gen", "cross-polytope-boundary", "3", "--max-faces", "26"])[0] == 4
     code, out, _ = run_cli(capsys, ["gen", "cross-polytope-boundary", "3", "--max-faces", "27"])

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from dskit import complexes
 from dskit.complexes import (
     Complex,
+    _closure,
+    _stars,
     parse_colors,
     parse_cplx,
     read_cplx,
@@ -150,7 +152,7 @@ def _closure_in_order(facets, rng):
     masks = list({sum(bit[v] for v in f) for f in facets})
     rng.shuffle(masks)
     masks.sort(key=int.bit_count, reverse=True)  # stable: sizes stay shuffled
-    return Complex._from_facet_masks(masks, 1 << 24, labels)
+    return Complex(*_closure(masks, 1 << 24), labels)
 
 
 def _assert_closure(cx, facets):
@@ -262,7 +264,7 @@ def test_link_from_star_equals_definition(suite, randoms):
             # order, sizes rising as well as falling
             star = [g ^ fmask for g in cx.facet_masks if g & fmask == fmask]
             rng.shuffle(star)
-            shuffled = Complex._from_facet_masks(star, 1 << 24, cx.labels)
+            shuffled = Complex(*_closure(star, 1 << 24), cx.labels)
             assert shuffled.masks_by_card == link.masks_by_card
             assert shuffled.facet_masks == link.facet_masks
             faces = definitional_link(cx, fmask)
@@ -272,6 +274,17 @@ def test_link_from_star_equals_definition(suite, randoms):
             )
             facets = [g for g in faces if not any(g != h and g & h == g for h in faces)]
             assert link.facet_masks == tuple(sorted(facets))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=12))
+def test_stars_list_the_masks_per_bit_in_order(masks):
+    # the masks may leave bits out, as a link's facets do
+    width = 12
+    assert _stars(masks, width) == [[g for g in masks if g >> i & 1] for i in range(width)]
+    assert _stars([0b100101, 0b100, 0b100001], 7) == [
+        [0b100101, 0b100001], [], [0b100101, 0b100], [], [], [0b100101, 0b100001], [],
+    ]
 
 
 def test_faces_by_dim_grouping():

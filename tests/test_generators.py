@@ -213,17 +213,32 @@ def test_every_family_honours_the_face_cap(family, params):
         ("glued-triangles", ["20"], "20 facets", 19),
         ("glued-tetrahedra", ["20"], "20 facets", 19),
         ("random", ["1", "100000", "1"], "200000 facets", 1000),
+        # 10 facets fit, the 4k + 4 faces do not
+        ("glued-triangles", ["10"], "44 faces", 43),
+        # 3 facets fit, the 12k + 4 faces do not
+        ("glued-tetrahedra", ["3"], "40 faces", 39),
+        # one 4-vertex facet: its 4! = 24 maximal chains fit, but the empty
+        # face and the chains that end at each of its 15 faces, the Fubini
+        # numbers 1, 3, 13 and 75 per vertex count, do not
+        ("barycentric-subdivision", [[1, 2, 3, 4]], "150 faces", 149),
     ],
     ids=["simplex-10", "simplex-10^6", "cp-12", "cp-40", "cp-8", "simplex-12",
-         "glued-triangles", "glued-tetrahedra", "random"],
+         "glued-triangles", "glued-tetrahedra", "random",
+         "glued-triangles-faces", "glued-tetrahedra-faces", "sd-facet-4"],
 )
 def test_closed_form_facet_count_fails_before_listing(family, params, count, cap, monkeypatch):
+    # a subdivision's params are the facets of the complex it subdivides
+    base = Complex.from_facets(params) if family == "barycentric-subdivision" else None
+    if base is not None:
+        assert barycentric_subdivision(base).complex.num_faces == 150 > cap
+        params = []
+
     def closure(*args, **kwargs):
         raise AssertionError("a facet list reached the closure")
 
     monkeypatch.setattr(Complex, "from_facets", closure)
     with pytest.raises(ResourceLimitError, match="^" + re.escape(f"{count} exceed")):
-        gen(family, params, max_faces=cap)
+        gen(family, params, base=base, max_faces=cap)
 
 
 def test_barycentric_subdivision_checks_its_chain_count():

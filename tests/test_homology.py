@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from dskit.complexes import Complex, parse_cplx
+from dskit.complexes import Complex, parse_cplx, write_cplx
 from dskit.enumeration import f_vector, interior_f_vector, multiplicities, reduced_euler
 from dskit.errors import PreconditionError, ValidationError
 from dskit.generators import (
@@ -440,6 +440,25 @@ def test_scan_and_link_list_the_facet_stars_once(monkeypatch):
     assert calls == [cx]
     assert cx.link((1,)).num_faces == 3**4  # cp4 on the other eight vertices
     assert calls == [cx]
+
+
+def test_scan_builds_no_complex(monkeypatch):
+    # a link class new to the scan is closed into a face index alone, so
+    # classify builds no Complex after the parse
+    from dskit.relations import classify
+
+    cx = parse_cplx(write_cplx(cross_polytope_boundary(5).complex))
+    built = []
+    inner = Complex.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        inner(self, *args)
+
+    monkeypatch.setattr(Complex, "__init__", counting)
+    assert classify(cx, FieldSpec(2)).homology_manifold
+    assert built == []
+    assert cx.link((1,)).num_faces == 3**4 and len(built) == 1  # the count sees a link
 
 
 def _rp2_cone():

@@ -4,6 +4,7 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
 from dskit.balanced import _flag_counts, _mvar_report, verify_balanced_semi_eulerian
 from dskit.complexes import Complex
@@ -20,6 +21,7 @@ from dskit.generators import (
     simplex_boundary,
     subdivided_triangle,
 )
+from dskit.homology import FieldSpec, boundary_faces_homological
 from dskit.poly import exponents_below
 from dskit.relations import (
     RelationReport,
@@ -42,7 +44,15 @@ from dskit.relations import (
     verify_semi_eulerian_h,
 )
 
-from conftest import RP2_FACETS, TORUS7_FACETS, mcomb, opoly_add, opoly_pow, opoly_scale
+from conftest import (
+    RP2_FACETS,
+    TORUS7_FACETS,
+    mcomb,
+    opoly_add,
+    opoly_pow,
+    opoly_scale,
+    small_facet_lists,
+)
 
 PAPER_CYLINDER_F = (1, 4, 8, 4)
 PAPER_CYLINDER_F_INT = (0, 4, 4)
@@ -286,6 +296,49 @@ def test_classification_implications(suite, randoms):
             assert c.reciprocal
         if c.homology_manifold:
             assert c.reciprocal
+
+
+def _cross_route_counts(cx):
+    """Check the verdicts of the multiplicity sweep against the link scan's
+    over GF(2) and Q; returns how many reciprocity witnesses and closed
+    homology manifolds were met.
+
+    A link with ball or sphere homology has m_F in {0, 1}, and m_F = 1 when
+    it is a sphere. So the first face whose m_F is outside {0, 1} fails the
+    manifold test, and the scan's witness is at or before it in (cardinality,
+    mask) order; a homology manifold whose one boundary face is the empty
+    face is semi-Eulerian.
+    """
+    witnessed = closed = 0
+    place = lambda face: (len(face), cx.face_mask(face))
+    for fld in (FieldSpec(2), FieldSpec(0)):
+        c = classify(cx, fld)
+        if not c.reciprocal:
+            witnessed += 1
+            assert not c.homology_manifold
+            assert place(c.witnesses["homology_manifold"]) <= place(c.witnesses["reciprocal"])
+        if c.homology_manifold and boundary_faces_homological(cx, fld) == ((),):
+            closed += 1
+            assert c.semi_eulerian
+        if c.eulerian:
+            assert c.semi_eulerian
+    return witnessed, closed
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_facet_lists())
+def test_sweep_and_scan_agree_on_small_complexes(facets):
+    _cross_route_counts(Complex.from_facets(facets))
+
+
+def test_sweep_and_scan_agree_on_named_complexes(suite):
+    named = [made.complex for _, made in suite]
+    named += [Complex.from_facets(RP2_FACETS), Complex.from_facets(TORUS7_FACETS)]
+    witnessed, closed = map(sum, zip(*map(_cross_route_counts, named)))
+    # neither implication is vacuous: over both fields, four glued
+    # complexes and random-23-8 have a reciprocity witness, and eight
+    # spheres, RP^2 and the torus are closed homology manifolds
+    assert (witnessed, closed) == (2 * 5, 2 * 10)
 
 
 def test_verify_all_skips_inapplicable():
