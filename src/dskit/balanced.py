@@ -25,14 +25,13 @@ tests/test_balanced.py as its independent reference
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import Complex, _prefix_walk
 from .enumeration import _kept_rows, multiplicities
-from .errors import ValidationError
+from .errors import ValidationError, _FrozenRecord
 from .poly import ExponentVec, _binomial_transform, exponents_below
 from .relations import (
     RelationReport,
@@ -46,12 +45,14 @@ from .relations import (
 )
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_FrozenRecord):
     """Validated vertex coloring of a balanced complex of type a."""
 
-    kappa: Mapping[int, int]
-    a: ExponentVec
+    __slots__ = ("kappa", "a")
+
+    def __init__(self, kappa: Mapping[int, int], a: ExponentVec):
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "a", a)
 
     @property
     def m(self) -> int:

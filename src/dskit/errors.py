@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all dskit modules."""
+"""Exception hierarchy and result-record bases shared by all dskit modules."""
 
 
 class DskitError(Exception):
@@ -35,3 +35,43 @@ class PreconditionError(DskitError):
         if witness is not None:
             message = f"{message} (witness face: {witness})"
         super().__init__(message)
+
+
+class _Record:
+    """A result record: its fields are its __slots__, in __init__ order.
+
+    It has the dataclass repr and equality, and copies and pickles through
+    __init__; unlike a dataclass, it costs no import of inspect at start-up.
+    It is unhashable, as it defines __eq__ alone; a _FrozenRecord is
+    hashable and read-only.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class _FrozenRecord(_Record):
+    """A record whose __init__ sets its fields with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._fields())

@@ -37,12 +37,11 @@ the same reduced Euler characteristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Container, Sequence
 
 from .complexes import Complex, FaceTuple, _closure, _facet_stars
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError, _FrozenRecord
 from .poly import _sign
 
 # Miller-Rabin with the first 13 primes as bases is exact below the smallest
@@ -74,22 +73,25 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(_FrozenRecord):
     """Coefficient field: characteristic 0 (rationals) or a prime p."""
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
 
-    def __post_init__(self):
-        if self.characteristic >= _MR_EXACT_BELOW:
+    def __init__(self, characteristic: int = 0):
+        # an int, not a bool (True == 1) or a float (3.0 == 3)
+        if type(characteristic) is not int:
+            raise ValidationError(f"field characteristic must be an int, got {characteristic!r}")
+        if characteristic >= _MR_EXACT_BELOW:
             raise ValidationError(
-                f"field characteristic {self.characteristic} is out of range:"
+                f"field characteristic {characteristic} is out of range:"
                 f" primes must be below {_MR_EXACT_BELOW}"
             )
-        if self.characteristic != 0 and not _is_prime(self.characteristic):
+        if characteristic != 0 and not _is_prime(characteristic):
             raise ValidationError(
-                f"field characteristic must be 0 or prime, got {self.characteristic}"
+                f"field characteristic must be 0 or prime, got {characteristic}"
             )
+        object.__setattr__(self, "characteristic", characteristic)
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
@@ -218,12 +220,14 @@ def boundary_matrix(
     return cols
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(_FrozenRecord):
     """Reduced Betti numbers indexed from dimension -1 up to dim(complex)."""
 
-    betti: tuple[int, ...]
-    field: FieldSpec
+    __slots__ = ("betti", "field")
+
+    def __init__(self, betti: tuple[int, ...], field: FieldSpec):
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "field", field)
 
     def b(self, i: int) -> int:
         """beta_i, zero outside the stored range."""
@@ -294,14 +298,19 @@ def reduced_betti(cx: Complex, field: FieldSpec = FieldSpec(0)) -> BettiTable:
     return BettiTable(_betti_numbers(cx.masks_by_card, field.characteristic), field)
 
 
-@dataclass(frozen=True)
-class ManifoldVerdict:
+class ManifoldVerdict(_FrozenRecord):
     """Outcome of the homology-manifold test, with a witness on failure."""
 
-    is_manifold: bool
-    witness: FaceTuple | None
-    witness_betti: BettiTable | None
-    field: FieldSpec
+    __slots__ = ("is_manifold", "witness", "witness_betti", "field")
+
+    def __init__(
+        self, is_manifold: bool, witness: FaceTuple | None,
+        witness_betti: BettiTable | None, field: FieldSpec,
+    ):
+        object.__setattr__(self, "is_manifold", is_manifold)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "witness_betti", witness_betti)
+        object.__setattr__(self, "field", field)
 
 
 def _link_betti_ok(betti: BettiTable, sphere_dim: int) -> bool:

@@ -29,7 +29,6 @@ of S, in _ds_f_kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .complexes import Complex, FaceTuple
@@ -45,7 +44,7 @@ from .enumeration import (
     reduced_euler,
     reduced_euler_from_f,
 )
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError, _Record
 from .homology import FieldSpec, is_homology_manifold
 from .poly import IntPoly, _binomial_transform, _sign, exponents_below
 
@@ -62,16 +61,21 @@ def _jsonify(v):
     return v
 
 
-@dataclass
-class RelationReport:
+class RelationReport(_Record):
     """Verdict of one relation with labelled per-index residuals."""
 
-    relation: str
-    holds: bool
-    labels: tuple[str, ...]
-    residuals: tuple[int, ...]
-    context: dict = field(default_factory=dict)
-    skipped: str | None = None
+    __slots__ = ("relation", "holds", "labels", "residuals", "context", "skipped")
+
+    def __init__(
+        self, relation: str, holds: bool, labels: tuple[str, ...], residuals: tuple[int, ...],
+        context: dict | None = None, skipped: str | None = None,
+    ):
+        self.relation = relation
+        self.holds = holds
+        self.labels = labels
+        self.residuals = residuals
+        self.context = {} if context is None else context
+        self.skipped = skipped
 
     def residual(self, label: str) -> int:
         return self.residuals[self.labels.index(label)]
@@ -125,16 +129,21 @@ def _base_context(cx: Complex) -> dict:
 # -- classification -----------------------------------------------------
 
 
-@dataclass
-class Classification:
+class Classification(_Record):
     """Complex-class flags with witness faces for each failed flag."""
 
-    reciprocal: bool
-    semi_eulerian: bool
-    eulerian: bool
-    homology_manifold: bool
-    field: FieldSpec
-    witnesses: dict = field(default_factory=dict)
+    __slots__ = ("reciprocal", "semi_eulerian", "eulerian", "homology_manifold", "field", "witnesses")
+
+    def __init__(
+        self, reciprocal: bool, semi_eulerian: bool, eulerian: bool, homology_manifold: bool,
+        field: FieldSpec, witnesses: dict | None = None,
+    ):
+        self.reciprocal = reciprocal
+        self.semi_eulerian = semi_eulerian
+        self.eulerian = eulerian
+        self.homology_manifold = homology_manifold
+        self.field = field
+        self.witnesses = {} if witnesses is None else witnesses
 
     def to_json_dict(self) -> dict:
         return {

@@ -23,21 +23,22 @@ test_sr_colored_on_balanced_corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .balanced import Coloring, _flag_sums, _mvar_report, _terms, flag_h
 from .complexes import Complex
 from .enumeration import f_vector, h_vector, multiplicities
+from .errors import _FrozenRecord
 from .poly import ExponentVec, IntPoly, MPoly
 from .relations import RelationReport, _poly_report, _reciprocity_kernel
 
 
-@dataclass(frozen=True)
-class RationalSeries:
+class RationalSeries(_FrozenRecord):
     """numerator / (1-L)^e, or numerator / prod (1-w_i)^(e_i) when graded."""
 
-    numerator: IntPoly | MPoly
-    denominator_exponent: int | ExponentVec
+    __slots__ = ("numerator", "denominator_exponent")
+
+    def __init__(self, numerator: IntPoly | MPoly, denominator_exponent: int | ExponentVec):
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator_exponent", denominator_exponent)
 
 
 def hilbert_series(cx: Complex) -> RationalSeries:
