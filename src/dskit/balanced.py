@@ -4,6 +4,9 @@ A coloring kappa assigns each vertex a color in 1..m; the complex is
 balanced of type a when every facet has exactly a_i vertices of color i
 (hence |a| = d and the complex is pure). For a face F, b(F) counts its
 vertices per color; flag vectors refine face counts by b(F).
+validate_balanced counts every facet's colors from one mask per color, as
+the face walk does, and lists and sorts the facet tuples only to word a
+rejection; the Coloring it returns keeps kappa read-only.
 
 Every flag object needs only two numbers per color-count vector b: f_b and
 msum_b, the sum of m_F over faces with b(F) = b. One walk over the faces
@@ -25,8 +28,10 @@ tests/test_balanced.py as its independent reference
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from math import prod
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import Complex, _prefix_walk
@@ -46,13 +51,24 @@ from .relations import (
 
 
 class Coloring(_FrozenRecord):
-    """Validated vertex coloring of a balanced complex of type a."""
+    """Validated vertex coloring of a balanced complex of type a.
+
+    kappa is kept as a read-only copy of the mapping given. The record
+    shows, compares, copies and pickles it as a dict, and hashes it by its
+    items.
+    """
 
     __slots__ = ("kappa", "a")
 
     def __init__(self, kappa: Mapping[int, int], a: ExponentVec):
-        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "kappa", MappingProxyType(dict(kappa)))
         object.__setattr__(self, "a", a)
+
+    def _fields(self) -> tuple:
+        return dict(self.kappa), self.a
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.kappa.items()), self.a))
 
     @property
     def m(self) -> int:
@@ -94,26 +110,54 @@ def validate_balanced(
     When a is omitted it is inferred from the lexicographically first
     facet and then validated globally. No vertex color may exceed the
     vertex count.
+
+    The facets' colors are counted from one mask per color; when every
+    facet has the same counts, and they are a if a is given, they are the
+    type. Otherwise, or when a vertex color is outside 1..m, b_of runs on
+    every sorted facet tuple to word the rejection.
     """
     _check_color_range(cx, kappa)
-    for v in cx.vertices:
+    vertices = cx.vertices
+    for v in vertices:
         if v not in kappa:
             raise ValidationError(f"vertex {v} has no color")
+    colors = tuple(map(kappa.__getitem__, vertices))
     if a is not None:
         a = tuple(int(x) for x in a)
         m = len(a)
     else:
-        m = max((kappa[v] for v in cx.vertices), default=0)
+        m = max(colors, default=0)
         if m == 0:
             raise ValidationError("cannot infer a type vector without vertices")
-        a = b_of(cx.facets[0], kappa, m)
-    for facet in cx.facets:
+    shared = _shared_color_counts(cx, colors, m)
+    if shared is not None and (a is None or a == shared):
+        return Coloring(kappa, shared)
+    facets = cx.facets
+    if a is None:
+        a = b_of(facets[0], kappa, m)
+    for facet in facets:
         bf = b_of(facet, kappa, m)
         if bf != a:
             raise ValidationError(
                 f"facet {facet} has color counts {bf}, expected type {a}"
             )
-    return Coloring(kappa=dict(kappa), a=a)
+    return Coloring(kappa, a)
+
+
+def _shared_color_counts(cx: Complex, colors: tuple[int, ...], m: int) -> ExponentVec | None:
+    """The color counts that all facets share, None if two differ or a color
+    is outside 1..m; colors[k] colors the vertex of the k-th lowest bit."""
+    color_masks, rest = [0] * m, cx.vertex_mask
+    for color in colors:
+        if not 1 <= color <= m:
+            return None
+        low = rest & -rest
+        color_masks[color - 1] |= low
+        rest ^= low
+    counts = [set(map(int.bit_count, map(cm.__and__, cx.facet_masks))) for cm in color_masks]
+    if any(len(c) != 1 for c in counts):
+        return None
+    return tuple(c.pop() for c in counts)
 
 
 def _flag_counts(cx: Complex, coloring: Coloring, rows=None) -> tuple:
@@ -197,10 +241,11 @@ def flag_h(cx: Complex, coloring: Coloring) -> dict[ExponentVec, int]:
     return dict(zip(exponents_below(coloring.a), _flag_counts(cx, coloring)[1]))
 
 
-def _mvar_labels(a: ExponentVec, prefix: str = "x^") -> list[str]:
-    return [
+@lru_cache(maxsize=64)
+def _mvar_labels(a: ExponentVec, prefix: str = "x^") -> tuple[str, ...]:
+    return tuple(
         prefix + "(" + ",".join(str(x) for x in e) + ")" for e in exponents_below(a)
-    ]
+    )
 
 
 def _terms(a: ExponentVec, values: Sequence[int]) -> list[tuple[ExponentVec, int]]:
@@ -216,7 +261,7 @@ def _mvar_report(
     ctx = {**_base_context(cx), "a": a, **context, "lhs": _terms(a, lhs), "rhs": _terms(a, rhs)}
     return _report(
         relation,
-        _mvar_labels(a) + list(labels),
+        _mvar_labels(a) + tuple(labels),
         [l - r for l, r in zip(lhs, rhs, strict=True)] + list(residuals),
         ctx,
     )

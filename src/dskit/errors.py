@@ -38,7 +38,8 @@ class PreconditionError(DskitError):
 
 
 class _Record:
-    """A result record: its fields are its __slots__, in __init__ order.
+    """A result record: its fields are its __slots__, in __init__ order,
+    and _fields() their values as repr, equality, copy and pickle see them.
 
     It has the dataclass repr and equality, and copies and pickles through
     __init__; unlike a dataclass, it costs no import of inspect at start-up.
@@ -52,7 +53,8 @@ class _Record:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        pairs = zip(self.__slots__, self._fields())
+        args = ", ".join(f"{name}={value!r}" for name, value in pairs)
         return f"{type(self).__qualname__}({args})"
 
     def __eq__(self, other: object) -> bool:

@@ -9,7 +9,10 @@ Every change of basis in the library is one routine, _binomial_transform,
 on the lattice b <= a with one of two mutually inverse kernels: C(a-b, e-b)
 takes coefficients on x^b (x+1)^(a-b) to monomial ones, and
 (-1)^(|e|-|b|) C(a-b, e-b) goes back. Both factor over the coordinates, so
-it runs one axis at a time (Yates' method). At a = (d,) they are the two
+it runs one axis at a time (Yates' method), each axis over all of its
+lattice lines at once: whole list slices, one map per weight. An axis that
+is the lattice's only line, as in every univariate call, keeps a scalar
+loop, which is faster at that size. At a = (d,) the kernels are the two
 evaluations of the h-polynomial: the signed kernel takes an f-vector to its
 h-vector, the forward one takes it back.
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 from math import comb
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, ValidationError
@@ -105,25 +109,58 @@ def _binomial_transform(
 ) -> list[int]:
     """out_e = sum_{b<=e} prod_i C(a_i-b_i, e_i-b_i) v_b, signed (-1)^(|e|-|b|) if inverse.
 
-    values and the result are listed in exponents_below(a) order. Each axis
-    is transformed along every lattice line parallel to it; zeros are skipped.
+    values and the result are listed in exponents_below(a) order. An axis
+    of length a_i + 1 with stride s has block (a_i + 1) s, and the entries
+    at coordinate b on it are n / block runs of length s, or s extended
+    slices of step block: the axis takes whichever layout has fewer
+    slices. For e from a_i down to 1, rows[b][e-b] times slice b is added
+    into slice e for every b < e, one map per weight, with weights +-1 a
+    plain add or sub; all-zero slices are skipped. A step reads only
+    coordinates below e, which still hold the input, so the update is in
+    place. An axis that is the only lattice line keeps a scalar loop.
     """
     out = list(values)
-    stride = len(out)
+    n = stride = len(out)
     for ai in a:
         block, stride = stride, stride // (ai + 1)
+        if not ai:
+            continue
         rows = _binomial_rows(ai, inverse)
-        for start in range(0, len(out), block):
-            for first in range(start, start + stride):
-                line = out[first : first + block : stride]
-                if not any(line):
-                    continue
-                new = [0] * (ai + 1)
-                for b, vb in enumerate(line):
-                    if vb:
-                        for k, w in enumerate(rows[b]):
-                            new[b + k] += w * vb
-                out[first : first + block : stride] = new
+        if n == ai + 1:  # the one lattice line: a scalar loop
+            new = [0] * (ai + 1)
+            for b, vb in enumerate(out):
+                if vb:
+                    for k, w in enumerate(rows[b]):
+                        new[b + k] += w * vb
+            out = new
+            continue
+        # the entries at coordinate b of the line or lines starting at o
+        # are out[o + b * stride : o + b * stride + span : step]
+        if n // block <= stride:
+            starts, span, step = range(0, n, block), stride, 1
+        else:
+            starts, span, step = range(stride), n - block + 1, block
+        for o in starts:
+            below = []
+            for b in range(ai):
+                at = o + b * stride
+                vb = out[at : at + span : step]
+                if any(vb):
+                    below.append((b, vb))
+            for e in range(ai, below[0][0] if below else ai, -1):
+                at = o + e * stride
+                acc = out[at : at + span : step]
+                for b, vb in below:
+                    if b >= e:
+                        break
+                    w = rows[b][e - b]
+                    if w == 1:
+                        acc = map(add, acc, vb)
+                    elif w == -1:
+                        acc = map(sub, acc, vb)
+                    else:
+                        acc = map(add, acc, map(w.__mul__, vb))
+                out[at : at + span : step] = list(acc)
     return out
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import strategies as st
 
 from dskit import balanced, generators
-from dskit.balanced import flag_f
+from dskit.balanced import b_of, flag_f
 from dskit.complexes import Complex
 from dskit.enumeration import multiplicities
 from dskit.errors import DomainError, ValidationError
@@ -296,6 +296,36 @@ def multiplicity_mpoly(cx: Complex, coloring) -> MPoly:
     multiplicities(cx)  # kept, so the face walk adds up the m_F
     msum = balanced._flag_counts(cx, coloring)[2]
     return MPoly(dict(zip(exponents_below(coloring.a), msum)), coloring.a)
+
+
+def ovalidated_type(cx: Complex, kappa, a=None):
+    """The type validate_balanced returns, by b_of on every sorted facet tuple.
+
+    The route validate_balanced took before it counted colors by masks, with
+    its checks and messages in the same order.
+    """
+    for v in cx.vertices:
+        color = kappa.get(v)
+        if color is not None and color > cx.n:
+            raise ValidationError(
+                f"vertex {v} has color {color}, above the vertex count {cx.n}"
+            )
+    for v in cx.vertices:
+        if v not in kappa:
+            raise ValidationError(f"vertex {v} has no color")
+    if a is not None:
+        a = tuple(int(x) for x in a)
+        m = len(a)
+    else:
+        m = max((kappa[v] for v in cx.vertices), default=0)
+        if m == 0:
+            raise ValidationError("cannot infer a type vector without vertices")
+        a = b_of(cx.facets[0], kappa, m)
+    for facet in cx.facets:
+        bf = b_of(facet, kappa, m)
+        if bf != a:
+            raise ValidationError(f"facet {facet} has color counts {bf}, expected type {a}")
+    return a
 
 
 # -- corpora ---------------------------------------------------------------

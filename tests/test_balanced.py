@@ -4,6 +4,8 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dskit import balanced, cli, enumeration, relations
 from dskit.balanced import (
@@ -41,7 +43,14 @@ from dskit.stanley_reisner import (
     verify_sr_reciprocity_colored,
 )
 
-from conftest import flag_f_mpoly, mcomb, multiplicity_mpoly, padded, specialized
+from conftest import (
+    flag_f_mpoly,
+    mcomb,
+    multiplicity_mpoly,
+    ovalidated_type,
+    padded,
+    specialized,
+)
 
 
 def flag_h_from_expansion(cx, coloring):
@@ -124,6 +133,66 @@ def test_validate_rejects_impure_type():
     cx = Complex.from_facets([[1, 2], [3]])
     with pytest.raises(ValidationError):
         validate_balanced(cx, {1: 1, 2: 2, 3: 1})
+
+
+def _outcome(check, cx, kappa, a):
+    """The type check returns, or the type and message of what it raises."""
+    try:
+        return check(cx, kappa, a)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_validate_balanced_matches_the_per_facet_route(balanced_pairs, data):
+    _, cx, coloring = data.draw(st.sampled_from(balanced_pairs))
+    m = coloring.m
+    perm = data.draw(st.permutations(range(1, m + 1)))
+    kappa = {v: perm[c - 1] for v, c in coloring.kappa.items()}
+    # a few vertices recolored, anywhere from below 1 to above m
+    for v in data.draw(st.lists(st.sampled_from(cx.vertices), max_size=3)):
+        kappa[v] = data.draw(st.integers(-1, m + 2))
+    if data.draw(st.integers(0, 9)) == 0:
+        del kappa[data.draw(st.sampled_from(cx.vertices))]
+    permuted = tuple(coloring.a[perm.index(i + 1)] for i in range(m))
+    a = data.draw(
+        st.one_of(
+            st.none(),
+            st.just(permuted),
+            st.lists(st.integers(0, 3), max_size=m + 1).map(tuple),
+        )
+    )
+    want = _outcome(ovalidated_type, cx, kappa, a)
+    got = _outcome(validate_balanced, cx, kappa, a)
+    if isinstance(got, Coloring):
+        assert got.a == want and got.kappa == kappa
+    else:
+        assert got == want
+
+
+def test_validate_names_an_uncolored_vertex():
+    cx = Complex.from_facets([[1, 2], [2, 3]])
+    with pytest.raises(ValidationError, match="^vertex 2 has no color$"):
+        validate_balanced(cx, {1: 1, 3: 2}, a=(1, 1))
+
+
+def test_validate_rejects_a_color_above_m_that_the_masks_miss():
+    # vertex 5's color 3 is in no mask of a = (1, 1), and both facets count
+    # (1, 1) in colors 1 and 2; the facet (3, 4, 5) is larger only
+    cx = Complex.from_facets([[1, 2], [3, 4, 5]])
+    kappa = {1: 1, 2: 2, 3: 1, 4: 2, 5: 3}
+    with pytest.raises(ValidationError, match=r"^vertex 5 has color 3 outside 1\.\.2$"):
+        validate_balanced(cx, kappa, a=(1, 1))
+
+
+def test_validate_infers_the_type_from_the_lexicographically_first_facet():
+    # (1, 4) comes first as a tuple, (2, 3) first as a mask
+    cx = Complex.from_facets([[1, 4], [2, 3]])
+    kappa = {1: 1, 2: 1, 3: 2, 4: 1}
+    message = r"^facet \(2, 3\) has color counts \(1, 1\), expected type \(2, 0\)$"
+    with pytest.raises(ValidationError, match=message):
+        validate_balanced(cx, kappa)
 
 
 def test_b_of():

@@ -227,8 +227,15 @@ def ref_ds_h_scalar(eps, d):
     return [sum(comb(d - c, i) * eps[c] for c in range(d + 1)) for i in range(d + 1)]
 
 
-# a = () and a_i = 0 have one-point axes; a_i >= 2 has binomial weights != 1
-LATTICE_BOUNDS = [(), (0,), (3,), (0, 2), (2, 0, 1), (3, 2), (1, 1, 1, 1), (0, 0)]
+# a = () and a_i = 0 have one-point axes; a_i >= 2 has binomial weights != 1.
+# An axis is one lattice line (the scalar loop, as at (9,) and (0, 0, 0, 2)),
+# or runs or extended slices, whichever are fewer: (1,)*9 takes runs on its
+# first axes and extended slices on its last; (1,)*4 + (3,) and (2, 0, 3, 1)
+# mix both with weights != 1.
+LATTICE_BOUNDS = [
+    (), (0,), (3,), (0, 2), (2, 0, 1), (3, 2), (1, 1, 1, 1), (0, 0),
+    (1,) * 9, (1,) * 4 + (3,), (2, 0, 3, 1), (0, 0, 0, 2), (9,),
+]
 
 
 def _sparse_values(rng, keys):
@@ -246,6 +253,13 @@ def test_lattice_transform_matches_the_per_b_sums():
             assert _binomial_transform(listed, a, inverse=True) == [h[b] for b in lattice]
             scalar = ref_balanced_ds_scalar(v, a)
             assert _binomial_transform(listed, a) == [scalar[b] for b in lattice]
+
+
+def test_round_trip_on_a_long_lattice():
+    a = (1,) * 11
+    rng = random.Random(517)
+    v = [rng.randrange(-(10**9), 10**9) for _ in range(2**11)]
+    assert _binomial_transform(_binomial_transform(v, a, inverse=True), a) == v
 
 
 def test_univariate_transforms_match_the_per_index_sums():

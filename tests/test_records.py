@@ -3,7 +3,8 @@
 The seven result records are plain slotted classes. These tests pin what
 callers could rely on while they were dataclasses: construction by position,
 keyword and default, the repr, equality by type and fields, hashing of the
-frozen records only, read-only frozen fields, and copy and pickle.
+frozen records only, read-only frozen fields, and copy and pickle. A
+Coloring also keeps its kappa read-only, and hashes it by its items.
 """
 
 import copy
@@ -120,7 +121,8 @@ def test_construction_repr_and_equality(name):
 def test_equality_needs_the_same_type():
     betti = BettiTable((0,), F2)
     assert betti != ManifoldVerdict(True, None, None, F2)
-    assert (betti == Coloring((0,), F2)) is False  # same fields, other type
+    # same fields, other type
+    assert (BettiTable({0: 0}, F2) == Coloring({0: 0}, F2)) is False
 
 
 def test_defaults():
@@ -146,13 +148,8 @@ def test_defaults():
 def test_frozen_records_hash_and_refuse_writes(name):
     by_position, by_keyword, _, other = CASES[name]
     record = by_position()
-    if name == "Coloring":
-        # the field kappa is a dict, so hashing fails on it, as before
-        with pytest.raises(TypeError, match="'dict'"):
-            hash(record)
-    else:
-        assert hash(record) == hash(by_keyword())
-        assert len({record, by_keyword(), other}) == 2
+    assert hash(record) == hash(by_keyword())
+    assert len({record, by_keyword(), other}) == 2
     for name in FIELDS[type(record)]:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(other, name))
@@ -161,6 +158,20 @@ def test_frozen_records_hash_and_refuse_writes(name):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert record == by_keyword()
+
+
+def test_coloring_keeps_a_read_only_copy_of_kappa():
+    kappa = {1: 1, 2: 2}
+    coloring = Coloring(kappa, (1, 1))
+    kappa[2] = 1
+    assert coloring.kappa == {1: 1, 2: 2}
+    with pytest.raises(TypeError):
+        coloring.kappa[2] = 1
+    with pytest.raises(TypeError):
+        del coloring.kappa[1]
+    assert coloring == Coloring({2: 2, 1: 1}, (1, 1))
+    assert hash(coloring) == hash(Coloring({2: 2, 1: 1}, (1, 1)))
+    assert type(copy.deepcopy(coloring).kappa) is type(coloring.kappa)
 
 
 @pytest.mark.parametrize("name", ["RelationReport", "Classification"])
