@@ -4,18 +4,23 @@ A coloring kappa assigns each vertex a color in 1..m; the complex is
 balanced of type a when every facet has exactly a_i vertices of color i
 (hence |a| = d and the complex is pure). For a face F, b(F) counts its
 vertices per color; flag vectors refine face counts by b(F).
-validate_balanced counts every facet's colors from one mask per color, as
-the face walk does, and lists and sorts the facet tuples only to word a
-rejection; the Coloring it returns keeps kappa read-only.
+A coloring is checked and counted in one place: _color_masks builds one
+vertex mask per color, rejecting a vertex without an integer color, and
+every facet's count of a color is its mask ANDed with the facet's.
+validate_balanced reads those counts, and words a rejection from them at
+the lexicographically first facet that breaks the type; the face walk
+reads them to reject a facet above the type. The Coloring that
+validate_balanced returns keeps kappa read-only.
 
 Every flag object needs only two numbers per color-count vector b: f_b and
 msum_b, the sum of m_F over faces with b(F) = b. One walk over the faces
 (_flag_counts) yields both, as lists in exponents_below(a) order, and is
-kept on the complex, so all flag objects of a complex and coloring share it.
-The walk adds up the m_F only when the complex keeps its multiplicity
-rows; _flag_sums sweeps them first, and every verifier that reads the
-sums calls it. The flag verifiers hand these lists to the kernels in
-relations that also check the plain identities, the one-color case.
+kept on the complex, keyed by the color masks, so all flag objects of a
+complex and coloring share it. The walk adds up the m_F only when the
+complex keeps its multiplicity rows; _flag_sums sweeps them first, and
+every verifier that reads the sums calls it. The flag verifiers hand these
+lists to the kernels in relations that also check the plain identities,
+the one-color case.
 The flag h-numbers have a single runtime route, the inclusion-exclusion
 closed form h_b = sum_{c<=b} (-1)^(|b|-|c|) C(a-c, b-c) f_c (flag_h),
 which is also the colored Hilbert numerator. It is the inverse binomial
@@ -30,13 +35,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from math import prod
+from operator import index
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import Complex, _prefix_walk
 from .enumeration import _kept_rows, multiplicities
-from .errors import ValidationError, _FrozenRecord
+from .errors import ValidationError, _checked_int, _FrozenRecord
 from .poly import ExponentVec, _binomial_transform, exponents_below
 from .relations import (
     RelationReport,
@@ -79,13 +84,23 @@ def b_of(face: Iterable[int], kappa: Mapping[int, int], m: int) -> ExponentVec:
     """Color-count vector of a face: entry i-1 counts vertices of color i."""
     counts = [0] * m
     for v in face:
-        color = kappa.get(v)
-        if color is None:
-            raise ValidationError(f"vertex {v} has no color")
+        color = _color_of(v, kappa)
         if not 1 <= color <= m:
             raise ValidationError(f"vertex {v} has color {color} outside 1..{m}")
         counts[color - 1] += 1
     return tuple(counts)
+
+
+def _color_of(v: int, kappa: Mapping[int, int]) -> int:
+    """kappa[v] by operator.index; a ValidationError if v has no color or
+    its color is no integer."""
+    color = kappa.get(v)
+    try:
+        return index(color)
+    except TypeError:
+        if color is None:
+            raise ValidationError(f"vertex {v} has no color") from None
+        raise ValidationError(f"color of vertex {v} must be an integer, got {color!r}") from None
 
 
 def _check_color_range(cx: Complex, kappa: Mapping[int, int]) -> None:
@@ -95,11 +110,37 @@ def _check_color_range(cx: Complex, kappa: Mapping[int, int]) -> None:
     color past n unused, so the check comes before any of them is built.
     """
     for v in cx.vertices:
-        color = kappa.get(v)
-        if color is not None and color > cx.n:
+        if v in kappa and _color_of(v, kappa) > cx.n:
             raise ValidationError(
-                f"vertex {v} has color {color}, above the vertex count {cx.n}"
+                f"vertex {v} has color {kappa[v]}, above the vertex count {cx.n}"
             )
+
+
+def _color_masks(cx: Complex, kappa: Mapping[int, int], m: int) -> tuple[list[int], int]:
+    """One mask per color 1..m over cx's vertex bits, and the mask of the
+    vertices colored outside 1..m; every vertex must have an integer color."""
+    masks, outside, rest, labels = [0] * m, 0, cx.vertex_mask, cx.labels
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = labels[low.bit_length() - 1]
+        color = _color_of(v, kappa)
+        if 1 <= color <= m:
+            masks[color - 1] |= low
+        else:
+            outside |= low
+    return masks, outside
+
+
+def _facet_counts(cx: Complex, masks: list[int]) -> list[list[int]]:
+    """Per color mask, the number of its vertices in each facet, in facet_masks order."""
+    return [list(map(int.bit_count, map(cm.__and__, cx.facet_masks))) for cm in masks]
+
+
+def _outside(cx: Complex, kappa: Mapping[int, int], outside: int, m: int) -> ValidationError:
+    """The rejection of the lowest vertex of the mask outside."""
+    v = cx.labels[(outside & -outside).bit_length() - 1]
+    return ValidationError(f"vertex {v} has color {kappa[v]} outside 1..{m}")
 
 
 def validate_balanced(
@@ -108,84 +149,71 @@ def validate_balanced(
     """Check that every facet has exactly a_i vertices of color i.
 
     When a is omitted it is inferred from the lexicographically first
-    facet and then validated globally. No vertex color may exceed the
-    vertex count.
+    facet and then validated globally; its length is then the largest
+    color, at least 1. No vertex color may exceed the vertex count.
 
-    The facets' colors are counted from one mask per color; when every
-    facet has the same counts, and they are a if a is given, they are the
-    type. Otherwise, or when a vertex color is outside 1..m, b_of runs on
-    every sorted facet tuple to word the rejection.
+    The facets' colors are counted from one mask per color. When no
+    vertex is colored outside 1..m and every facet has the same counts,
+    and they are a if a is given, they are the type. Otherwise the
+    rejection names the lexicographically first facet that has such a
+    vertex, or other counts than a (or than the first facet's).
     """
     _check_color_range(cx, kappa)
-    vertices = cx.vertices
-    for v in vertices:
-        if v not in kappa:
-            raise ValidationError(f"vertex {v} has no color")
-    colors = tuple(map(kappa.__getitem__, vertices))
     if a is not None:
-        a = tuple(int(x) for x in a)
+        a = tuple(_checked_int(x, "type entry") for x in a)
         m = len(a)
+    elif cx.n:
+        m = max(1, *(kappa.get(v, 0) for v in cx.vertices))
     else:
-        m = max(colors, default=0)
-        if m == 0:
-            raise ValidationError("cannot infer a type vector without vertices")
-    shared = _shared_color_counts(cx, colors, m)
-    if shared is not None and (a is None or a == shared):
+        raise ValidationError("cannot infer a type vector without vertices")
+    masks, outside = _color_masks(cx, kappa, m)
+    counts = _facet_counts(cx, masks)
+    shared = tuple(c[0] for c in counts)
+    if not outside and a in (None, shared) and all(c.count(c[0]) == len(c) for c in counts):
         return Coloring(kappa, shared)
-    facets = cx.facets
-    if a is None:
-        a = b_of(facets[0], kappa, m)
-    for facet in facets:
-        bf = b_of(facet, kappa, m)
-        if bf != a:
-            raise ValidationError(
-                f"facet {facet} has color counts {bf}, expected type {a}"
-            )
-    return Coloring(kappa, a)
+    for facet, g in sorted((cx.mask_vertices(g), g) for g in cx.facet_masks):
+        if g & outside:
+            raise _outside(cx, kappa, g & outside, m)
+        bf = tuple((g & cm).bit_count() for cm in masks)
+        if a is None:
+            a = bf
+        elif bf != a:
+            raise ValidationError(f"facet {facet} has color counts {bf}, expected type {a}")
 
 
-def _shared_color_counts(cx: Complex, colors: tuple[int, ...], m: int) -> ExponentVec | None:
-    """The color counts that all facets share, None if two differ or a color
-    is outside 1..m; colors[k] colors the vertex of the k-th lowest bit."""
-    color_masks, rest = [0] * m, cx.vertex_mask
-    for color in colors:
-        if not 1 <= color <= m:
-            return None
-        low = rest & -rest
-        color_masks[color - 1] |= low
-        rest ^= low
-    counts = [set(map(int.bit_count, map(cm.__and__, cx.facet_masks))) for cm in color_masks]
-    if any(len(c) != 1 for c in counts):
-        return None
-    return tuple(c.pop() for c in counts)
-
-
-def _flag_counts(cx: Complex, coloring: Coloring, rows=None) -> tuple:
+def _flag_counts(cx: Complex, coloring: Coloring) -> tuple:
     """(f, h, msum): f_b, h_b and the sum of m_F over faces with b(F) = b.
 
-    Lists in exponents_below(a) order. The walk adds up the m_F rows given,
-    by default those the complex keeps, if any; without rows msum is None,
-    and _flag_sums always has it. The vertex colors are checked on every
-    call. The walk runs once per complex and coloring and is kept on the
-    complex, keyed by a, the colors of the complex's own vertices and
-    whether it added up rows. Callers must not change the lists.
+    Lists in exponents_below(a) order. The walk adds up the m_F rows that
+    the complex keeps, if any; otherwise msum is None, and _flag_sums,
+    which sweeps the rows first, always has it. The vertex colors are
+    checked on every call, as the color masks are built. The walk runs
+    once per complex and coloring and is kept on the complex, keyed by a,
+    the color masks over the complex's own vertices and whether it added
+    up rows. Callers must not change the lists.
     """
-    vertices = cx.vertices
-    b_of(vertices, coloring.kappa, coloring.m)  # the checks and messages of b_of
-    colors, a = tuple(map(coloring.kappa.__getitem__, vertices)), coloring.a
-    rows = rows or _kept_rows(cx)
-    key = ("flag counts", colors, a, rows is not None)
-    return cx._derive(key, lambda cx: _face_walk(cx, colors, a, rows))
+    a = coloring.a
+    masks, outside = _color_masks(cx, coloring.kappa, len(a))
+    if outside:
+        raise _outside(cx, coloring.kappa, outside, len(a))
+    rows = _kept_rows(cx)
+    key = ("flag counts", tuple(masks), a, rows is not None)
+    return cx._derive(key, lambda cx: _face_walk(cx, masks, a, rows))
 
 
 def _flag_sums(cx: Complex, coloring: Coloring) -> tuple:
-    """_flag_counts with msum: the m_F rows are swept first."""
-    return _flag_counts(cx, coloring, multiplicities(cx).rows)
+    """_flag_counts with msum: the m_F rows are swept first.
+
+    Only the verifiers that read msum call it: flag_f and flag_h walk
+    without a sweep, which on a dense sphere costs more than the walk.
+    """
+    multiplicities(cx)
+    return _flag_counts(cx, coloring)
 
 
-def _face_walk(cx: Complex, colors: tuple[int, ...], a: ExponentVec, rows) -> tuple:
-    """The flag counts in one walk over the faces; colors[k] colors the
-    vertex of the k-th lowest bit of cx.vertex_mask.
+def _face_walk(cx: Complex, masks: list[int], a: ExponentVec, rows) -> tuple:
+    """The flag counts in one walk over the faces; masks[i] holds the
+    vertex bits of color i + 1.
 
     b is walked as its place in exponents_below(a), digits b_i in radix
     a_i + 1: the place of F is the sum of its vertices' color place values,
@@ -193,26 +221,21 @@ def _face_walk(cx: Complex, colors: tuple[int, ...], a: ExponentVec, rows) -> tu
     a allows would carry, and is rejected, and so is a type a whose sum is
     not d.
     """
-    color_masks, place = [0] * len(a), [1] * len(a)
-    for i in range(len(a) - 1, 0, -1):
-        place[i - 1] = place[i] * (a[i] + 1)
-    # a link keeps its parent's labels, so its vertex bits can have gaps
-    values, rest = [0] * len(cx.labels), cx.vertex_mask
-    for color in colors:
-        low = rest & -rest
-        color_masks[color - 1] |= low
-        values[low.bit_length() - 1] = place[color - 1]
-        rest ^= low
-    for g in cx.facet_masks:
-        bf = tuple((g & cm).bit_count() for cm in color_masks)
+    for g, bf in zip(cx.facet_masks, zip(*_facet_counts(cx, masks))):
         if any(map(int.__gt__, bf, a)):
-            raise ValidationError(
-                f"facet {cx.mask_vertices(g)} has color counts {bf}, above type {a}"
-            )
+            raise ValidationError(f"facet {cx.mask_vertices(g)} has color counts {bf}, above type {a}")
     if sum(a) != cx.d:
         # flag reciprocity needs |a| = d mod 2; |a| < d leaves a facet above the type
         raise ValidationError(f"type {a} sums to {sum(a)}, not to d={cx.d}")
-    f = [0] * prod(x + 1 for x in a)
+    # a link keeps its parent's labels, so its vertex bits can have gaps
+    values, place = [0] * len(cx.labels), 1
+    for cm, x in zip(reversed(masks), reversed(a)):
+        while cm:
+            low = cm & -cm
+            values[low.bit_length() - 1] = place
+            cm ^= low
+        place *= x + 1
+    f = [0] * place  # the lattice size, prod(a_i + 1)
     msum = None if rows is None else list(f)
     # the empty face is at place 0
     for c, at in enumerate(chain([[0]], _prefix_walk(cx, values, 0))):

@@ -36,7 +36,7 @@ import os
 from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, ParseError, ResourceLimitError, ValidationError
+from .errors import DomainError, ParseError, ResourceLimitError, ValidationError, _checked_int
 
 DEFAULT_MAX_FACES = 1 << 24
 MAX_FACES_ENV = "DSKIT_MAX_FACES"
@@ -46,8 +46,9 @@ FaceIndex = tuple[tuple[int, ...], ...]  # masks_by_card: the c-face masks, sort
 
 
 def _checked_vertices(face: Iterable[int]) -> list[int]:
-    """Vertex ids of a face as ints; rejects non-positive ids and duplicates."""
-    out = [int(v) for v in face]
+    """Vertex ids of a face as ints; rejects non-integers, non-positive ids
+    and duplicates."""
+    out = [_checked_int(v, "vertex id") for v in face]
     if out and min(out) <= 0:
         bad = next(v for v in out if v <= 0)
         raise ValidationError(f"vertex id must be positive, got {bad}")

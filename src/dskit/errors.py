@@ -1,4 +1,6 @@
-"""Exception hierarchy and result-record bases shared by all dskit modules."""
+"""Exception hierarchy, the integer check and result-record bases shared by all dskit modules."""
+
+from operator import index
 
 
 class DskitError(Exception):
@@ -35,6 +37,15 @@ class PreconditionError(DskitError):
         if witness is not None:
             message = f"{message} (witness face: {witness})"
         super().__init__(message)
+
+
+def _checked_int(value: object, what: str) -> int:
+    """value as an int by operator.index, so 1.5 and "1" are not truncated
+    or parsed; a ValidationError that names value if it is no integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 class _Record:

@@ -302,7 +302,8 @@ def ovalidated_type(cx: Complex, kappa, a=None):
     """The type validate_balanced returns, by b_of on every sorted facet tuple.
 
     The route validate_balanced took before it counted colors by masks, with
-    its checks and messages in the same order.
+    its checks and messages in the same order. An inferred type has at least
+    one color, so colors all below 1 name a vertex outside 1..1.
     """
     for v in cx.vertices:
         color = kappa.get(v)
@@ -317,9 +318,9 @@ def ovalidated_type(cx: Complex, kappa, a=None):
         a = tuple(int(x) for x in a)
         m = len(a)
     else:
-        m = max((kappa[v] for v in cx.vertices), default=0)
-        if m == 0:
+        if not cx.vertices:
             raise ValidationError("cannot infer a type vector without vertices")
+        m = max(1, max(kappa[v] for v in cx.vertices))
         a = b_of(cx.facets[0], kappa, m)
     for facet in cx.facets:
         bf = b_of(facet, kappa, m)
@@ -475,7 +476,9 @@ def random_corpus(count=120, seed0=0):
 
 def balanced_corpus(count=40):
     """(complex, coloring) pairs: colored families plus subdivisions of
-    purified random complexes (|a| <= 6, mostly small)."""
+    purified random complexes (|a| <= 6, mostly small), and last the
+    subdivisions of the 7-vertex torus and of RP^2, the closed manifolds
+    whose semi-Eulerian gap is nonzero (-2 and -1)."""
     out = []
     for name, made in named_suite():
         if made.coloring is not None:
@@ -496,7 +499,19 @@ def balanced_corpus(count=40):
     out.append(("sd-simplex-boundary-5", sphere.complex, sphere.coloring))
     big = generators.barycentric_subdivision(Complex.from_facets([range(1, 7)]))
     out.append(("sd-full-5-simplex", big.complex, big.coloring))
+    for name, facets in (("sd-torus7", TORUS7_FACETS), ("sd-rp2", RP2_FACETS)):
+        sd = generators.barycentric_subdivision(Complex.from_facets(facets))
+        out.append((name, sd.complex, sd.coloring))
     return out
+
+
+def ojoin(facets_k, kappa_k, facets_l, kappa_l):
+    """The join K * L of two colored facet lists: facets F + G, with L's ids
+    shifted past K's largest id and L's colors past K's largest color."""
+    ids, colors = max(kappa_k), max(kappa_k.values())
+    facets = [tuple(f) + tuple(v + ids for v in g) for f in facets_k for g in facets_l]
+    kappa = {**kappa_k, **{v + ids: c + colors for v, c in kappa_l.items()}}
+    return facets, kappa
 
 
 @pytest.fixture(scope="session")

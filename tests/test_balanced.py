@@ -47,6 +47,9 @@ from conftest import (
     flag_f_mpoly,
     mcomb,
     multiplicity_mpoly,
+    ochi_reduced,
+    ofaces_of,
+    ojoin,
     ovalidated_type,
     padded,
     specialized,
@@ -193,6 +196,40 @@ def test_validate_infers_the_type_from_the_lexicographically_first_facet():
     message = r"^facet \(2, 3\) has color counts \(1, 1\), expected type \(2, 0\)$"
     with pytest.raises(ValidationError, match=message):
         validate_balanced(cx, kappa)
+
+
+def test_colors_and_types_that_are_no_integers_are_validation_errors():
+    # colors and type entries go through operator.index: (1.5, 1.2) is not
+    # truncated to the type (1, 1), and 1.0 is no color, also on a
+    # hand-built Coloring that reaches the face walk
+    cx = Complex.from_facets([[1, 2], [2, 3]])
+    kappa = {1: 1, 2: 2, 3: 1}
+    for a, bad in (((1.5, 1.2), "1.5"), (("x",), "'x'"), ((1, None), "None")):
+        with pytest.raises(ValidationError, match=f"^type entry must be an integer, got {bad}$"):
+            validate_balanced(cx, kappa, a=a)
+    message = r"^color of vertex 2 must be an integer, got 2\.0$"
+    for a in (None, (1, 1)):
+        with pytest.raises(ValidationError, match=message):
+            validate_balanced(cx, {**kappa, 2: 2.0}, a=a)
+    for check in (flag_f, flag_h, verify_balanced_ds):
+        with pytest.raises(ValidationError, match=message):
+            check(cx, Coloring({**kappa, 2: 2.0}, (1, 1)))
+    with pytest.raises(ValidationError, match=r"^color of vertex 1 must be an integer, got '1'$"):
+        b_of((1,), {1: "1"}, 1)
+    assert validate_balanced(cx, kappa, a=[1, 1]).a == (1, 1)
+
+
+def test_validate_names_a_vertex_when_every_color_is_below_1():
+    # an inferred type has at least one color; the complex has vertices
+    cx = Complex.from_facets([[1, 2], [2, 3]])
+    for kappa in ({1: 0, 2: 0, 3: 0}, {1: -1, 2: -2, 3: 0}):
+        message = f"vertex 1 has color {kappa[1]} outside 1..1"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            validate_balanced(cx, kappa)
+        assert _outcome(ovalidated_type, cx, kappa, None) == (ValidationError, message)
+    empty = Complex.from_facets([])
+    with pytest.raises(ValidationError, match="^cannot infer a type vector without vertices$"):
+        validate_balanced(empty, {})
 
 
 def test_b_of():
@@ -711,6 +748,56 @@ def test_balanced_ds_single_color_reduces_to_univariate(suite, randoms):
             assert [plain.residual(f"i={i}") for i in range(d + 1)] == list(flag.residuals)
             assert flag.labels == tuple(f"b=({i})" for i in range(d + 1))
     assert semi_eulerian >= 10
+
+
+def test_balanced_semi_eulerian_on_the_corpus(balanced_pairs):
+    # h_{a-b} - h_b = (-1)^|b| C(a,b) gap on every semi-Eulerian pair, the
+    # gap chi_reduced - (-1)^(d-1) from the faces; it is nonzero on the
+    # subdivided torus and RP^2 alone, where no flag h is a palindrome
+    gaps = {}
+    for name, cx, coloring in balanced_pairs:
+        if multiplicities(cx).semi_eulerian_witness() is not None:
+            continue
+        rep = verify_balanced_semi_eulerian(cx, coloring)
+        gap = ochi_reduced(ofaces_of(cx)) - (-1) ** (cx.d - 1)
+        assert rep.holds and rep.context["palindrome"] == (gap == 0)
+        a, h = coloring.a, flag_h(cx, coloring)
+        for b in exponents_below(a):
+            rest = tuple(x - y for x, y in zip(a, b))
+            assert h[rest] - h[b] == (-1) ** sum(b) * mcomb(a, b) * gap
+        if gap:
+            gaps[name] = gap
+    assert gaps == {"sd-torus7": -2, "sd-rp2": -1}
+
+
+def _joinable(pairs):
+    """Two corpus pairs whose join has at most 6000 faces."""
+    pairs = [p for p in pairs if p[0].num_faces <= 2000]  # the smallest has 3 faces
+    return st.sampled_from(pairs).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.sampled_from([l for l in pairs if k[0].num_faces * l[0].num_faces <= 6000]),
+        )
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_flag_numbers_of_a_join_multiply(balanced_pairs, data):
+    # with L's ids and colors shifted past K's, K * L is balanced of type
+    # a(K) followed by a(L), and f_(b,c) = f_b(K) f_c(L), h_(b,c) = h_b(K) h_c(L)
+    pairs = [(cx, coloring) for _, cx, coloring in balanced_pairs]
+    (k, kc), (l, lc) = data.draw(_joinable(pairs))
+    facets, kappa = ojoin(k.facets, kc.kappa, l.facets, lc.kappa)
+    join = Complex.from_facets(facets)
+    coloring = validate_balanced(join, kappa)
+    assert coloring.a == kc.a + lc.a
+    assert join.num_faces == k.num_faces * l.num_faces
+    f, h = flag_f(join, coloring), flag_h(join, coloring)
+    fk, hk, fl, hl = flag_f(k, kc), flag_h(k, kc), flag_f(l, lc), flag_h(l, lc)
+    for b in exponents_below(kc.a):
+        for c in exponents_below(lc.a):
+            assert f[b + c] == fk[b] * fl[c] and h[b + c] == hk[b] * hl[c]
 
 
 def test_balanced_semi_eulerian_octahedron_palindrome():

@@ -86,6 +86,20 @@ def test_from_facets_rejects_bad_vertex():
         Complex.from_facets([[-2]])
 
 
+def test_ids_that_are_no_integers_are_validation_errors():
+    # ids go through operator.index: 1.5 and 1.9 are not truncated to
+    # vertex 1, and a string is not parsed
+    for bad in (1.5, 1.0, "3", None):
+        with pytest.raises(ValidationError, match=f"^vertex id must be an integer, got {re.escape(repr(bad))}$"):
+            Complex.from_facets([[bad, 2]])
+    cx = Complex.from_facets([[1, 2]])
+    with pytest.raises(ValidationError, match=r"^vertex id must be an integer, got 1\.9$"):
+        cx.face_mask((1.9,))
+    with pytest.raises(ValidationError, match="got 1.0"):
+        cx.link((1.0,))
+    assert not has_face(cx, (1.0,)) and has_face(cx, (1,))
+
+
 def test_from_facets_face_cap():
     with pytest.raises(ResourceLimitError):
         Complex.from_facets([range(1, 30)], max_faces=100)
