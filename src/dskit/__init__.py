@@ -59,7 +59,7 @@ from .homology import (
     is_homology_manifold,
     reduced_betti,
 )
-from .poly import IntPoly, MPoly
+from .poly import MPoly
 from .relations import (
     Classification,
     RelationReport,

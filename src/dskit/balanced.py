@@ -65,9 +65,9 @@ class Coloring(_FrozenRecord):
 
     __slots__ = ("kappa", "a")
 
-    def __init__(self, kappa: Mapping[int, int], a: ExponentVec):
+    def __init__(self, kappa: Mapping[int, int], a: Iterable[int]):
         object.__setattr__(self, "kappa", MappingProxyType(dict(kappa)))
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _checked_type(a))
 
     def _fields(self) -> tuple:
         return dict(self.kappa), self.a
@@ -78,6 +78,15 @@ class Coloring(_FrozenRecord):
     @property
     def m(self) -> int:
         return len(self.a)
+
+
+def _checked_type(a: Iterable[int]) -> ExponentVec:
+    """a as a tuple of ints; a ValidationError if a is not iterable or an entry no int."""
+    try:
+        entries = iter(a)
+    except TypeError:
+        raise ValidationError(f"type must be a sequence of integers, got {a!r}") from None
+    return tuple(_checked_int(x, "type entry") for x in entries)
 
 
 def b_of(face: Iterable[int], kappa: Mapping[int, int], m: int) -> ExponentVec:
@@ -160,7 +169,7 @@ def validate_balanced(
     """
     _check_color_range(cx, kappa)
     if a is not None:
-        a = tuple(_checked_int(x, "type entry") for x in a)
+        a = _checked_type(a)
         m = len(a)
     elif cx.n:
         m = max(1, *(kappa.get(v, 0) for v in cx.vertices))

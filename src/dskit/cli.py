@@ -235,7 +235,7 @@ def _hilbert(args, cx):
     else:
         series = stanley_reisner.hilbert_series(cx)
         exps = series.denominator_exponent
-        terms = [str(c) for c in series.numerator.coeffs]
+        terms = [str(c) for c in series.numerator]
 
         def render() -> str:
             return f"numerator: {' '.join(terms)}\ndenominator: (1-x)^{exps}"

@@ -27,7 +27,7 @@ from typing import Iterable
 
 from .complexes import Complex, FaceTuple, _prefix_walk, _stars
 from .errors import PreconditionError, ValidationError
-from .poly import IntPoly, _binomial_transform, _sign
+from .poly import _binomial_transform, _sign
 
 FVector = tuple[int, ...]
 HVector = tuple[int, ...]
@@ -112,10 +112,6 @@ class MultiplicityTable:
         self.rows = rows
 
     @property
-    def d(self) -> int:
-        return self.complex.d
-
-    @property
     def m_empty(self) -> int:
         return self.rows[0][0]
 
@@ -135,9 +131,9 @@ class MultiplicityTable:
             out += zip(faces, row)
         return out
 
-    def poly(self) -> IntPoly:
-        """sum over faces of m_F x^|F|, degree bound d."""
-        return IntPoly([sum(row) for row in self.rows], self.d)
+    def poly(self) -> tuple[int, ...]:
+        """sum over faces of m_F x^|F| as its d + 1 coefficients, by cardinality."""
+        return tuple(map(sum, self.rows))
 
     def reciprocity_witness(self) -> FaceTuple | None:
         """A non-empty face with m_F not in {0,1}, or None if reciprocal."""

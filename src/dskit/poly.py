@@ -1,9 +1,10 @@
 """Exact integer polynomials and the binomial change of basis.
 
-Univariate polynomials of degree <= d are dense coefficient tuples of
-length d+1, index k = coefficient of x^k (trailing zeros allowed).
-Multivariate polynomials of multidegree <= a are sparse dicts mapping
-exponent tuples b (componentwise b <= a) to integer coefficients.
+Univariate polynomials of degree <= d are plain int tuples of length d+1,
+index k = coefficient of x^k (f, h, the m_F sums by cardinality, 2Q); the
+length is part of the value. Multivariate polynomials of multidegree <= a
+are sparse dicts mapping exponent tuples b (componentwise b <= a) to
+integer coefficients, held with their bound in MPoly.
 
 Every change of basis in the library is one routine, _binomial_transform,
 on the lattice b <= a with one of two mutually inverse kernels: C(a-b, e-b)
@@ -26,7 +27,7 @@ from functools import cache
 from itertools import product
 from math import comb
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError, ValidationError
 
@@ -36,72 +37,6 @@ ExponentVec = tuple[int, ...]
 def _sign(k: int) -> int:
     """(-1)^k as an int, for any integer k."""
     return -1 if k % 2 else 1
-
-
-class IntPoly:
-    """Dense exact-integer univariate polynomial with an explicit degree bound.
-
-    Equality compares polynomial values (padding with trailing zeros is
-    irrelevant); the degree bound only fixes the storage length.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int], degree_bound: int | None = None):
-        cs = tuple(int(c) for c in coeffs)
-        if degree_bound is not None:
-            if degree_bound < 0:
-                raise ValidationError("degree bound must be >= 0")
-            if len(cs) > degree_bound + 1:
-                raise ValidationError(
-                    f"{len(cs)} coefficients exceed degree bound {degree_bound}"
-                )
-            cs = cs + (0,) * (degree_bound + 1 - len(cs))
-        elif not cs:
-            cs = (0,)
-        self.coeffs = cs
-
-    @property
-    def degree_bound(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial, -1 for the zero polynomial."""
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[k]:
-                return k
-        return -1
-
-    def _stripped(self) -> tuple[int, ...]:
-        return self.coeffs[: self.degree + 1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self._stripped() == other._stripped()
-
-    def __hash__(self) -> int:
-        return hash(self._stripped())
-
-    def __repr__(self) -> str:
-        terms = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            if k == 0:
-                terms.append(f"{c:+d}")
-            else:
-                x = "x" if k == 1 else f"x^{k}"
-                if c == 1:
-                    terms.append(f"+{x}")
-                elif c == -1:
-                    terms.append(f"-{x}")
-                else:
-                    terms.append(f"{c:+d}{x}")
-        body = "".join(terms).lstrip("+") or "0"
-        return f"IntPoly({body}, d={self.degree_bound})"
 
 
 def _binomial_transform(

@@ -46,7 +46,7 @@ from .enumeration import (
 )
 from .errors import PreconditionError, ValidationError, _Record
 from .homology import FieldSpec, is_homology_manifold
-from .poly import IntPoly, _binomial_transform, _sign, exponents_below
+from .poly import _binomial_transform, _sign, exponents_below
 
 
 def _jsonify(v):
@@ -265,7 +265,7 @@ def verify_fh_tilde(cx: Complex) -> RelationReport:
 def verify_reciprocity(cx: Complex) -> RelationReport:
     """sum_i h_i (x+1)^i x^(d-i) counts faces with multiplicity (always holds)."""
     h = h_vector(f_vector(cx))
-    msum = multiplicities(cx).poly().coeffs
+    msum = multiplicities(cx).poly()
     return _poly_report("reciprocity", cx, *_reciprocity_kernel((cx.d,), h, msum), h=h)
 
 
@@ -277,7 +277,7 @@ def verify_ds_h(cx: Complex) -> RelationReport:
     """
     f = f_vector(cx)
     h = h_vector(f)
-    msum = multiplicities(cx).poly().coeffs
+    msum = multiplicities(cx).poly()
     lhs, rhs, scalar = _ds_kernel((cx.d,), cx.d, f, h, msum)
     labels = [f"i={i}" for i in range(cx.d + 1)]
     return _poly_report(
@@ -363,18 +363,18 @@ def verify_semi_eulerian_h(cx: Complex) -> RelationReport:
 # -- Macdonald's relation (Appendix-style weaker form) --------------------
 
 
-def macdonald_two_q(f: Sequence[int], f_boundary: Sequence[int]) -> IntPoly:
+def macdonald_two_q(f: Sequence[int], f_boundary: Sequence[int]) -> tuple[int, ...]:
     """The doubled Macdonald polynomial 2Q(x) = 2*P(Delta,x) - P(boundary,x).
 
     P(.,x) alternates face counts: P = sum_k (-1)^k f_{k-1} x^k. The
-    doubling keeps every coefficient integral (Q itself has halves).
+    doubling keeps the d + 1 coefficients integral (Q itself has halves).
     """
     f = check_f_vector(f)
     d = len(f) - 1
     fb = tuple(int(x) for x in f_boundary)
     if len(fb) != d + 1 or fb[0] != 1:
         raise ValidationError("boundary f-vector must be (1, f^bd_0, ..., f^bd_{d-1})")
-    return IntPoly([_sign(k) * (2 * f[k] - fb[k]) for k in range(d + 1)], d)
+    return tuple(_sign(k) * (2 * f[k] - fb[k]) for k in range(d + 1))
 
 
 def macdonald_residuals(
@@ -385,16 +385,16 @@ def macdonald_residuals(
     cte is 0 when d-1 is odd and chi_reduced when d-1 is even.
     """
     q2 = macdonald_two_q(f, f_boundary)
-    d = q2.degree_bound
+    d = len(q2) - 1
     # P alternates, so v = 2f - f_bd, and (-1)^d Q(-x) - Q(1+x) is (-1)^d (v - S(v))
-    v = [_sign(k) * c for k, c in enumerate(q2.coeffs)]
+    v = [_sign(k) * c for k, c in enumerate(q2)]
     residuals = [_sign(d) * (vk - sk) for vk, sk in zip(v, _ds_f_kernel((d,), v))]
     residuals[0] -= 0 if (d - 1) % 2 else 2 * chi_reduced
     return tuple(f"x^{k}" for k in range(d + 1)), tuple(residuals)
 
 
-def macdonald_q(cx: Complex) -> IntPoly:
-    """Doubled Macdonald polynomial 2Q of a reciprocal complex.
+def macdonald_q(cx: Complex) -> tuple[int, ...]:
+    """Doubled Macdonald polynomial 2Q of a reciprocal complex, an int tuple.
 
     The boundary counts are the multiplicity-zero faces (which on a
     homology manifold coincide with the homological boundary).

@@ -12,9 +12,10 @@ sign-twisted 1/L evaluation) lands exactly on the face-multiplicity count
 sum_F m_F x^|F|, which the verifiers here compare with the direct
 multiplicity computation. Both verifiers are relations._reciprocity_kernel
 on the numerator, as the plain and flag reciprocity verifiers are on h,
-reported with the numerator. The single-graded numerator is the h-vector;
-its face-count reference sum_i f_{i-1} L^i (1-L)^(d-i) lives in
-tests/test_stanley_reisner.py (test_hilbert_numerator_is_h_vector).
+reported with the numerator. The single-graded numerator is the h-vector,
+an int tuple of length d + 1; its face-count reference
+sum_i f_{i-1} L^i (1-L)^(d-i) lives in tests/test_stanley_reisner.py
+(test_hilbert_numerator_is_h_vector).
 The colored numerator is the closed-form balanced.flag_h, the single
 runtime flag-h route; its reference sum_F w^b(F) (1-w)^(a-b(F)) is
 flag_h_from_expansion in tests/test_balanced.py, compared there and in
@@ -27,16 +28,17 @@ from .balanced import Coloring, _flag_sums, _mvar_report, _terms, flag_h
 from .complexes import Complex
 from .enumeration import f_vector, h_vector, multiplicities
 from .errors import _FrozenRecord
-from .poly import ExponentVec, IntPoly, MPoly
+from .poly import ExponentVec, MPoly
 from .relations import RelationReport, _poly_report, _reciprocity_kernel
 
 
 class RationalSeries(_FrozenRecord):
-    """numerator / (1-L)^e, or numerator / prod (1-w_i)^(e_i) when graded."""
+    """numerator / (1-L)^e, an int tuple on top, or an MPoly over
+    prod (1-w_i)^(e_i) when graded."""
 
     __slots__ = ("numerator", "denominator_exponent")
 
-    def __init__(self, numerator: IntPoly | MPoly, denominator_exponent: int | ExponentVec):
+    def __init__(self, numerator: tuple | MPoly, denominator_exponent: int | ExponentVec):
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator_exponent", denominator_exponent)
 
@@ -44,10 +46,10 @@ class RationalSeries(_FrozenRecord):
 def hilbert_series(cx: Complex) -> RationalSeries:
     """Hilbert series h(L)/(1-L)^d of the face ring.
 
-    The numerator is the h-vector; the cleared-denominator face-count sum
-    is its reference in tests/test_stanley_reisner.py.
+    The numerator is the h-vector, d + 1 ints; the cleared-denominator
+    face-count sum is its reference in tests/test_stanley_reisner.py.
     """
-    return RationalSeries(IntPoly(h_vector(f_vector(cx)), cx.d), cx.d)
+    return RationalSeries(h_vector(f_vector(cx)), cx.d)
 
 
 def hilbert_series_colored(cx: Complex, coloring: Coloring) -> RationalSeries:
@@ -64,12 +66,9 @@ def verify_sr_reciprocity(cx: Complex) -> RelationReport:
     that polynomial must match sum_F m_F x^|F| coefficientwise.
     """
     series = hilbert_series(cx)
-    n = series.numerator.coeffs
-    lhs, rhs = _reciprocity_kernel((cx.d,), n, multiplicities(cx).poly().coeffs)
-    return _poly_report(
-        "sr-reciprocity", cx, lhs, rhs,
-        numerator=n, denominator_exponent=series.denominator_exponent,
-    )
+    n, e = series.numerator, series.denominator_exponent
+    lhs, rhs = _reciprocity_kernel((cx.d,), n, multiplicities(cx).poly())
+    return _poly_report("sr-reciprocity", cx, lhs, rhs, numerator=n, denominator_exponent=e)
 
 
 def verify_sr_reciprocity_colored(cx: Complex, coloring: Coloring) -> RelationReport:

@@ -22,7 +22,7 @@ from dskit.balanced import b_of, flag_f
 from dskit.complexes import Complex
 from dskit.enumeration import multiplicities
 from dskit.errors import DomainError, ValidationError
-from dskit.poly import IntPoly, MPoly, exponents_below
+from dskit.poly import MPoly, exponents_below
 
 # -- polynomial oracle (plain coefficient lists) --------------------------
 
@@ -272,18 +272,13 @@ def faces_by_dim(cx: Complex):
     return [[cx.mask_vertices(m) for m in group] for group in cx.masks_by_card]
 
 
-def padded(p: IntPoly, degree_bound: int) -> IntPoly:
-    """Same polynomial stored with a (weakly) larger degree bound."""
-    assert degree_bound >= p.degree
-    return IntPoly(p.coeffs[: p.degree + 1], degree_bound)
-
-
-def specialized(p: MPoly) -> IntPoly:
-    """Substitute x_i -> x for all i, collapsing to total degree."""
+def specialized(p: MPoly) -> tuple:
+    """Substitute x_i -> x for all i, collapsing to total degree: the
+    sum(bound) + 1 coefficients, x^0 first."""
     out = [0] * (sum(p.bound) + 1)
     for b, cb in p.coeffs.items():
         out[sum(b)] += cb
-    return IntPoly(out)
+    return tuple(out)
 
 
 def flag_f_mpoly(cx: Complex, coloring) -> MPoly:
@@ -505,11 +500,33 @@ def balanced_corpus(count=40):
     return out
 
 
+def ojoin_facets(facets_k, facets_l):
+    """The join K * L of two plain facet lists, and the shift: facets F + G,
+    with L's ids shifted past K's largest id. An empty list is {emptyset},
+    whose one facet is the empty face."""
+    shift = max((v for f in facets_k for v in f), default=0)
+    joined = (
+        tuple(f) + tuple(v + shift for v in g) for f in facets_k or [()] for g in facets_l or [()]
+    )
+    return [f for f in joined if f], shift
+
+
+def joinable_pairs(pairs):
+    """Two (complex, coloring) pairs whose join has at most 6000 faces."""
+    pairs = [p for p in pairs if p[0].num_faces <= 2000]  # the smallest has 3 faces
+    return st.sampled_from(pairs).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.sampled_from([l for l in pairs if k[0].num_faces * l[0].num_faces <= 6000]),
+        )
+    )
+
+
 def ojoin(facets_k, kappa_k, facets_l, kappa_l):
     """The join K * L of two colored facet lists: facets F + G, with L's ids
     shifted past K's largest id and L's colors past K's largest color."""
-    ids, colors = max(kappa_k), max(kappa_k.values())
-    facets = [tuple(f) + tuple(v + ids for v in g) for f in facets_k for g in facets_l]
+    facets, ids = ojoin_facets(facets_k, facets_l)
+    colors = max(kappa_k.values())
     kappa = {**kappa_k, **{v + ids: c + colors for v, c in kappa_l.items()}}
     return facets, kappa
 

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -38,14 +39,18 @@ from dskit.generators import (
 )
 
 from conftest import (
+    joinable_pairs,
+    ocross_polytope_facets,
     odelta_expand,
     ofaces_of,
+    ojoin_facets,
     om_f,
     opoly_add,
     opoly_eq,
     opoly_mul,
     opoly_pow,
     opoly_scale,
+    small_facet_lists,
 )
 
 
@@ -291,7 +296,80 @@ def test_central_invariant_m_poly_is_h_delta_expansion(randoms):
     # sum_F m_F x^|F| == sum_i h_i (x+1)^i x^(d-i), for every complex
     for cx in randoms:
         h = h_vector(f_vector(cx))
-        assert opoly_eq(multiplicities(cx).poly().coeffs, odelta_expand(h))
+        assert opoly_eq(multiplicities(cx).poly(), odelta_expand(h))
+
+
+def test_m_poly_is_the_oracle_sums_by_cardinality(randoms, balanced_pairs):
+    # poly() is d + 1 plain ints, the sums of m_F over the faces of each
+    # cardinality; om_f scans every face per face, so the balanced corpus
+    # runs up to 500 faces (all but its two largest subdivisions)
+    small = [cx for _, cx, _ in balanced_pairs if cx.num_faces <= 500]
+    for cx in randoms + small:
+        faces = ofaces_of(cx)
+        sums = [0] * (cx.d + 1)
+        for face in faces:
+            sums[len(face)] += om_f(faces, face, cx.d)
+        assert multiplicities(cx).poly() == tuple(sums)
+
+
+def _joins(balanced_pairs):
+    """(K, L, shift, facets of K * L) for two small facet lists or the
+    facets of two balanced corpus members; L's vertex v is v + shift in
+    K * L."""
+
+    def join(lists):
+        facets, shift = ojoin_facets(*lists)
+        return (*map(Complex.from_facets, lists), shift, facets)
+
+    pairs = [(cx, coloring) for _, cx, coloring in balanced_pairs]
+    corpus = joinable_pairs(pairs).map(lambda kl: (kl[0][0].facets, kl[1][0].facets))
+    return (st.tuples(small_facet_lists(), small_facet_lists()) | corpus).map(join)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_h_of_a_join_is_the_product(balanced_pairs, data):
+    # d(K * L) = d(K) + d(L) and f(K * L) = f(K) f(L) as polynomials, so
+    # h(K * L) = h(K) h(L), with no coefficient dropped
+    k, l, _, facets = data.draw(_joins(balanced_pairs))
+    h = h_vector(f_vector(Complex.from_facets(facets)))
+    hk, hl = h_vector(f_vector(k)), h_vector(f_vector(l))
+    assert len(h) == len(hk) + len(hl) - 1
+    assert opoly_eq(h, opoly_mul(hk, hl))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_multiplicities_of_a_join_multiply(balanced_pairs, data):
+    # the faces of K * L above F + G are the A + B with A above F and B above
+    # G, so m_(F+G)(K * L) = m_F(K) m_G(L), the empty faces included, and
+    # the m_F sums by cardinality multiply as polynomials
+    k, l, shift, facets = data.draw(_joins(balanced_pairs))
+    join = multiplicities(Complex.from_facets(facets))
+    tk, tl = multiplicities(k), multiplicities(l)
+    assert join.complex.num_faces == k.num_faces * l.num_faces
+    for f, mf in tk.items():
+        for g, mg in tl.items():
+            assert join.m(f + tuple(v + shift for v in g)) == mf * mg
+    assert len(join.poly()) == len(tk.poly()) + len(tl.poly()) - 1
+    assert opoly_eq(join.poly(), opoly_mul(tk.poly(), tl.poly()))
+
+
+def test_join_of_cross_polytopes_is_a_cross_polytope():
+    # cp5 * cp4 is cp9 (19683 faces): h_i = C(9, i), every m_F is 1, and
+    # the m_F sums are f_(k-1) = 2^k C(9, k)
+    cp5, cp4 = ocross_polytope_facets(5), ocross_polytope_facets(4)
+    facets, _ = ojoin_facets(cp5, cp4)
+    assert sorted(facets) == sorted(ocross_polytope_facets(9))
+    cx = Complex.from_facets(facets)
+    k, l = Complex.from_facets(cp5), Complex.from_facets(cp4)
+    h = h_vector(f_vector(cx))
+    assert h == tuple(comb(9, i) for i in range(10))
+    assert list(h) == opoly_mul(h_vector(f_vector(k)), h_vector(f_vector(l)))
+    table = multiplicities(cx)
+    assert all(m == 1 for row in table.rows for m in row)
+    assert table.poly() == tuple(2**i * comb(9, i) for i in range(10))
+    assert list(table.poly()) == opoly_mul(multiplicities(k).poly(), multiplicities(l).poly())
 
 
 def test_epsilon_values():

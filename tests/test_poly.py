@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from dskit.enumeration import h_to_f, h_vector
 from dskit.errors import DomainError
-from dskit.poly import IntPoly, MPoly, _binomial_transform, exponents_below
+from dskit.poly import MPoly, _binomial_transform, exponents_below
 
 from conftest import (
     mcomb,
@@ -189,11 +189,6 @@ def test_multivariate_delta_elements_match_oracle():
         for b in exponents_below(a):
             got = _binomial_transform(_listed({b: 1}, a), a)
             assert _nonzero(got, a) == omdelta_element(b, a)
-
-
-def test_intpoly_equality_ignores_padding():
-    assert IntPoly([1, 2, 0, 0]) == IntPoly([1, 2])
-    assert IntPoly([0]) == IntPoly([], 5)
 
 
 # -- the per-index sums that the lattice transform replaced ------------------

@@ -63,7 +63,6 @@ PUBLIC_NAMES = {
     "is_homology_manifold",
     "reduced_betti",
     # poly
-    "IntPoly",
     "MPoly",
     # relations
     "Classification",

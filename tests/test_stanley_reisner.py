@@ -8,7 +8,7 @@ from dskit.generators import (
     cross_polytope_boundary,
     glued_triangles,
 )
-from dskit.poly import IntPoly, MPoly
+from dskit.poly import MPoly
 from dskit.relations import verify_reciprocity
 from dskit.stanley_reisner import (
     hilbert_series,
@@ -30,20 +30,21 @@ def _numerator_from_faces(f: tuple[int, ...]) -> list[int]:
 
 
 def test_hilbert_series_single_vertex():
+    # the numerator keeps its d + 1 entries: h = (1, 0), not (1,)
     s = hilbert_series(Complex.from_facets([[1]]))
-    assert s.numerator == IntPoly([1])
+    assert s.numerator == (1, 0)
     assert s.denominator_exponent == 1
 
 
 def test_hilbert_series_octahedron():
     s = hilbert_series(cross_polytope_boundary(3).complex)
-    assert s.numerator == IntPoly([1, 3, 3, 1])
+    assert s.numerator == (1, 3, 3, 1)
     assert s.denominator_exponent == 3
 
 
 def test_hilbert_series_empty_complex():
     s = hilbert_series(Complex.from_facets([]))
-    assert s.numerator == IntPoly([1])
+    assert s.numerator == (1,)
     assert s.denominator_exponent == 0
 
 
@@ -51,8 +52,9 @@ def test_hilbert_numerator_is_h_vector(suite, randoms):
     # reference route: clear the denominator of sum_F L^|F| / (1-L)^|F|
     for cx in [made.complex for _, made in suite] + randoms:
         s = hilbert_series(cx)
-        assert tuple(s.numerator.coeffs) == h_vector(f_vector(cx))
-        assert list(s.numerator.coeffs) == _numerator_from_faces(f_vector(cx))
+        assert s.numerator == h_vector(f_vector(cx))
+        assert len(s.numerator) == cx.d + 1
+        assert list(s.numerator) == _numerator_from_faces(f_vector(cx))
         assert s.denominator_exponent == cx.d
 
 
