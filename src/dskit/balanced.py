@@ -1,15 +1,17 @@
 """Balanced complexes: colorings, flag f/h vectors, multivariate identities.
 
 A coloring kappa assigns each vertex a color in 1..m; the complex is
-balanced of type a when every facet has exactly a_i vertices of color i
-(hence |a| = d and the complex is pure). For a face F, b(F) counts its
-vertices per color; flag vectors refine face counts by b(F).
-A coloring is checked and counted in one place: _color_masks builds one
-vertex mask per color, rejecting a vertex without an integer color, and
-every facet's count of a color is its mask ANDed with the facet's.
-validate_balanced reads those counts, and words a rejection from them at
-the lexicographically first facet that breaks the type; the face walk
-reads them to reject a facet above the type. The Coloring that
+balanced of type a when every facet has at most a_i vertices of color i
+and |a| = d, the size of its largest facet. On a pure complex every facet
+then has exactly a_i vertices of color i (Stanley's notion); a non-pure
+complex can be balanced too, and under one color every complex with a
+vertex is balanced of type (d,). For a face F, b(F) counts its vertices
+per color; flag vectors refine face counts by b(F).
+Balance is decided in one place, _balanced_type, which validate_balanced
+and the face walk both call: _color_masks builds one vertex mask per
+color, rejecting a vertex without an integer color, and every facet's
+count of a color is its mask ANDed with the facet's. A type that is not
+given is each color's largest count over the facets. The Coloring that
 validate_balanced returns keeps kappa read-only.
 
 Every flag object needs only two numbers per color-count vector b: f_b and
@@ -141,53 +143,55 @@ def _color_masks(cx: Complex, kappa: Mapping[int, int], m: int) -> tuple[list[in
     return masks, outside
 
 
-def _facet_counts(cx: Complex, masks: list[int]) -> list[list[int]]:
-    """Per color mask, the number of its vertices in each facet, in facet_masks order."""
-    return [list(map(int.bit_count, map(cm.__and__, cx.facet_masks))) for cm in masks]
-
-
-def _outside(cx: Complex, kappa: Mapping[int, int], outside: int, m: int) -> ValidationError:
-    """The rejection of the lowest vertex of the mask outside."""
-    v = cx.labels[(outside & -outside).bit_length() - 1]
-    return ValidationError(f"vertex {v} has color {kappa[v]} outside 1..{m}")
+def _balanced_type(
+    cx: Complex, kappa: Mapping[int, int], masks: list[int], outside: int, a: ExponentVec | None
+) -> ExponentVec:
+    """The type of the coloring with these color masks: a, or each color's
+    largest count over the facets if a is None. outside masks the vertices
+    colored outside 1..m. Rejects the lowest of them, then the
+    lexicographically first facet above a, then |a| != d: flag reciprocity
+    needs |a| = d mod 2, and |a| < d leaves a facet above a."""
+    if outside:
+        v = cx.labels[(outside & -outside).bit_length() - 1]
+        raise ValidationError(f"vertex {v} has color {kappa[v]} outside 1..{len(masks)}")
+    # per color, the number of its vertices in each facet, and the largest
+    counts = [list(map(int.bit_count, map(cm.__and__, cx.facet_masks))) for cm in masks]
+    largest = tuple(max(c, default=0) for c in counts)
+    a = largest if a is None else a
+    if any(map(int.__gt__, largest, a)):
+        facet, bf = min(
+            (cx.mask_vertices(g), bf)
+            for g, bf in zip(cx.facet_masks, zip(*counts))
+            if any(map(int.__gt__, bf, a))
+        )
+        raise ValidationError(f"facet {facet} has color counts {bf}, above type {a}")
+    if sum(a) != cx.d:
+        raise ValidationError(f"type {a} sums to {sum(a)}, not to d={cx.d}")
+    return a
 
 
 def validate_balanced(
     cx: Complex, kappa: Mapping[int, int], a: Iterable[int] | None = None
 ) -> Coloring:
-    """Check that every facet has exactly a_i vertices of color i.
+    """Check that kappa makes cx balanced of type a: every facet has at most
+    a_i vertices of color i, and |a| = d.
 
-    When a is omitted it is inferred from the lexicographically first
-    facet and then validated globally; its length is then the largest
-    color, at least 1. No vertex color may exceed the vertex count.
-
-    The facets' colors are counted from one mask per color. When no
-    vertex is colored outside 1..m and every facet has the same counts,
-    and they are a if a is given, they are the type. Otherwise the
-    rejection names the lexicographically first facet that has such a
-    vertex, or other counts than a (or than the first facet's).
+    When a is omitted it is each color's largest count over the facets,
+    over the colors 1..m, m the largest color (at least 1); no vertex
+    color may then exceed the vertex count, since count vectors are sized
+    by m. A given a must fit every facet and sum to d itself. The check is
+    _balanced_type's, the one the flag face walk makes.
     """
-    _check_color_range(cx, kappa)
     if a is not None:
         a = _checked_type(a)
         m = len(a)
     elif cx.n:
+        _check_color_range(cx, kappa)
         m = max(1, *(kappa.get(v, 0) for v in cx.vertices))
     else:
         raise ValidationError("cannot infer a type vector without vertices")
     masks, outside = _color_masks(cx, kappa, m)
-    counts = _facet_counts(cx, masks)
-    shared = tuple(c[0] for c in counts)
-    if not outside and a in (None, shared) and all(c.count(c[0]) == len(c) for c in counts):
-        return Coloring(kappa, shared)
-    for facet, g in sorted((cx.mask_vertices(g), g) for g in cx.facet_masks):
-        if g & outside:
-            raise _outside(cx, kappa, g & outside, m)
-        bf = tuple((g & cm).bit_count() for cm in masks)
-        if a is None:
-            a = bf
-        elif bf != a:
-            raise ValidationError(f"facet {facet} has color counts {bf}, expected type {a}")
+    return Coloring(kappa, _balanced_type(cx, kappa, masks, outside, a))
 
 
 def _flag_counts(cx: Complex, coloring: Coloring) -> tuple:
@@ -196,18 +200,18 @@ def _flag_counts(cx: Complex, coloring: Coloring) -> tuple:
     Lists in exponents_below(a) order. The walk adds up the m_F rows that
     the complex keeps, if any; otherwise msum is None, and _flag_sums,
     which sweeps the rows first, always has it. The vertex colors are
-    checked on every call, as the color masks are built. The walk runs
-    once per complex and coloring and is kept on the complex, keyed by a,
-    the color masks over the complex's own vertices and whether it added
-    up rows. Callers must not change the lists.
+    checked on every call, as the color masks are built, and the balance
+    before the walk. The walk runs once per complex and coloring and is
+    kept on the complex, keyed by a, the color masks over the complex's own
+    vertices and whether it added up rows. Callers must not change the lists.
     """
-    a = coloring.a
-    masks, outside = _color_masks(cx, coloring.kappa, len(a))
-    if outside:
-        raise _outside(cx, coloring.kappa, outside, len(a))
+    a, kappa = coloring.a, coloring.kappa
+    masks, outside = _color_masks(cx, kappa, len(a))
     rows = _kept_rows(cx)
     key = ("flag counts", tuple(masks), a, rows is not None)
-    return cx._derive(key, lambda cx: _face_walk(cx, masks, a, rows))
+    return cx._derive(
+        key, lambda cx: _face_walk(cx, masks, _balanced_type(cx, kappa, masks, outside, a), rows)
+    )
 
 
 def _flag_sums(cx: Complex, coloring: Coloring) -> tuple:
@@ -226,16 +230,9 @@ def _face_walk(cx: Complex, masks: list[int], a: ExponentVec, rows) -> tuple:
 
     b is walked as its place in exponents_below(a), digits b_i in radix
     a_i + 1: the place of F is the sum of its vertices' color place values,
-    added up by the prefix walk. A facet with more vertices of a color than
-    a allows would carry, and is rejected, and so is a type a whose sum is
-    not d.
+    added up by the prefix walk. a must be the coloring's balanced type, so
+    that no facet carries a digit.
     """
-    for g, bf in zip(cx.facet_masks, zip(*_facet_counts(cx, masks))):
-        if any(map(int.__gt__, bf, a)):
-            raise ValidationError(f"facet {cx.mask_vertices(g)} has color counts {bf}, above type {a}")
-    if sum(a) != cx.d:
-        # flag reciprocity needs |a| = d mod 2; |a| < d leaves a facet above the type
-        raise ValidationError(f"type {a} sums to {sum(a)}, not to d={cx.d}")
     # a link keeps its parent's labels, so its vertex bits can have gaps
     values, place = [0] * len(cx.labels), 1
     for cm, x in zip(reversed(masks), reversed(a)):

@@ -15,6 +15,7 @@ Families:
     double-banana-minus-triangle  the above minus the facet {2,4,6}
     barycentric-subdivision     of a given complex; new vertices are the
                                 old non-empty faces, colored by cardinality
+                                (balanced of type (1,...,1) on every base)
     random seed n density       seeded facets of mixed sizes (non-pure)
 
 random() only consumes Random.random()/randrange(), so a fixed seed gives
@@ -199,9 +200,10 @@ def barycentric_subdivision(cx: Complex, max_faces: int | None = None) -> Genera
     """Barycentric subdivision: vertices are old faces, facets are chains.
 
     New vertex ids follow cardinality-then-mask order of the old faces.
-    When the input is pure the cardinality coloring makes the result
-    completely balanced of type (1,...,1); for non-pure input the complex
-    is returned uncolored.
+    The cardinality coloring makes the result balanced of type (1,...,1),
+    d ones, on every base: a chain has at most one face of each size, and
+    a facet of the base's largest size ends a chain of d faces. On a pure
+    base every facet has one vertex of each color.
     """
     # one facet per maximal chain: |G|! of them end at each facet G. The
     # faces are the empty face and the chains, and each chain ends at one
@@ -220,8 +222,6 @@ def barycentric_subdivision(cx: Complex, max_faces: int | None = None) -> Genera
         for order in permutations(_vertex_bits(g))
     ]
     sd = Complex.from_facets(facets, cap)
-    if not cx.is_pure():
-        return Generated(sd, None)
     kappa = {vid[m]: m.bit_count() for m in old_faces}
     return Generated(sd, validate_balanced(sd, kappa, a=(1,) * cx.d))
 

@@ -296,16 +296,19 @@ def multiplicity_mpoly(cx: Complex, coloring) -> MPoly:
 def ovalidated_type(cx: Complex, kappa, a=None):
     """The type validate_balanced returns, by b_of on every sorted facet tuple.
 
-    The route validate_balanced took before it counted colors by masks, with
-    its checks and messages in the same order. An inferred type has at least
-    one color, so colors all below 1 name a vertex outside 1..1.
+    The general notion: every facet has at most a_i vertices of color i,
+    and |a| is the largest facet size; an omitted a is each color's largest
+    count over the facets. The checks and messages come in validate_balanced's
+    order. An inferred type has at least one color, so colors all below 1
+    name a vertex outside 1..1.
     """
-    for v in cx.vertices:
-        color = kappa.get(v)
-        if color is not None and color > cx.n:
-            raise ValidationError(
-                f"vertex {v} has color {color}, above the vertex count {cx.n}"
-            )
+    if a is None:
+        for v in cx.vertices:
+            color = kappa.get(v)
+            if color is not None and color > cx.n:
+                raise ValidationError(
+                    f"vertex {v} has color {color}, above the vertex count {cx.n}"
+                )
     for v in cx.vertices:
         if v not in kappa:
             raise ValidationError(f"vertex {v} has no color")
@@ -316,11 +319,18 @@ def ovalidated_type(cx: Complex, kappa, a=None):
         if not cx.vertices:
             raise ValidationError("cannot infer a type vector without vertices")
         m = max(1, max(kappa[v] for v in cx.vertices))
-        a = b_of(cx.facets[0], kappa, m)
-    for facet in cx.facets:
-        bf = b_of(facet, kappa, m)
-        if bf != a:
-            raise ValidationError(f"facet {facet} has color counts {bf}, expected type {a}")
+    for v in cx.vertices:
+        if not 1 <= kappa[v] <= m:
+            raise ValidationError(f"vertex {v} has color {kappa[v]} outside 1..{m}")
+    counts = [b_of(facet, kappa, m) for facet in cx.facets]
+    if a is None:
+        a = tuple(max(bf[i] for bf in counts) for i in range(m))
+    for facet, bf in zip(cx.facets, counts):
+        if any(x > y for x, y in zip(bf, a)):
+            raise ValidationError(f"facet {facet} has color counts {bf}, above type {a}")
+    d = max(map(len, cx.facets), default=0)
+    if sum(a) != d:
+        raise ValidationError(f"type {a} sums to {sum(a)}, not to d={d}")
     return a
 
 
@@ -520,6 +530,20 @@ def joinable_pairs(pairs):
             st.sampled_from([l for l in pairs if k[0].num_faces * l[0].num_faces <= 6000]),
         )
     )
+
+
+def join_draws(balanced_pairs):
+    """(K, L, shift, facets of K * L) for two small facet lists or the
+    facets of two balanced corpus members; L's vertex v is v + shift in
+    K * L."""
+
+    def join(lists):
+        facets, shift = ojoin_facets(*lists)
+        return (*map(Complex.from_facets, lists), shift, facets)
+
+    pairs = [(cx, coloring) for _, cx, coloring in balanced_pairs]
+    corpus = joinable_pairs(pairs).map(lambda kl: (kl[0][0].facets, kl[1][0].facets))
+    return (st.tuples(small_facet_lists(), small_facet_lists()) | corpus).map(join)
 
 
 def ojoin(facets_k, kappa_k, facets_l, kappa_l):

@@ -52,6 +52,7 @@ from conftest import (
     joinable_pairs,
     ojoin,
     ovalidated_type,
+    small_facet_lists,
     specialized,
 )
 
@@ -152,10 +153,17 @@ def test_hand_built_coloring_keeps_its_type_as_a_tuple():
 
 
 def test_validate_rejects_impure_type():
-    # non-pure complex: the two facets force different color counts
+    # a non-pure complex is balanced when its facets' largest color counts
+    # sum to d: the edge {1, 2} and the point {3} under two colors are of
+    # type (1, 1), as the flag walk has them. A type whose largest counts
+    # sum past d is rejected, as is a type given that sums to less
     cx = Complex.from_facets([[1, 2], [3]])
-    with pytest.raises(ValidationError):
-        validate_balanced(cx, {1: 1, 2: 2, 3: 1})
+    assert validate_balanced(cx, {1: 1, 2: 2, 3: 1}).a == (1, 1)
+    assert validate_balanced(cx, {1: 1, 2: 2, 3: 2}, a=(1, 1)).a == (1, 1)
+    with pytest.raises(ValidationError, match=r"^type \(2, 1\) sums to 3, not to d=2$"):
+        validate_balanced(cx, {1: 1, 2: 1, 3: 2})
+    with pytest.raises(ValidationError, match=r"^facet \(1, 2\) has color counts \(1, 1\), above type \(1, 0\)$"):
+        validate_balanced(cx, {1: 1, 2: 2, 3: 1}, a=(1, 0))
 
 
 def _outcome(check, cx, kappa, a):
@@ -194,6 +202,42 @@ def test_validate_balanced_matches_the_per_facet_route(balanced_pairs, data):
         assert got == want
 
 
+def _flag_f_of(cx, kappa, a):
+    return flag_f(cx, Coloring(kappa, a))
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_facet_lists().filter(bool), st.data())
+def test_validate_and_the_flag_walk_accept_the_same_colorings(facets, data):
+    # balance is decided in one place: on any complex, non-pure included,
+    # validate_balanced and the flag face walk accept and reject the same
+    # coloring and type with the same message, and the flag identities hold
+    # on every coloring they accept
+    cx = Complex.from_facets(facets)
+    colors = data.draw(st.integers(2, 4))
+    kappa = {v: data.draw(st.integers(1, colors)) for v in cx.vertices}
+    if data.draw(st.integers(0, 9)) == 0:
+        kappa[data.draw(st.sampled_from(cx.vertices))] = data.draw(st.sampled_from([0, colors + 1]))
+    m = max(1, *kappa.values())
+    largest = tuple(max(sum(kappa[v] == c for v in f) for f in cx.facets) for c in range(1, m + 1))
+    inferred = _outcome(validate_balanced, cx, kappa, None)
+    oracle = _outcome(ovalidated_type, cx, kappa, None)
+    if isinstance(inferred, Coloring):
+        assert inferred.a == oracle == largest
+    else:
+        assert inferred == oracle
+    a = data.draw(st.just(largest) | st.lists(st.integers(0, 3), max_size=colors + 1).map(tuple))
+    got = _outcome(validate_balanced, cx, kappa, a)
+    walked = _outcome(_flag_f_of, cx, kappa, a)
+    if isinstance(got, Coloring):
+        assert got.a == a == ovalidated_type(cx, kappa, a)
+        assert isinstance(walked, dict)
+        for verify in (verify_flag_fh_tilde, verify_flag_reciprocity, verify_balanced_ds):
+            assert verify(cx, got).holds
+    else:
+        assert walked == got == _outcome(ovalidated_type, cx, kappa, a)
+
+
 def test_validate_names_an_uncolored_vertex():
     cx = Complex.from_facets([[1, 2], [2, 3]])
     with pytest.raises(ValidationError, match="^vertex 2 has no color$"):
@@ -209,13 +253,19 @@ def test_validate_rejects_a_color_above_m_that_the_masks_miss():
         validate_balanced(cx, kappa, a=(1, 1))
 
 
-def test_validate_infers_the_type_from_the_lexicographically_first_facet():
-    # (1, 4) comes first as a tuple, (2, 3) first as a mask
+def test_validate_infers_the_type_from_the_largest_counts():
+    # the inferred type is each color's largest count over the facets, and
+    # a rejection names the first facet as a tuple: (1, 4) comes first as a
+    # tuple, (2, 3) first as a mask
     cx = Complex.from_facets([[1, 4], [2, 3]])
     kappa = {1: 1, 2: 1, 3: 2, 4: 1}
-    message = r"^facet \(2, 3\) has color counts \(1, 1\), expected type \(2, 0\)$"
-    with pytest.raises(ValidationError, match=message):
+    with pytest.raises(ValidationError, match=r"^type \(2, 1\) sums to 3, not to d=2$"):
         validate_balanced(cx, kappa)
+    message = r"^facet \(1, 4\) has color counts \(2, 0\), above type \(1, 1\)$"
+    for check in (validate_balanced, _flag_f_of):
+        with pytest.raises(ValidationError, match=message):
+            check(cx, {v: 1 for v in cx.vertices}, (1, 1))
+    assert validate_balanced(cx, {1: 1, 2: 1, 3: 2, 4: 2}).a == (1, 1)
 
 
 def test_colors_and_types_that_are_no_integers_are_validation_errors():
@@ -736,12 +786,13 @@ def _assert_plain_is_flag_at_one_color(plain, flag, d, sign=1):
 
 def test_balanced_ds_single_color_reduces_to_univariate(suite, randoms):
     # one color, a = (d,) and b(F) = |F|: every plain identity is its flag
-    # identity, side by side and residual by residual
-    pure = [made.complex for _, made in suite] + list(randoms)
-    pure = [cx for cx in pure if cx.d >= 1 and cx.is_pure()]
-    assert len(pure) >= 90
+    # identity, side by side and residual by residual, on every complex with
+    # a vertex, pure or not
+    complexes = [made.complex for _, made in suite] + list(randoms)
+    complexes = [cx for cx in complexes if cx.d >= 1]
+    assert len(complexes) >= 140 and sum(not cx.is_pure() for cx in complexes) >= 40
     semi_eulerian = 0
-    for cx in pure:
+    for cx in complexes:
         d = cx.d
         coloring = validate_balanced(cx, {v: 1 for v in cx.vertices})
         assert coloring.a == (d,)

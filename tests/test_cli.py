@@ -1,12 +1,18 @@
 """CLI subcommands, exit codes, JSON schemas and composition."""
 
 import argparse
+import contextlib
 import errno
 import io
 import json
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dskit.cli import _build_parser, main
 from dskit.complexes import parse_cplx, write_cplx
@@ -421,6 +427,18 @@ def test_gen_colors_out_requires_canonical_coloring(capsys, tmp_path):
         assert not cplx.exists() and not colors.exists()
 
 
+def test_gen_colors_out_on_a_non_pure_base(capsys, tmp_path):
+    # the subdivision of a triangle and an edge is colored by cardinality,
+    # balanced of type (1, 1, 1), and flag reads that coloring back
+    base, sd, colors = tmp_path / "base.cplx", tmp_path / "sd.cplx", tmp_path / "sd.colors"
+    base.write_text("1 2 3\n4 5\n")
+    argv = ["gen", "barycentric-subdivision", str(base), "-o", str(sd), "--colors-out", str(colors)]
+    assert run_cli(capsys, argv) == (0, "", "")
+    code, out, err = run_cli(capsys, ["flag", str(sd), "--colors", str(colors), "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["a"] == [1, 1, 1]
+
+
 def test_batch(capsys, tmp_path):
     run_cli(capsys, ["gen", "cross-polytope-boundary", "3", "-o", str(tmp_path / "a.cplx")])
     run_cli(capsys, ["gen", "glued-triangles", "3", "-o", str(tmp_path / "b.cplx")])
@@ -711,3 +729,66 @@ def test_multiplicities_output_costs_no_memory_beyond_the_sweep(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks["multiplicities"] <= 2 * peaks["verify"], peaks
+
+
+# -- input fuzz ------------------------------------------------------------
+
+_TOKENS = ["1", "2", "3", "4", "5", "6", "0", "-1", "+2", "07", "1.5", "x", "#", "\u0663", "1_0",
+           str(10**20), "9" * 5000, "\x00", "\ufeff1", "1 2"]
+
+
+def _lines(rows):
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows).encode()
+
+
+# arbitrary bytes, or lines of tokens some valid and some not, beside
+# well-formed complexes on 1..9 (up to 256 faces against the cap of 200)
+# and colorings of all of 1..9 in up to 4 colors
+_FUZZ_JUNK = st.binary(max_size=40) | st.lists(
+    st.lists(st.sampled_from(_TOKENS), max_size=5), max_size=6
+).map(_lines)
+_FUZZ_CPLX = _FUZZ_JUNK | st.lists(
+    st.sets(st.integers(1, 9), min_size=1, max_size=8).map(sorted), max_size=6
+).map(_lines)
+_FUZZ_COLORS = _FUZZ_JUNK | st.lists(st.integers(1, 4), min_size=9, max_size=9).map(
+    lambda colors: _lines(enumerate(colors, 1))
+)
+_FUZZ_FIELDS = st.text(max_size=6) | st.sampled_from(
+    ["q", "Q", "2", "3", "5", "7", "4", "0", "1", "-3", " 5", "\u0663", "0x3", "2147483647",
+     str(2**61 - 1), str(2**127 - 1), "9" * 50]
+)
+_FUZZ_COMMANDS = ["f-vector", "verify", "multiplicities", "classify", "betti", "flag", "hilbert"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(_FUZZ_COMMANDS),
+    cplx=_FUZZ_CPLX,
+    colors=_FUZZ_COLORS,
+    field=_FUZZ_FIELDS,
+    json_out=st.booleans(),
+    colored=st.booleans(),
+)
+def test_cli_survives_arbitrary_input(command, cplx, colors, field, json_out, colored):
+    # any .cplx and .colors bytes and any --field string end in a
+    # documented exit code, never a traceback, and a nonzero code comes
+    # with a "dskit: " line on stderr
+    with tempfile.TemporaryDirectory() as tmp:
+        cplx_path, colors_path = Path(tmp) / "in.cplx", Path(tmp) / "in.colors"
+        cplx_path.write_bytes(cplx)
+        colors_path.write_bytes(colors)
+        argv = [command, str(cplx_path), "--max-faces", "200"]
+        if command in ("classify", "betti"):
+            argv.append(f"--field={field}")
+        if command == "flag" or (command == "hilbert" and colored):
+            argv += ["--colors", str(colors_path)]
+        if json_out:
+            argv.append("--json")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3, 4), (argv, err)
+    assert "Traceback" not in err
+    if code:
+        assert any(line.startswith("dskit: ") for line in err.splitlines()), (argv, code, err)

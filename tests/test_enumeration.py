@@ -39,7 +39,7 @@ from dskit.generators import (
 )
 
 from conftest import (
-    joinable_pairs,
+    join_draws,
     ocross_polytope_facets,
     odelta_expand,
     ofaces_of,
@@ -50,7 +50,6 @@ from conftest import (
     opoly_mul,
     opoly_pow,
     opoly_scale,
-    small_facet_lists,
 )
 
 
@@ -312,26 +311,12 @@ def test_m_poly_is_the_oracle_sums_by_cardinality(randoms, balanced_pairs):
         assert multiplicities(cx).poly() == tuple(sums)
 
 
-def _joins(balanced_pairs):
-    """(K, L, shift, facets of K * L) for two small facet lists or the
-    facets of two balanced corpus members; L's vertex v is v + shift in
-    K * L."""
-
-    def join(lists):
-        facets, shift = ojoin_facets(*lists)
-        return (*map(Complex.from_facets, lists), shift, facets)
-
-    pairs = [(cx, coloring) for _, cx, coloring in balanced_pairs]
-    corpus = joinable_pairs(pairs).map(lambda kl: (kl[0][0].facets, kl[1][0].facets))
-    return (st.tuples(small_facet_lists(), small_facet_lists()) | corpus).map(join)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_h_of_a_join_is_the_product(balanced_pairs, data):
     # d(K * L) = d(K) + d(L) and f(K * L) = f(K) f(L) as polynomials, so
     # h(K * L) = h(K) h(L), with no coefficient dropped
-    k, l, _, facets = data.draw(_joins(balanced_pairs))
+    k, l, _, facets = data.draw(join_draws(balanced_pairs))
     h = h_vector(f_vector(Complex.from_facets(facets)))
     hk, hl = h_vector(f_vector(k)), h_vector(f_vector(l))
     assert len(h) == len(hk) + len(hl) - 1
@@ -344,7 +329,7 @@ def test_multiplicities_of_a_join_multiply(balanced_pairs, data):
     # the faces of K * L above F + G are the A + B with A above F and B above
     # G, so m_(F+G)(K * L) = m_F(K) m_G(L), the empty faces included, and
     # the m_F sums by cardinality multiply as polynomials
-    k, l, shift, facets = data.draw(_joins(balanced_pairs))
+    k, l, shift, facets = data.draw(join_draws(balanced_pairs))
     join = multiplicities(Complex.from_facets(facets))
     tk, tl = multiplicities(k), multiplicities(l)
     assert join.complex.num_faces == k.num_faces * l.num_faces

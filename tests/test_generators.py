@@ -93,12 +93,15 @@ def test_barycentric_subdivision_of_empty_and_point():
     assert f_vector(made.complex) == (1, 1)
 
 
-def test_barycentric_subdivision_nonpure_uncolored():
-    made = barycentric_subdivision(Complex.from_facets([[1, 2, 3], [4, 5]]))
-    assert made.coloring is None
-    assert reduced_euler(made.complex) == reduced_euler(
-        Complex.from_facets([[1, 2, 3], [4, 5]])
-    )
+def test_barycentric_subdivision_nonpure_is_colored():
+    # the cardinality coloring is balanced of type (1, ..., 1) on every
+    # base: the edge's chains take colors 1 and 2 only
+    base = Complex.from_facets([[1, 2, 3], [4, 5]])
+    made = barycentric_subdivision(base)
+    assert made.coloring.a == (1, 1, 1)
+    assert validate_balanced(made.complex, made.coloring.kappa).a == (1, 1, 1)
+    assert sorted(map(len, made.complex.facets)) == [2, 2] + [3] * 6
+    assert reduced_euler(made.complex) == reduced_euler(base)
 
 
 def test_random_complex_determinism():

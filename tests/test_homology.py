@@ -4,6 +4,7 @@ import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dskit.complexes import Complex, parse_cplx, write_cplx
 from dskit.enumeration import f_vector, interior_f_vector, multiplicities, reduced_euler
@@ -29,10 +30,13 @@ from dskit.homology import (
 
 from conftest import (
     RP2_FACETS,
+    TORUS7_FACETS,
     irregular_spheres,
+    join_draws,
     obetti,
     ocolumns,
     ofaces_of,
+    ojoin_facets,
     opivot_rows,
     orank,
     orank_mod,
@@ -666,3 +670,52 @@ def test_link_scan_matches_the_definition_on_small_complexes(facets):
                 ball = [m for m, b in want.items() if cx.d - m.bit_count() >= len(b)
                         or b[cx.d - m.bit_count()] == 0]
                 assert boundary_faces_homological(cx, field) == ((),) + tuple(map(cx.mask_vertices, ball))
+
+
+def _join_law(bk, bl):
+    """The reduced Betti numbers of K * L, from dimension -1 up, by the join
+    law beta_(k+1)(K * L) = sum_(i+j=k) beta_i(K) beta_j(L) over a field:
+    place p holds dimension p - 1, so it sums the products at places s + t = p."""
+    out = [0] * (len(bk) + len(bl) - 1)
+    for s, x in enumerate(bk):
+        for t, y in enumerate(bl):
+            out[s + t] += x * y
+    return tuple(out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_betti_numbers_of_a_join_follow_the_join_law(balanced_pairs, data):
+    k, l, _, facets = data.draw(join_draws(balanced_pairs))
+    join = Complex.from_facets(facets)
+    for field in (FieldSpec(0), FieldSpec(2)):
+        betti = reduced_betti(join, field).betti
+        assert betti == _join_law(reduced_betti(k, field).betti, reduced_betti(l, field).betti)
+
+
+def test_join_law_on_spheres_and_projective_planes():
+    # S^0 * S^0 is a circle. RP^2 has beta_1 = beta_2 = 1 over GF(2), so
+    # RP^2 * RP^2 has beta_3 = 1, beta_4 = 2 and beta_5 = 1 there; over Q
+    # it is acyclic, as RP^2 is
+    s0 = [[1], [2]]
+    circle, _ = ojoin_facets(s0, s0)
+    assert reduced_betti(Complex.from_facets(circle)).betti == (0, 0, 1)
+    facets, _ = ojoin_facets(RP2_FACETS, RP2_FACETS)
+    cx = Complex.from_facets(facets)
+    assert reduced_betti(cx, FieldSpec(2)).betti == (0, 0, 0, 0, 1, 2, 1)
+    assert reduced_betti(cx).betti == (0,) * 7
+
+
+def test_suspended_torus_is_no_homology_manifold():
+    # the suspension of the 7-vertex torus is the join with S^0, apexes 8
+    # and 9: a vertex of the torus has a circle for its link there, so its
+    # link in the suspension is a 2-sphere, but the link of an apex is the
+    # torus itself, which has no sphere homology over any field. The first
+    # apex is the first failing face
+    facets, shift = ojoin_facets(TORUS7_FACETS, [[1], [2]])
+    assert shift == 7
+    cx = Complex.from_facets(facets)
+    for field in FIELDS:
+        verdict = is_homology_manifold(cx, field)
+        assert (verdict.is_manifold, verdict.witness) == (False, (8,)), field
+        assert verdict.witness_betti.betti == (0, 0, 2, 1)
