@@ -17,8 +17,9 @@ scan, is built by one closure, _closure. It walks each facet's submasks
 and skips those an earlier facet closed, so its work is at most d + 1
 visits per face, however much the facets overlap, and the face-count cap
 is checked after every facet. Vertex stars, the masks that hold each
-vertex bit, are listed by one helper, _stars, for the facets of a link
-and for the faces of the multiplicity sweep.
+vertex bit, are listed by one helper, _stars, for the facets of a link,
+the manifold scan and the grid sweep's coloring, and for the faces of
+the multiplicity sweep's table.
 
 Public APIs accept and return faces as sorted vertex tuples;
 Complex.face_mask and Complex.mask_vertices convert, and the mask layer
@@ -326,7 +327,9 @@ def _prefix_walk(cx: Complex, labels: Sequence, sep) -> Iterator[list]:
     value of the face minus its top vertex, one cardinality down, then
     sep, then labels[top]. With 1-tuples and () the values are the face
     tuples; with strs they are the faces' texts; with ints and 0 they are
-    sums over the faces' vertices.
+    sums over the faces' vertices: with place values per vertex color, a
+    face's place in a mixed-radix lattice, such as the flag walk's b or
+    the cell of the multiplicity sweep's color-class grid.
     """
     ext = [sep + x for x in labels]
     step = labels

@@ -12,19 +12,26 @@ and the error of a face is eps_F = chi_reduced(link(F)) - (-1)^(d-1-|F|)
 computation routes, kept deliberately distinct for differential testing.
 
 multiplicities(cx) sweeps every m_F at once with Yates' superset sum Z,
-as m = s*[F is a facet] + Z(s*(1 - c)), where s(G) = (-1)^(d-|G|) and
-c(G) counts the facets that hold G: the seed is zero on every face that
-one facet holds alone. When sum over facets g of 2^|g| < 2f (f faces, the
-empty face counted), only the faces that two or more facets share are
-seeded, at most d steps per pair of a shared face and a facet holding
-it; otherwise every face is, at sum over G of |G| additions.
+one of three ways. When sum over facets g of 2^|g| < 1.85 f (f faces,
+the empty face counted), it sweeps m = s*[F is a facet] + Z(s*(1 - c)),
+where s(G) = (-1)^(d-|G|) and c(G) counts the facets that hold G: only
+the faces that two or more facets share are seeded, at most d steps per
+pair of a shared face and a facet holding it. Otherwise it colors the
+vertices greedily so that no face holds two of one color, as on a
+balanced complex, and sums s over a dense grid with one mixed-radix
+digit per color class, one class at a time by slice assignment. When
+that grid would have more than a few cells per face, every face is
+seeded in a table keyed by mask, at sum over G of |G| additions.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import repeat
+from operator import add, or_
 from typing import Iterable
 
+from . import complexes
 from .complexes import Complex, FaceTuple, _prefix_walk, _stars
 from .errors import PreconditionError, ValidationError
 from .poly import _binomial_transform, _sign
@@ -188,18 +195,25 @@ def _superset_sweep(cx: Complex) -> tuple[tuple[int, ...], ...]:
     closed downward: a face that one facet holds alone lies in no shared
     face, so its m is s on a facet and 0 elsewhere.
 
-    Since sum over facets g of 2^|g| is the sum of c over the faces, it is
-    below 2f, f the face count with the empty face, when c is below 2 on
-    average. Then the family is the shared faces (_seed_shared), found at
-    most d steps per pair of a shared face and a facet that holds it, and
-    the facets' entries s are never swept. Otherwise the family is every
-    face, seeded with s. Either way _stars lists the family's stars, at
-    sum over its faces G of |G| additions. The table, keyed
-    by mask, is read into rows aligned with cx.masks_by_card and dropped.
+    The sum over facets g of 2^|g| is the sum of c over the faces, so
+    with f faces, the empty face counted, it is below 1.85 f when c is
+    below 1.85 on average; near that line the shared seeding and the
+    full path cost the same on small random complexes, timed in process.
+    Below it the family is the shared faces (_seed_shared), found at
+    most d steps per pair of a shared face and a facet that holds it,
+    and the facets' entries s are never swept. Otherwise _grid_sweep
+    first tries a dense grid over color classes; if the grid would be
+    too large, the family is every face, seeded with s. With a family,
+    _stars lists its stars, at sum over its faces G of |G| additions,
+    and the table, keyed by mask, is read into rows aligned with
+    cx.masks_by_card and dropped.
     """
-    if sum(1 << g.bit_count() for g in cx.facet_masks) < 2 * cx.num_faces:
+    if 20 * sum(1 << g.bit_count() for g in cx.facet_masks) < 37 * cx.num_faces:
         table, family = _seed_shared(cx)
     else:
+        rows = _grid_sweep(cx)
+        if rows is not None:
+            return rows
         table = family = {}
         for card, group in enumerate(cx.masks_by_card):
             table.update(zip(group, repeat(_sign(cx.d - card))))
@@ -210,6 +224,78 @@ def _superset_sweep(cx: Complex) -> tuple[tuple[int, ...], ...]:
     del family  # before the rows are built, so it does not raise the peak
     get = table.get  # a face the table lacks has m = 0
     return tuple(tuple(map(get, group, repeat(0))) for group in cx.masks_by_card)
+
+
+# the grid sweep gives up past this many cells per face
+_GRID_CELLS_PER_FACE = 4
+
+
+def _grid_sweep(cx: Complex) -> tuple[tuple[int, ...], ...] | None:
+    """Rows of m_F by Yates' superset sum over a dense mixed-radix grid,
+    or None if a greedy coloring gives no grid within
+    _GRID_CELLS_PER_FACE cells per face.
+
+    The vertices are colored greedily in bit order: each joins the first
+    class that holds none of its neighbours, the vertices of its facet
+    star. No face then holds two vertices of one class, so a face is a
+    number with one digit per class, 0 where it misses the class and
+    else its vertex's rank in the class, from 1. Its cell, that number
+    in radix |class| + 1, is the sum of its vertices' weights, rank times
+    the class's stride, added up by the prefix walk. The grid has
+    prod(|class| + 1) cells, one per face on cp_d, and the coloring
+    stops as soon as that running product passes the limit.
+
+    The grid holds s(G) = (-1)^(d-|G|) on the faces and 0 elsewhere; a
+    cell that is no face has no face above it, so it stays 0. Z is taken
+    one class at a time: the cells with digit 0 in the class add those
+    that differ from them in that digit alone, by one slice assignment
+    per block of the class's zero-digit cells, or per offset in a block
+    when the blocks are short and many. Rows are read back by cell.
+    """
+    limit = _GRID_CELLS_PER_FACE * cx.num_faces
+    stars = cx._derive("facet stars", complexes._facet_stars)
+    members: list[int] = []  # the vertex bits of each class
+    place = [(0, 0)] * len(stars)  # (class, rank) by vertex bit; a link's gaps stay (0, 0)
+    size = 1  # prod(|class| + 1) over the classes so far
+    for i, star in enumerate(stars):
+        if not star:
+            continue
+        near = reduce(or_, star)
+        c = next((c for c, m in enumerate(members) if not m & near), len(members))
+        if c == len(members):
+            members.append(0)
+        members[c] |= 1 << i
+        k = members[c].bit_count()
+        size = size // k * (k + 1)
+        if size > limit:
+            return None
+        place[i] = (c, k)
+    strides = [1]
+    for m in members:
+        strides.append(strides[-1] * (m.bit_count() + 1))
+    d = cx.d
+    grid = [0] * size
+    grid[0] = _sign(d)
+    cells = list(_prefix_walk(cx, [k * strides[c] for c, k in place], 0))
+    for card, at in enumerate(cells, 1):
+        s = _sign(d - card)
+        for i in at:
+            grid[i] = s
+    for stride, block in zip(strides, strides[1:]):
+        if stride < size // block:  # fewer offsets than blocks
+            for o in range(stride):
+                acc = grid[o::block]
+                for j in range(o + stride, block, stride):
+                    acc = map(add, acc, grid[j::block])
+                grid[o::block] = acc
+        else:
+            for a in range(0, size, block):
+                b = a + stride
+                acc = grid[a:b]
+                for j in range(b, a + block, stride):
+                    acc = map(add, acc, grid[j:j + stride])
+                grid[a:b] = acc
+    return ((grid[0],),) + tuple(tuple(map(grid.__getitem__, at)) for at in cells)
 
 
 def _seed_shared(cx: Complex) -> tuple[dict[int, int], list[int]]:

@@ -95,12 +95,20 @@ class FieldSpec(_FrozenRecord):
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
-        if text.lower() in ("q", "0", "rationals"):
-            return cls(0)
-        try:
-            return cls(int(text))
-        except ValueError:
-            raise ValidationError(f"field must be 'q' or a prime, got {text!r}")
+        """'q' or 'rationals' in any case, or ASCII decimal digits: 0 or a prime.
+
+        Signs, spaces, underscores and non-ASCII digits, which int() would
+        take, are rejected.
+        """
+        if text.isascii():
+            if text.lower() in ("q", "rationals"):
+                return cls(0)
+            if text.isdigit():
+                try:
+                    return cls(int(text))
+                except ValueError:  # more digits than int() converts
+                    pass
+        raise ValidationError(f"field must be 'q' or a prime, got {text!r}")
 
     def __str__(self) -> str:
         return "q" if self.characteristic == 0 else str(self.characteristic)

@@ -275,6 +275,7 @@ def test_usage_is_checked_before_any_input(capsys, monkeypatch, tmp_path):
     cases += [
         (["classify", "--field", "4"], "dskit: field characteristic must be 0 or prime, got 4\n"),
         (["betti", "--field", "x"], "dskit: field must be 'q' or a prime, got 'x'\n"),
+        (["betti", "--field=-0"], "dskit: field must be 'q' or a prime, got '-0'\n"),
     ]
     for argv, message in cases:
         for source in (missing, "-"):

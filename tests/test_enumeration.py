@@ -35,6 +35,7 @@ from dskit.generators import (
     cylinder,
     glued_tetrahedra,
     glued_triangles,
+    simplex_boundary,
     subdivided_triangle,
 )
 
@@ -170,8 +171,9 @@ def test_multiplicities_single_edge():
 
 
 def test_multiplicities_sweep_equals_per_face(randoms, suite, balanced_pairs, monkeypatch):
-    # a graph has sum 2^|g| - 2f = 2(e - n - 1): a 4-cycle sits just below
-    # the line, K4 minus an edge on it and K4 just above it
+    # a graph has sum 2^|g| = 4e against f = 1 + n + e faces, and the line
+    # is at 1.85 f: a 4-cycle sits below it (16 against 9 faces), K4 minus
+    # an edge (20 against 10) and K4 (24 against 11) above it
     k4 = [[a, b] for a in range(1, 5) for b in range(a + 1, 5)]
     edge_cases = [
         Complex.from_facets([]),  # {emptyset}
@@ -187,24 +189,109 @@ def test_multiplicities_sweep_equals_per_face(randoms, suite, balanced_pairs, mo
     spheres = [cx for name, cx, _ in balanced_pairs
                if name.startswith(("cross-polytope", "sd-simplex", "barycentric-subdivision-oct"))]
     assert len(spheres) == 6
-    corpus = randoms + [made.complex for _, made in suite] + edge_cases + spheres
-    seeded_shared = set()
-    seed_shared = enumeration._seed_shared
+    # no face holds two vertices of one greedy color class: cp_d in its
+    # antipodal pairs, the simplex boundaries one vertex a class, and a
+    # pentagon (three classes) joined with cp3
+    pentagon = [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]
+    gridded = (
+        [cross_polytope_boundary(d).complex for d in range(1, 7)]
+        + [simplex_boundary(d).complex for d in range(1, 8)]
+        + [Complex.from_facets(ojoin_facets(pentagon, ocross_polytope_facets(3))[0])]
+    )
+    corpus = randoms + [made.complex for _, made in suite] + edge_cases + spheres + gridded
+    seeded_shared, grid_taken = set(), {}
+    seed_shared, grid_sweep = enumeration._seed_shared, enumeration._grid_sweep
 
-    def spy(cx):
+    def shared_spy(cx):
         seeded_shared.add(id(cx))
         return seed_shared(cx)
 
-    monkeypatch.setattr(enumeration, "_seed_shared", spy)
+    def grid_spy(cx):
+        rows = grid_sweep(cx)
+        grid_taken[id(cx)] = rows is not None
+        return rows
+
+    monkeypatch.setattr(enumeration, "_seed_shared", shared_spy)
+    monkeypatch.setattr(enumeration, "_grid_sweep", grid_spy)
     for cx in corpus:
         # swept afresh: the session's complexes may hold rows already
-        table = MultiplicityTable(cx, enumeration._superset_sweep(cx))
+        rows = enumeration._superset_sweep(cx)
+        table = MultiplicityTable(cx, rows)
         assert len(table.items()) == cx.num_faces
         for face, m in table.items():
             assert m == multiplicity(cx, face, "superset-sum")
-    # both seedings are checked against the per-face sums
+        if any(cx is g for g in gridded):
+            # the grid alone, also where the shared seeding is taken
+            assert grid_sweep(cx) == rows
+    # the three seedings are checked against the per-face sums
     assert [id(cx) in seeded_shared for cx in edge_cases[-3:]] == [True, False, False]
     assert 10 <= len(seeded_shared) <= len(corpus) - 10, len(seeded_shared)
+    assert all(grid_taken[id(cx)] for cx in gridded if id(cx) not in seeded_shared)
+    # cp1, cp2 and the boundaries of the 1- and 2-simplex lie below the line
+    assert len([cx for cx in gridded if id(cx) in grid_taken]) == len(gridded) - 4
+    # the sd spheres fall back to the table over every face
+    assert [grid_taken[id(cx)] for cx in spheres[-2:]] == [False, False]
+
+
+def test_multiplicities_grid_under_wide_shuffled_ids(monkeypatch):
+    # cp9 with its 18 vertices renamed at random to ids far wider than a
+    # mask: the greedy classes are still its antipodal pairs, in another
+    # order, and every m_F of a sphere is 1
+    rng = random.Random(9)
+    ids = [rng.randrange(1, 10**30) * 18 + i for i in range(18)]  # distinct
+    rng.shuffle(ids)
+    facets = [[ids[v - 1] for v in f] for f in ocross_polytope_facets(9)]
+    rng.shuffle(facets)
+    cx = Complex.from_facets(facets)
+    taken = []
+    grid_sweep = enumeration._grid_sweep
+    monkeypatch.setattr(enumeration, "_grid_sweep", lambda cx: taken.append(cx) or grid_sweep(cx))
+    table = multiplicities(cx)
+    assert taken == [cx]
+    assert [len(row) for row in table.rows] == [2**k * comb(9, k) for k in range(10)]
+    assert all(m == 1 for row in table.rows for m in row)
+
+
+def test_multiplicities_census_of_complexes_on_five_labels(monkeypatch):
+    # every complex on labels 1..5, brute force: the down-sets of 2^[5]
+    # that hold the empty face, less {emptyset} itself. A mask comes after
+    # all its subsets in increasing order, so one pass takes or leaves
+    # each non-empty mask whose subsets one vertex smaller are all taken
+    def downsets(mask, taken):
+        if mask == 32:
+            yield taken
+            return
+        yield from downsets(mask + 1, taken)
+        if all(mask ^ (1 << i) in taken for i in range(5) if mask >> i & 1):
+            yield from downsets(mask + 1, taken | {mask})
+
+    paths = {"shared": 0, "grid": 0}
+    seed_shared, grid_sweep = enumeration._seed_shared, enumeration._grid_sweep
+
+    def shared_spy(cx):
+        paths["shared"] += 1
+        return seed_shared(cx)
+
+    def grid_spy(cx):
+        rows = grid_sweep(cx)
+        paths["grid"] += rows is not None
+        return rows
+
+    monkeypatch.setattr(enumeration, "_seed_shared", shared_spy)
+    monkeypatch.setattr(enumeration, "_grid_sweep", grid_spy)
+    count = 0
+    for masks in downsets(1, frozenset([0])):
+        if len(masks) == 1:
+            continue  # {emptyset}
+        count += 1
+        faces = [frozenset(i + 1 for i in range(5) if m >> i & 1) for m in masks]
+        cx = Complex.from_facets(sorted(face) for face in faces if face)
+        table = MultiplicityTable(cx, enumeration._superset_sweep(cx))
+        assert {frozenset(face): m for face, m in table.items()} == {
+            face: om_f(faces, face, cx.d) for face in faces
+        }
+    assert count == 7579
+    assert paths["shared"] and paths["grid"], paths
 
 
 def test_multiplicities_of_a_long_path_in_bounded_time():
@@ -246,6 +333,21 @@ def test_multiplicities_of_one_facet_cost_only_the_rows():
         tracemalloc.stop()
     assert table.m_empty == 0 and table.m(range(1, 17)) == 1
     assert peak < 24 * cx.num_faces, peak / cx.num_faces
+
+
+def test_multiplicities_of_cp10_cost_less_than_a_table_over_every_face():
+    # cp10's sweep takes the color-class grid: one list cell per face and
+    # the faces' cells beside the rows, where a table keyed by mask with
+    # star lists over every face peaked at 103 B per face
+    cx = Complex.from_facets(ocross_polytope_facets(10))
+    tracemalloc.start()
+    try:
+        table = multiplicities(cx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.m_empty == 1 and len(table.rows[5]) == 2**5 * comb(10, 5)
+    assert peak < 80 * cx.num_faces, peak / cx.num_faces
 
 
 @settings(max_examples=60, deadline=None)

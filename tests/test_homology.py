@@ -249,6 +249,14 @@ def test_field_spec_validation():
         FieldSpec(6)
     with pytest.raises(ValidationError):
         FieldSpec.parse("abc")
+    # q or rationals in any ASCII case, or ASCII decimal digits
+    for text in ("Q", "RATIONALS", "Rationals", "0", "00"):
+        assert FieldSpec.parse(text).characteristic == 0, text
+    assert FieldSpec.parse("007").characteristic == 7
+    # what int() would also read: a sign, spaces, underscores, other digits
+    for text in ("-0", "+3", " 5", "2 ", "1_3", "\uff13", "\u0663", "q ", "", "0x3", "9" * 5000):
+        with pytest.raises(ValidationError, match="field must be 'q' or a prime"):
+            FieldSpec.parse(text)
 
 
 def test_is_prime_matches_sieve():
