@@ -115,7 +115,7 @@ def _vector(key: str, compute):
     return body
 
 
-_SLICE = 4096  # faces per chunk of multiplicities output
+_SLICE = 1024  # faces per chunk of multiplicities output
 
 
 def _multiplicities(args, cx) -> int:

@@ -355,13 +355,17 @@ def from_facets(facets: Iterable[Iterable[int]], max_faces: int | None = None) -
 def parse_cplx(text: str, max_faces: int | None = None) -> Complex:
     """Parse the .cplx facet format; raises ParseError with a line number."""
     facets = []
+    plain_text = _plain(text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        plain = plain_text or _plain(line)
         facet = []
         for tok in line.split():
             try:
+                if not (plain or _is_decimal(tok)):
+                    raise ValueError
                 v = int(tok)
             except ValueError:
                 raise ParseError(f"expected integer vertex id, got {tok!r}", lineno)
@@ -373,6 +377,19 @@ def parse_cplx(text: str, max_faces: int | None = None) -> Complex:
         facets.append(facet)
     # every facet is checked above: positive, distinct ints, never empty
     return Complex._from_checked_facets(facets, _effective_max_faces(max_faces))
+
+
+def _plain(text: str) -> bool:
+    """Whether int() reads every token of text as _is_decimal would; it
+    also takes '+', '_' and non-ASCII digits. The parsers check the whole
+    text, then each line, and test tokens only on a line that holds one."""
+    return text.isascii() and "+" not in text and "_" not in text
+
+
+def _is_decimal(tok: str) -> bool:
+    """Whether tok is ASCII decimal digits, after at most one leading '-'."""
+    digits = tok[1:] if tok[:1] == "-" else tok
+    return digits.isascii() and digits.isdigit()
 
 
 def _decode_utf8(data: bytes) -> str:
@@ -400,6 +417,7 @@ def write_cplx(cx: Complex) -> str:
 def parse_colors(text: str) -> dict[int, int]:
     """Parse the .colors sidecar: lines of 'vertex color'."""
     kappa: dict[int, int] = {}
+    plain_text = _plain(text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -408,6 +426,8 @@ def parse_colors(text: str) -> dict[int, int]:
         if len(parts) != 2:
             raise ParseError("expected 'vertex color'", lineno)
         try:
+            if not (plain_text or _plain(line) or (_is_decimal(parts[0]) and _is_decimal(parts[1]))):
+                raise ValueError
             v, c = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"expected integers, got {line!r}", lineno)

@@ -19,22 +19,22 @@ the faces that two or more facets share are seeded, at most d steps per
 pair of a shared face and a facet holding it. Otherwise it colors the
 vertices greedily so that no face holds two of one color, as on a
 balanced complex, and sums s over a dense grid with one mixed-radix
-digit per color class, one class at a time by slice assignment. When
+digit per color class, one class at a time by poly._lattice_transform. When
 that grid would have more than a few cells per face, every face is
 seeded in a table keyed by mask, at sum over G of |G| additions.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import repeat
-from operator import add, or_
+from operator import or_
 from typing import Iterable
 
 from . import complexes
 from .complexes import Complex, FaceTuple, _prefix_walk, _stars
 from .errors import PreconditionError, ValidationError
-from .poly import _binomial_transform, _sign
+from .poly import _Kernel, _binomial_transform, _lattice_transform, _sign
 
 FVector = tuple[int, ...]
 HVector = tuple[int, ...]
@@ -230,6 +230,12 @@ def _superset_sweep(cx: Complex) -> tuple[tuple[int, ...], ...]:
 _GRID_CELLS_PER_FACE = 4
 
 
+@cache
+def _gather_rows(k: int) -> _Kernel:
+    """The kernel whose top entry k gains every other entry of its axis."""
+    return ((),) * k + (tuple((b, 1) for b in range(k)),)
+
+
 def _grid_sweep(cx: Complex) -> tuple[tuple[int, ...], ...] | None:
     """Rows of m_F by Yates' superset sum over a dense mixed-radix grid,
     or None if a greedy coloring gives no grid within
@@ -246,11 +252,10 @@ def _grid_sweep(cx: Complex) -> tuple[tuple[int, ...], ...] | None:
     stops as soon as that running product passes the limit.
 
     The grid holds s(G) = (-1)^(d-|G|) on the faces and 0 elsewhere; a
-    cell that is no face has no face above it, so it stays 0. Z is taken
-    one class at a time: the cells with digit 0 in the class add those
-    that differ from them in that digit alone, by one slice assignment
-    per block of the class's zero-digit cells, or per offset in a block
-    when the blocks are short and many. Rows are read back by cell.
+    cell that is no face has no face above it, so it stays 0. Reversed,
+    the grid has each class's digit 0 on top of its axis, and
+    poly._lattice_transform adds every other digit of the axis into it,
+    one class at a time: Z. Rows are read back by cell.
     """
     limit = _GRID_CELLS_PER_FACE * cx.num_faces
     stars = cx._derive("facet stars", complexes._facet_stars)
@@ -281,20 +286,9 @@ def _grid_sweep(cx: Complex) -> tuple[tuple[int, ...], ...] | None:
         s = _sign(d - card)
         for i in at:
             grid[i] = s
-    for stride, block in zip(strides, strides[1:]):
-        if stride < size // block:  # fewer offsets than blocks
-            for o in range(stride):
-                acc = grid[o::block]
-                for j in range(o + stride, block, stride):
-                    acc = map(add, acc, grid[j::block])
-                grid[o::block] = acc
-        else:
-            for a in range(0, size, block):
-                b = a + stride
-                acc = grid[a:b]
-                for j in range(b, a + block, stride):
-                    acc = map(add, acc, grid[j:j + stride])
-                grid[a:b] = acc
+    grid.reverse()  # each class's digit 0 becomes the top digit of its axis
+    _lattice_transform(grid, tuple(m.bit_count() for m in reversed(members)), _gather_rows)
+    grid.reverse()
     return ((grid[0],),) + tuple(tuple(map(grid.__getitem__, at)) for at in cells)
 
 

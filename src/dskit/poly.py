@@ -9,13 +9,11 @@ integer coefficients, held with their bound in MPoly.
 Every change of basis in the library is one routine, _binomial_transform,
 on the lattice b <= a with one of two mutually inverse kernels: C(a-b, e-b)
 takes coefficients on x^b (x+1)^(a-b) to monomial ones, and
-(-1)^(|e|-|b|) C(a-b, e-b) goes back. Both factor over the coordinates, so
-it runs one axis at a time (Yates' method), each axis over all of its
-lattice lines at once: whole list slices, one map per weight. An axis that
-is the lattice's only line, as in every univariate call, keeps a scalar
-loop, which is faster at that size. At a = (d,) the kernels are the two
-evaluations of the h-polynomial: the signed kernel takes an f-vector to its
-h-vector, the forward one takes it back.
+(-1)^(|e|-|b|) C(a-b, e-b) goes back. At a = (d,) they are the two
+evaluations of the h-polynomial: the signed kernel takes an f-vector to
+its h-vector, the forward one takes it back. Both factor over the axes, so
+they run through _lattice_transform, one axis at a time (Yates' method),
+which the multiplicity sweep's color-class grid uses too.
 
 All arithmetic uses Python's arbitrary-precision integers, so results are
 exact at any size.
@@ -27,11 +25,12 @@ from functools import cache
 from itertools import product
 from math import comb
 from operator import add, sub
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, ValidationError
 
 ExponentVec = tuple[int, ...]
+_Kernel = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _sign(k: int) -> int:
@@ -39,73 +38,78 @@ def _sign(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-def _binomial_transform(
-    values: Sequence[int], a: ExponentVec, inverse: bool = False
-) -> list[int]:
+def _binomial_transform(values: Sequence[int], a: ExponentVec, inverse: bool = False) -> list[int]:
     """out_e = sum_{b<=e} prod_i C(a_i-b_i, e_i-b_i) v_b, signed (-1)^(|e|-|b|) if inverse.
 
-    values and the result are listed in exponents_below(a) order. An axis
-    of length a_i + 1 with stride s has block (a_i + 1) s, and the entries
-    at coordinate b on it are n / block runs of length s, or s extended
-    slices of step block: the axis takes whichever layout has fewer
-    slices. For e from a_i down to 1, rows[b][e-b] times slice b is added
-    into slice e for every b < e, one map per weight, with weights +-1 a
-    plain add or sub; all-zero slices are skipped. A step reads only
-    coordinates below e, which still hold the input, so the update is in
-    place. An axis that is the only lattice line keeps a scalar loop.
+    values and the result are listed in exponents_below(a) order.
     """
-    out = list(values)
-    n = stride = len(out)
+    return _lattice_transform(list(values), a, lambda ai: _binomial_rows(ai, inverse))
+
+
+@cache
+def _binomial_rows(ai: int, inverse: bool) -> _Kernel:
+    """rows[e]: the pairs (b, C(ai-b, e-b)), signed (-1)^(e-b) if inverse, for b < e."""
+    sign = -1 if inverse else 1
+    return tuple(tuple((b, sign ** (e - b) * comb(ai - b, e - b)) for b in range(e)) for e in range(ai + 1))
+
+
+def _lattice_transform(values: list[int], a: ExponentVec, kernel: Callable[[int], _Kernel]) -> list[int]:
+    """values, listed in exponents_below(a) order, times a unit
+    lower-triangular kernel on every axis: updated in place and returned.
+
+    kernel(a_i)[e], cached by the caller per axis length, lists the pairs
+    (b, w), b < e, w != 0: along each axis the entry at coordinate e gains w
+    times the one at b. Each axis runs over all of its lattice lines at
+    once: with stride s and block (a_i + 1) s, the entries at coordinate b
+    are n / block runs of length s, or s extended slices of step block,
+    whichever are fewer. For e from a_i down to 1, slice e gains w times
+    slice b per pair, one map per weight, +-1 a plain add or sub, and
+    all-zero slices are skipped; a step reads only coordinates below e, which
+    still hold their old values. An axis that is the lattice's only line, as
+    in every univariate call, keeps a scalar loop over the same pairs, which
+    is faster at that size.
+    """
+    n = stride = len(values)
     for ai in a:
         block, stride = stride, stride // (ai + 1)
         if not ai:
             continue
-        rows = _binomial_rows(ai, inverse)
+        rows = kernel(ai)
         if n == ai + 1:  # the one lattice line: a scalar loop
-            new = [0] * (ai + 1)
-            for b, vb in enumerate(out):
-                if vb:
-                    for k, w in enumerate(rows[b]):
-                        new[b + k] += w * vb
-            out = new
+            for e in range(ai, 0, -1):
+                acc = values[e]
+                for b, w in rows[e]:
+                    acc += w * values[b]
+                values[e] = acc
             continue
-        # the entries at coordinate b of the line or lines starting at o
-        # are out[o + b * stride : o + b * stride + span : step]
+        # coordinate b of the lines at o: values[at : at + span : step], at = o + b * stride
         if n // block <= stride:
             starts, span, step = range(0, n, block), stride, 1
         else:
             starts, span, step = range(stride), n - block + 1, block
         for o in starts:
             below = []
-            for b in range(ai):
-                at = o + b * stride
-                vb = out[at : at + span : step]
-                if any(vb):
-                    below.append((b, vb))
-            for e in range(ai, below[0][0] if below else ai, -1):
-                at = o + e * stride
-                acc = out[at : at + span : step]
-                for b, vb in below:
-                    if b >= e:
-                        break
-                    w = rows[b][e - b]
+            for at in range(o, o + ai * stride, stride):
+                vb = values[at : at + span : step]
+                below.append(vb if any(vb) else None)
+            for e in range(ai, 0, -1):
+                acc = None  # slice e, read once a nonzero slice adds into it
+                for b, w in rows[e]:
+                    vb = below[b]
+                    if vb is None:
+                        continue
+                    if acc is None:
+                        at = o + e * stride
+                        acc = values[at : at + span : step]
                     if w == 1:
                         acc = map(add, acc, vb)
                     elif w == -1:
                         acc = map(sub, acc, vb)
                     else:
                         acc = map(add, acc, map(w.__mul__, vb))
-                out[at : at + span : step] = list(acc)
-    return out
-
-
-@cache
-def _binomial_rows(ai: int, inverse: bool) -> tuple[tuple[int, ...], ...]:
-    """rows[b][k]: weight of v_b in out_{b+k} along an axis of length ai + 1."""
-    sign = -1 if inverse else 1
-    return tuple(
-        tuple(sign**k * comb(ai - b, k) for k in range(ai + 1 - b)) for b in range(ai + 1)
-    )
+                if acc is not None:
+                    values[at : at + span : step] = list(acc)
+    return values
 
 
 def exponents_below(a: ExponentVec) -> Iterator[ExponentVec]:

@@ -584,6 +584,20 @@ def test_id_past_the_int_digit_limit_is_a_parse_error(capsys, tmp_path):
     assert err.startswith("dskit: parse error: line 3: ")
 
 
+def test_ids_with_underscores_or_signs_are_parse_errors(capsys, monkeypatch, tmp_path):
+    # int() reads "1_0" as 10 and "+7" as 7; neither is an id, and a
+    # .colors line with one fails the same way
+    code, out, err = run_cli(capsys, ["f-vector"], stdin_text="1_0 2\n", monkeypatch=monkeypatch)
+    assert (code, out) == (3, "")
+    assert err == "dskit: parse error: line 1: expected integer vertex id, got '1_0'\n"
+    cplx, colors = tmp_path / "e.cplx", tmp_path / "e.colors"
+    cplx.write_text("1 2\n")
+    colors.write_text("1 1\n2 +2\n")
+    code, out, err = run_cli(capsys, ["flag", str(cplx), "--colors", str(colors)])
+    assert (code, out) == (3, "")
+    assert err == "dskit: parse error: line 2: expected integers, got '2 +2'\n"
+
+
 def test_every_json_command_keeps_the_stdlib_layout(capsys, tmp_path):
     # each --json output, read back and re-rendered by the stdlib, gives the
     # same bytes: cross-polytope with its coloring, and an edge with a wide id

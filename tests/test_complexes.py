@@ -519,6 +519,41 @@ def _parses_or_names_a_line(parse, text: str) -> None:
         assert exc.line is not None and 1 <= exc.line <= len(text.splitlines())
 
 
+# int() also reads a sign, underscores between digits and non-ASCII
+# digits; an id is ASCII decimal digits only
+_NOT_IDS = ("+7", "1_0", "1__0", "_1", "\u0663", "\uff13", "\U0001d7d1", "+0", "0x3", "1.5")
+
+
+def test_ids_are_ascii_decimal_digits():
+    for tok in _NOT_IDS:
+        with pytest.raises(ParseError, match="^line 2: expected integer vertex id, got ") as err:
+            parse_cplx(f"1 2\n3 {tok}\n")
+        assert err.value.args[0].endswith(repr(tok))
+        with pytest.raises(ParseError, match="^line 2: expected integers, got ") as err:
+            parse_colors(f"1 1\n{tok} 2\n")
+        with pytest.raises(ParseError, match="^line 1: expected integers, got "):
+            parse_colors(f"1 {tok}\n")
+    # the first bad token of a line is named, whatever follows it
+    for text, message in (
+        ("+3 \u0663\n", "expected integer vertex id, got '+3'"),
+        ("3 \u0663\n", "expected integer vertex id, got '\u0663'"),
+        ("1 x\n", "expected integer vertex id, got 'x'"),
+        ("0 x\n", "vertex ids must be positive, got 0"),
+        ("-3 +1\n", "vertex ids must be positive, got -3"),
+        ("1 1_0\n", "expected integer vertex id, got '1_0'"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(f"line 1: {message}")):
+            parse_cplx(text)
+    for text in ("0 1\n", "-3 1\n", "1 -0\n"):
+        with pytest.raises(ParseError, match="^line 1: vertex and color must be positive$"):
+            parse_colors(text)
+    # leading zeros and wide ids stay valid, as do ids split by a
+    # non-ASCII space
+    wide = str(10**400)
+    assert parse_cplx(f"07 2\n{wide} 1\n1\u00a03\n").facets == ((1, 3), (1, 10**400), (2, 7))
+    assert parse_colors(f"07 1\n{wide} 02\n") == {7: 1, 10**400: 2}
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_cplx_parser_fuzz(data):

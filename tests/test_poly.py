@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dskit import enumeration
 from dskit.enumeration import h_to_f, h_vector
 from dskit.errors import DomainError
-from dskit.poly import MPoly, _binomial_transform, exponents_below
+from dskit.poly import MPoly, _binomial_rows, _binomial_transform, _lattice_transform, exponents_below
 
 from conftest import (
     mcomb,
@@ -268,3 +269,72 @@ def test_univariate_transforms_match_the_per_index_sums():
         h = ref_flag_h({(i,): fi for i, fi in enumerate(f)}, (d,))
         assert h_vector(f) == tuple(h[(k,)] for k in range(d + 1))
         assert _binomial_transform(f, (d,), inverse=True) == list(h_vector(f))
+
+
+# -- the lattice loop itself, under both kinds of kernel --------------------
+
+
+def _gather_sums(v, a):
+    """Brute force: at e, the sum of v_b over every b that agrees with e on
+    each axis where e is below the top, and is anything where e is at it."""
+    lattice = list(exponents_below(a))
+    return [
+        sum(vb for b, vb in zip(lattice, v) if all(x in (y, top) for x, y, top in zip(e, b, a)))
+        for e in lattice
+    ]
+
+
+class _SliceSpy(list):
+    """A list that records the step of every slice read from it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.steps = []
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.steps.append(key.step)
+        return super().__getitem__(key)
+
+
+def _check_lattice_transform(a, v):
+    """Both kinds of kernel on v against brute force; the slice steps read."""
+    lattice = list(exponents_below(a))
+    gathered = _SliceSpy(v)
+    # in place: the list handed in is the list returned
+    assert _lattice_transform(gathered, a, enumeration._gather_rows) is gathered
+    assert gathered == _gather_sums(v, a)
+    for inverse, ref in ((True, ref_flag_h), (False, ref_balanced_ds_scalar)):
+        got = _lattice_transform(list(v), a, lambda ai: _binomial_rows(ai, inverse))
+        want = ref(dict(zip(lattice, v)), a)
+        assert got == [want[b] for b in lattice]
+    return set(gathered.steps)
+
+
+_RADICES = st.lists(st.integers(0, 5), min_size=1, max_size=5).filter(
+    lambda a: len(list(exponents_below(a))) <= 300
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RADICES.map(tuple), st.data())
+def test_lattice_transform_against_brute_force(a, data):
+    n = len(list(exponents_below(a)))
+    v = data.draw(st.lists(st.just(0) | st.integers(-(10**6), 10**6), min_size=n, max_size=n))
+    steps = _check_lattice_transform(a, v)
+    if n == max(a) + 1:  # at most one axis longer than 1: the scalar loop
+        assert steps == set()
+
+
+def test_lattice_transform_takes_each_slice_layout():
+    # an axis reads runs (step 1) while its blocks are no more than its
+    # stride, else extended slices of step block: (5, 1, 1, 1, 1) takes
+    # runs on its first two axes, (1, 1, 1, 1, 5) on its first three and
+    # weights C(5, k) on extended slices of step 6. A single axis is the
+    # lattice's only line and reads no slice
+    rng = random.Random(518)
+    for a, layouts in (((5, 1, 1, 1, 1), {1, 8, 4, 2}), ((1, 1, 1, 1, 5), {1, 12, 6}),
+                       ((4,), set()), ((0, 3, 0), set()), ((2, 2), {1, 3})):
+        n = len(list(exponents_below(a)))
+        v = [rng.choice((0, rng.randrange(-(10**6), 10**6))) for _ in range(n)]
+        assert _check_lattice_transform(a, v) == layouts
